@@ -84,7 +84,7 @@ def build_identifier() -> str:
         )
         if rev.returncode == 0 and rev.stdout.strip():
             return f"{base}+g{rev.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return base
 

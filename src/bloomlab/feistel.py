@@ -5,7 +5,13 @@ domain covering [0, size). Domains whose size is not a power of four are
 handled by cycle walking: the network is applied repeatedly until the value
 lands back inside [0, size), which restricts the permutation to the domain
 without biasing it. The round function is a keyed blake2b of the pair
-(round index, half-block).
+(round index, half-block), packed as ``<QQ>``.
+
+The four round states are built once per permutation: each is keyed and has
+already absorbed ``<Q>(round index)``, and a round copies its state and feeds
+it ``<Q>(half-block)``. The digest is byte-identical to hashing the packed
+pair from scratch, so every image is unchanged; only the per-call key setup
+is saved.
 """
 
 from __future__ import annotations
@@ -16,13 +22,13 @@ import struct
 from .errors import ParameterError
 
 ROUNDS = 4
-_PAIR = struct.Struct("<QQ")
+_WORD = struct.Struct("<Q")
 
 
 class FeistelPermutation:
     """Bijection on [0, size) determined entirely by ``key``."""
 
-    __slots__ = ("key", "size", "_half_bits", "_half_mask", "_domain")
+    __slots__ = ("key", "size", "_half_bits", "_half_mask", "_domain", "_rounds")
 
     def __init__(self, key: bytes, size: int):
         if size < 1:
@@ -37,12 +43,14 @@ class FeistelPermutation:
         self._half_bits = bits // 2
         self._half_mask = (1 << self._half_bits) - 1
         self._domain = 1 << bits
+        self._rounds = tuple(
+            hashlib.blake2b(_WORD.pack(i), key=self.key, digest_size=8) for i in range(ROUNDS)
+        )
 
     def _round(self, index: int, value: int) -> int:
-        digest = hashlib.blake2b(
-            _PAIR.pack(index, value), key=self.key, digest_size=8
-        ).digest()
-        return int.from_bytes(digest, "little") & self._half_mask
+        h = self._rounds[index].copy()
+        h.update(_WORD.pack(value))
+        return int.from_bytes(h.digest(), "little") & self._half_mask
 
     def _encrypt_block(self, value: int) -> int:
         left = value >> self._half_bits

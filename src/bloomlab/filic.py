@@ -393,7 +393,7 @@ class RepresentationPredictionAdversary(FilicAdversary):
             if x in self.members:
                 continue
             image = prp.encrypt(x) if prp is not None else x
-            if all(_bit_set(bits, j) for j in self._public.indices(image, m, k)):
+            if all(_bit_set(bits, j) for j in self._public.indices(image, m, k, bits)):
                 ans = oracles.query(x)
                 return ans if ans in (0, 1) else 0
         return 0

@@ -52,6 +52,18 @@ def test_experiment_smoke(experiment):
     assert "ms" in err  # timing goes to stderr, never stdout
 
 
+def test_build_identifier_falls_back_when_git_times_out(monkeypatch):
+    def hang(argv, **kwargs):
+        raise subprocess.TimeoutExpired(argv, kwargs.get("timeout"))
+
+    monkeypatch.setattr(cli.subprocess, "run", hang)
+    cli.build_identifier.cache_clear()
+    try:
+        assert cli.build_identifier() == "bloomlab-0.1.0"
+    finally:
+        cli.build_identifier.cache_clear()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reruns_are_byte_identical(fmt):
     argv = ["bp-attack", "--trials", "60", "--seed", "3", "--format", fmt]

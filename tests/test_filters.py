@@ -1,7 +1,9 @@
 """Core filter behavior: hashing, building, querying, serialization."""
 
+import hashlib
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
-from bloomlab.feistel import FeistelPermutation
+from bloomlab.feistel import ROUNDS, FeistelPermutation
 from bloomlab.filters import (
     FORMAT_VERSION,
     KEY_OFFSET,
@@ -93,6 +95,47 @@ def test_true_random_same_seed_same_draw_order():
     b = HashFamily.true_random(seed=123)
     for x in (9, 2, 77, 9):
         assert a.indices(x, 16, 2) == b.indices(x, 16, 2)
+
+
+def _reference_digest(key: bytes, i: int, x: int) -> int:
+    """The PRF of the pair (i, x) hashed from scratch, without cached states."""
+    return int.from_bytes(
+        hashlib.blake2b(struct.pack("<QQ", i, x), key=key, digest_size=8).digest(), "little"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.one_of(st.none(), st.binary(min_size=1, max_size=64)),
+    x=st.integers(0, (1 << 64) - 1),
+    m=st.one_of(st.integers(1, 64), st.integers(65, 1 << 20)),
+    k=st.integers(1, 12),
+    data=st.data(),
+)
+def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, k, data):
+    family = HashFamily.public() if key is None else HashFamily.keyed(key)
+    expected = tuple(_reference_digest(family.key, i, x) % m for i in range(k))
+    assert family.indices(x, m, k) == expected
+    # A second shape on the same family grows its cached states.
+    assert family.indices(x, m, 12) == tuple(_reference_digest(family.key, i, x) % m for i in range(12))
+
+    bits = bytearray((m + 7) // 8)
+    for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=k, max_size=k))):
+        if on:
+            bits[j >> 3] |= 1 << (j & 7)
+    clear = [n for n, j in enumerate(expected) if not bits[j >> 3] & (1 << (j & 7))]
+    prefix = expected[:clear[0] + 1] if clear else expected
+    assert family.indices(x, m, k, bits) == prefix
+    assert family.indices(x, m, k, b"\xff" * len(bits)) == expected
+
+
+def test_true_random_indices_ignore_bits():
+    with_bits = HashFamily.true_random(seed=5)
+    without = HashFamily.true_random(seed=5)
+    empty = bytearray(4)
+    for x in (3, 9, 3, 1):
+        assert with_bits.indices(x, 32, 4, empty) == without.indices(x, 32, 4)
+    assert with_bits.memo == without.memo
 
 
 def test_keyed_prf_indices_uniform_chi_square():
@@ -266,6 +309,23 @@ def test_snapshot_rejects_garbage_and_wrong_kind():
         )
 
 
+def test_true_random_snapshot_is_refused():
+    u = Universe(512)
+    filt = BloomFilter.build(set(range(20)), FilterParams(m=256, k=3, n=20),
+                             HashFamily.true_random(seed=1), u)
+    with pytest.raises(UnsupportedOperationError):
+        filt.to_bytes()
+
+
+@pytest.mark.parametrize("inner", [HashFamily.keyed(b"inner"), HashFamily.true_random(seed=2)],
+                         ids=["keyed", "true-random"])
+def test_ny_snapshot_with_non_public_inner_family_is_refused(inner):
+    u = Universe(512)
+    ny = NyFilter.build(set(range(20)), FilterParams(m=256, k=3, n=20), b"pk", u, family=inner)
+    with pytest.raises(UnsupportedOperationError):
+        ny.to_bytes()
+
+
 def test_ny_snapshot_roundtrip_and_key_offset():
     u = Universe(300)
     params = FilterParams(m=64, k=2, n=4)
@@ -350,3 +410,18 @@ def test_query_domain_error():
         filt.query(32)
     with pytest.raises(DomainError):
         filt.insert(-1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(max_size=64),
+    size=st.integers(1, 1 << 40),
+    index=st.integers(0, ROUNDS - 1),
+    value=st.integers(0, (1 << 64) - 1),
+)
+def test_feistel_round_matches_reference_formula(key, size, index, value):
+    perm = FeistelPermutation(key, size)
+    half_mask = (1 << perm._half_bits) - 1
+    assert perm._round(index, value) == _reference_digest(key, index, value) & half_mask
+    x = value % size
+    assert perm.decrypt(perm.encrypt(x)) == x

@@ -1,0 +1,89 @@
+"""Pinned outputs: the sha256 of each experiment's JSON-lines records.
+
+Every experiment runs at small fixed settings under two master seeds. The
+``build`` field carries the source revision, so it is blanked before
+hashing; every other byte of stdout is pinned, including the 17-digit float
+formatting. A change that moves any bit position, RNG draw or formula shows
+up here. When outputs change on purpose, regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+and record the reason in CHANGES.md.
+"""
+
+import hashlib
+import io
+import re
+
+import pytest
+
+from bloomlab import cli
+
+SEEDS = (11, 2024)
+
+CASES = {
+    "fpr-public": ["fpr-estimate", "--mode", "public", "--m", "256", "--k", "5", "--n", "30",
+                   "--u", "4096", "--trials", "3", "--queries", "1500"],
+    "fpr-keyed": ["fpr-estimate", "--mode", "keyed-prf", "--m", "256", "--k", "5", "--n", "30",
+                  "--u", "4096", "--trials", "3", "--queries", "1500"],
+    "fpr-true-random": ["fpr-estimate", "--mode", "true-random", "--m", "256", "--k", "5", "--n", "30",
+                        "--u", "4096", "--trials", "3", "--queries", "1500"],
+    "ab-public-saturation": ["ab-game", "--mode", "public", "--adversary", "saturation",
+                             "--m", "64", "--k", "3", "--n", "20", "--trials", "20"],
+    "ab-keyed-uniform": ["ab-game", "--mode", "keyed-prf", "--adversary", "uniform",
+                         "--m", "256", "--k", "5", "--n", "30", "--trials", "20"],
+    "ab-true-random-uniform": ["ab-game", "--mode", "true-random", "--adversary", "uniform",
+                               "--m", "256", "--k", "5", "--n", "30", "--trials", "20"],
+    "bp-attack": ["bp-attack", "--m", "8,16", "--trials", "40"],
+    "privacy-mangat": ["privacy-audit", "--mode", "mangat", "--p", "0.5", "--trials", "300"],
+    "privacy-warner": ["privacy-audit", "--mode", "warner", "--p", "0.6,0.8",
+                       "--direction", "reverse", "--trials", "300"],
+    "filic-key-leak": ["filic-distinguish", "--scenario", "key-leak", "--trials", "40"],
+    "filic-public-collision": ["filic-distinguish", "--scenario", "public-collision", "--trials", "40"],
+    "filic-null": ["filic-distinguish", "--scenario", "null", "--trials", "40"],
+    "saturation-scan": ["saturation-scan", "--m", "4,8,16", "--n", "20", "--k", "3", "--trials", "30"],
+    "error-analysis-mangat": ["error-analysis", "--mode", "mangat"],
+    "error-analysis-warner": ["error-analysis", "--mode", "warner", "--p", "0.6,0.9"],
+}
+
+DIGESTS = {
+    'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '2075baf10375c95c3722c50d908111ed5ad77aa270e1d9b15d0e3cc029dffa43'},
+    'ab-public-saturation': {11: 'e9c514ba8dcc1e6ff1f609c829f8872435a130b4137bb61171a23589ec106676', 2024: 'c273608df6f1ac787e6467ffdb7f97f5f03b8f0459546641b6f5587b21c27e71'},
+    'ab-true-random-uniform': {11: '90b996de90f161c873fb2e8d395b6167ea568492e4e3df370623a8ee2b928eee', 2024: 'bb2ff7514ddfe7ea87a76ec1580338c172dfbbc1d5acacb74efdaf096b072f85'},
+    'bp-attack': {11: 'f3dee474a0815cd3cf10c90953a932e83f8c836ba8acbf3bbbd8bef72ce75c1a', 2024: 'e9bdbae842caca977f7f111b3dd3869508f6627c49e2e9d38800080f3387e71e'},
+    'error-analysis-mangat': {11: 'eef88aabe93cb16c939131f9e5e2763f77a90c0c525950a87ac6f32bd7363fb5', 2024: '58584ec3b2177a3cfb5d0ac8a991c18bad3c0de23b41695064a03d44d03ce047'},
+    'error-analysis-warner': {11: '37069bfae852df9e43a07729dfc0a3c9aafd7b3f36da25a4e989303c5edbf638', 2024: 'bcb4014daeabe7c6422c19655d2b2dc0fc7d966bb5d3736a420a3fbb1155bcba'},
+    'filic-key-leak': {11: 'ae0e0ebedbd395aa7c27f21c118f459530eb45eb94c5b2d5fb5bf3fb02cb6f78', 2024: '33d210e980e7a755bf9f23db04e29ba612c42ef713e6ebabf08850457cf70286'},
+    'filic-null': {11: '76371bb235faf362b3490005eafb5018fa3aa3a7d79208c898c8ada4d53458f8', 2024: 'bf6be8f015727c31d272d36a0d9a40cebe361df992fb7bb3480fd8b945d5899a'},
+    'filic-public-collision': {11: '89a6dd71dc01a7425dc774e8100bceaa562efff3d6d14d8cc25b8552a85b36cb', 2024: '5b0bf63802aee3849b1b23b0a287d1fe923223bb99689b64789f0e1264225045'},
+    'fpr-keyed': {11: 'ebf88fcce4f0c41bdc557565afea31eaa074a45e8b982e828f347b9408f88f97', 2024: '024c6b47f8a55332a46942fb1098689ccef06ccd50e439aecb35b520d7e077ba'},
+    'fpr-public': {11: '7c7417f1a67d98d2e6b9922320b739c952718e65f5c6a7ebbc0b70be119cee25', 2024: '9a64eefce4613af946c84242b1e84befeca7acf859d35dfc6dc1fca479c9a3d2'},
+    'fpr-true-random': {11: '802110e4fa6157995e4246319f90eb2bd37d8ac36a0199f6b6d1eb07e4999613', 2024: '09c970497e24780a9c5bff9d51e1bcded93827e6816ee4a12b8ec6c01a01c340'},
+    'privacy-mangat': {11: '14735cf09f5b0525d57c6f052fb6eda962e2636320d4446de172830cf7180f32', 2024: 'f184b4a80aed3ed4e53ee64b40f0be0e26f2c2e4adef1bf448e1e51367cf3aac'},
+    'privacy-warner': {11: 'fbafb8890edadb5fd3b9c1d672fea9ac19b9a60a2f555c880fe70b37c06955df', 2024: 'c06e254ff5b5a97a2d0966ecf1a5894f3f39e86b30e12002780dcdcd2571f6f7'},
+    'saturation-scan': {11: '3ee65de5410a7531f42e16adf6c62967798be84ed1660b18a70ccad1d7c18c83', 2024: 'f402e5c073be9e4ac46a02828e9e35b9c08a908816e1146ef77b60c05f6850de'},
+}
+
+_BUILD = re.compile(r'"build": "[^"]*"')
+
+
+def records_digest(argv, seed: int) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main([*argv, "--seed", str(seed), "--format", "json"], out=out, err=err)
+    assert code == 0, err.getvalue()
+    text = _BUILD.sub('"build": ""', out.getvalue())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_records_match_pinned_digest(case, seed):
+    assert records_digest(CASES[case], seed) == DIGESTS[case][seed]
+
+
+if __name__ == "__main__":
+    print("DIGESTS = {")
+    for name in sorted(CASES):
+        pins = ", ".join(f"{seed}: {records_digest(CASES[name], seed)!r}" for seed in SEEDS)
+        print(f"    {name!r}: {{{pins}}},")
+    print("}")
