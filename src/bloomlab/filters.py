@@ -3,20 +3,27 @@
 Three hashing modes share one filter implementation:
 
 * ``public``: unkeyed blake2b, computable by anyone. The classic filter.
-* ``keyed-prf``: blake2b keyed with a secret; index i of element x is the
-  64-bit value of the pair (i, x) reduced mod m. The modulo bias is below
-  2**-50 for any m of interest and is accepted.
+* ``keyed-prf``: blake2b keyed with a secret; every bit position is a 64-bit
+  keyed-PRF output reduced mod m. The modulo bias is below 2**-50 for any m
+  of interest and is accepted.
 * ``true-random``: a lazily memoized table of uniform index draws, giving an
   exact truly random function at the scales studied here.
 
-For ``public`` and ``keyed-prf`` a family keeps, per index i, a blake2b state
-that is already keyed and has absorbed ``<Q>(i)``; deriving index i of x
-copies that state and feeds it ``<Q>(x)``. The digest is byte-identical to
-``blake2b(<QQ>(i, x), key=key, digest_size=8)``, so bit positions, snapshots
-and every record are unchanged; only the per-call key setup is saved.
+For ``public`` and ``keyed-prf``, all indices of an element come from one
+digest per block of eight: block b of x is
+``blake2b(<Q>(b) + <Q>(x), key=key, digest_size=64)`` read as eight
+little-endian 64-bit words, and index i is word ``i % 8`` of block ``i // 8``
+reduced mod m. So k <= 8 costs one digest and k = 20 costs three, and index i
+does not depend on k. The 64-byte digest is blake2b's full output: a shorter one
+is a truncation of the same compression, so the extra words cost nothing. Each
+word is a truncation of a keyed-blake2b output, so the k indices remain
+independent PRF outputs as the keyed construction requires. Double hashing
+(Kirsch and Mitzenmacher, "Less Hashing, Same Performance") would be cheaper
+still but is not used: its indices ``h1 + i*h2`` are correlated, not
+independent PRF outputs. A family caches, per block b, a blake2b state that
+is already keyed and has absorbed ``<Q>(b)``, and copies it per element.
 Queries pass their bit array to :meth:`HashFamily.indices`, which then stops
-at the first position whose bit is clear: a non-member at fill 1/2 costs
-about two digests instead of k, with the same answer.
+at the first position whose bit is clear, skipping any later block.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -32,7 +39,10 @@ The key field holds the PRF key (``keyed-prf``), the permutation key
 size, so restoring an ``ny-prp-wrapped`` snapshot requires passing the
 universe explicitly. Filters whose state the layout cannot carry (true-random
 filters, ``ny-prp-wrapped`` filters over a non-public inner family) refuse to
-serialize with :class:`UnsupportedOperationError`.
+serialize with :class:`UnsupportedOperationError`. Version 1 snapshots, written
+under the earlier one-digest-per-index rule, are refused with
+:class:`ParameterError`: their bits sit at other positions, so restoring them
+would answer 0 for members.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from .feistel import FeistelPermutation
 from .stats import mix_seed, wilson_interval
 
 MAGIC = b"BFLT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Offset of the key bytes inside a snapshot: magic + version + m + k + kind + key-length.
 KEY_OFFSET = 4 + 1 + 4 + 2 + 1 + 2
 
@@ -65,6 +75,7 @@ _KIND_CODES = {KIND_STANDARD: 0, KIND_PRF: 1, KIND_NY: 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 _WORD = struct.Struct("<Q")
+_BLOCK = struct.Struct("<8Q")
 _LN2 = math.log(2.0)
 
 
@@ -151,13 +162,16 @@ class HashFamily:
     memo: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     _rng: random.Random | None = field(default=None, repr=False)
     _shape: tuple[int, int] | None = field(default=None, repr=False)
-    # blake2b state for index i, keyed and fed <Q>(i); grown on demand to k.
+    # blake2b state for block b, keyed and fed <Q>(b); grown on demand to ceil(k/8).
     _states: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParameterError(f"unknown hash mode {self.mode!r}")
         self.key = bytes(self.key)
+        if self.mode == PUBLIC and self.key:
+            # Snapshots write no key for a public family, so a keyed one would restore wrong.
+            raise ParameterError("a public hash family takes no key")
         if self.mode == TRUE_RANDOM and self._rng is None:
             self._rng = random.Random(self.key)
 
@@ -199,19 +213,28 @@ class HashFamily:
                 got = tuple(self._rng.randrange(m) for _ in range(k))
                 self.memo[x] = got
             return got
+        blocks = (k + 7) >> 3
         states = self._states
-        if len(states) < k:
-            states.extend(hashlib.blake2b(_WORD.pack(i), key=self.key, digest_size=8)
-                          for i in range(len(states), k))
+        if len(states) < blocks:
+            states.extend(hashlib.blake2b(_WORD.pack(b), key=self.key, digest_size=64)
+                          for b in range(len(states), blocks))
         tail = _WORD.pack(x)
+        if bits is None:
+            words = ()
+            for state in states[:blocks]:
+                h = state.copy()
+                h.update(tail)
+                words += _BLOCK.unpack(h.digest())
+            return tuple([w % m for w in words[:k]])
         found = []
-        for state in states[:k]:
+        for state in states[:blocks]:
             h = state.copy()
             h.update(tail)
-            j = int.from_bytes(h.digest(), "little") % m
-            found.append(j)
-            if bits is not None and not bits[j >> 3] & (1 << (j & 7)):
-                break
+            for w in _BLOCK.unpack(h.digest())[:k - len(found)]:
+                j = w % m
+                found.append(j)
+                if not bits[j >> 3] & (1 << (j & 7)):
+                    return tuple(found)
         return tuple(found)
 
 
@@ -243,8 +266,8 @@ class BloomFilter:
         self.kind = kind if kind is not None else (
             KIND_STANDARD if family.mode == PUBLIC else KIND_PRF
         )
-        if self.kind not in _KIND_CODES:
-            raise ParameterError(f"unknown filter kind {self.kind!r}")
+        if self.kind not in (KIND_STANDARD, KIND_PRF):
+            raise ParameterError(f"a BloomFilter cannot be of kind {self.kind!r}")
         self._bits = bytearray((params.m + 7) // 8)
         self._ones = 0
 
@@ -257,25 +280,24 @@ class BloomFilter:
         in true-random mode where derivation order matters.
         """
         filt = cls(params, family, universe)
+        require, indices = universe.require, family.indices
+        m, k, bits = params.m, params.k, filt._bits
         for x in sorted(set(members)):
-            universe.require(x)
-            filt._set_indices(x)
+            for j in indices(require(x), m, k):
+                bits[j >> 3] |= 1 << (j & 7)
+        filt._ones = _popcount(bits)
         return filt
-
-    def _set_indices(self, x: int) -> None:
-        m, k = self.params.m, self.params.k
-        for j in self.family.indices(x, m, k):
-            byte, bit = j >> 3, 1 << (j & 7)
-            if not self._bits[byte] & bit:
-                self._bits[byte] |= bit
-                self._ones += 1
 
     def insert(self, x: int) -> None:
         """Add one element; only the ``standard`` kind supports this."""
         if self.kind != KIND_STANDARD:
             raise UnsupportedOperationError(f"{self.kind} filters are static; insert is not supported")
         self.universe.require(x)
-        self._set_indices(x)
+        for j in self.family.indices(x, self.params.m, self.params.k):
+            byte, bit = j >> 3, 1 << (j & 7)
+            if not self._bits[byte] & bit:
+                self._bits[byte] |= bit
+                self._ones += 1
 
     def query(self, x: int) -> int:
         """1 if every derived bit is set, else 0. Never mutates the bits."""
@@ -332,11 +354,12 @@ class BloomFilter:
         m, k, kind, key, bits = _unpack_snapshot(blob)
         if kind == KIND_NY:
             raise ParameterError("ny-prp-wrapped snapshot: use NyFilter.from_bytes with a universe")
-        family = HashFamily.public() if kind == KIND_STANDARD else HashFamily.keyed(key)
+        # The key field decides the hash: an insertable (standard) filter may be keyed.
+        family = HashFamily.keyed(key) if key else HashFamily.public()
         params = FilterParams(m=m, k=k, n=0)
         filt = cls(params, family, universe if universe is not None else Universe(1 << 62), kind=kind)
         filt._bits = bytearray(bits)
-        filt._ones = sum(bin(b).count("1") for b in bits)
+        filt._ones = _popcount(bits)
         return filt
 
     def to_debug_json(self) -> str:
@@ -356,6 +379,11 @@ class BloomFilter:
             },
             sort_keys=True,
         )
+
+
+def _popcount(bits: bytes) -> int:
+    """Number of set bits in a packed bit array."""
+    return int.from_bytes(bits, "little").bit_count()
 
 
 def _pack_snapshot(m: int, k: int, kind: str, key: bytes, bits: bytes) -> bytes:
@@ -443,7 +471,7 @@ class NyFilter:
         params = FilterParams(m=m, k=k, n=0)
         inner = BloomFilter(params, HashFamily.public(), universe, kind=KIND_STANDARD)
         inner._bits = bytearray(bits)
-        inner._ones = sum(bin(b).count("1") for b in bits)
+        inner._ones = _popcount(bits)
         return cls(inner, FeistelPermutation(key, universe.size), universe)
 
 

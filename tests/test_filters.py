@@ -15,7 +15,13 @@ from bloomlab.feistel import ROUNDS, FeistelPermutation
 from bloomlab.filters import (
     FORMAT_VERSION,
     KEY_OFFSET,
+    KEYED_PRF,
+    KIND_NY,
+    KIND_PRF,
+    KIND_STANDARD,
     MAGIC,
+    PUBLIC,
+    TRUE_RANDOM,
     BloomFilter,
     FilterParams,
     HashFamily,
@@ -79,6 +85,8 @@ def test_keyed_families_differ_and_public_is_keyless():
     assert any(derive_indices(fam1, params, x) != derive_indices(fam2, params, x) for x in sample)
     assert any(derive_indices(fam1, params, x) != derive_indices(pub, params, x) for x in sample)
     assert pub.key == b""
+    with pytest.raises(ParameterError):
+        HashFamily(mode=PUBLIC, key=b"k")
 
 
 def test_true_random_memoizes_and_locks_shape():
@@ -98,10 +106,20 @@ def test_true_random_same_seed_same_draw_order():
 
 
 def _reference_digest(key: bytes, i: int, x: int) -> int:
-    """The PRF of the pair (i, x) hashed from scratch, without cached states."""
+    """The 8-byte PRF of the pair (i, x) hashed from scratch: the Feistel round."""
     return int.from_bytes(
         hashlib.blake2b(struct.pack("<QQ", i, x), key=key, digest_size=8).digest(), "little"
     )
+
+
+def _reference_indices(key: bytes, x: int, m: int, k: int) -> tuple[int, ...]:
+    """Index i of x hashed from scratch, without cached states: word i % 8 of
+    the 64-byte digest of the pair (i // 8, x), reduced mod m."""
+    blocks = [
+        struct.unpack("<8Q", hashlib.blake2b(struct.pack("<QQ", b, x), key=key, digest_size=64).digest())
+        for b in range((k + 7) // 8)
+    ]
+    return tuple(blocks[i // 8][i % 8] % m for i in range(k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,15 +127,17 @@ def _reference_digest(key: bytes, i: int, x: int) -> int:
     key=st.one_of(st.none(), st.binary(min_size=1, max_size=64)),
     x=st.integers(0, (1 << 64) - 1),
     m=st.one_of(st.integers(1, 64), st.integers(65, 1 << 20)),
-    k=st.integers(1, 12),
+    k=st.integers(1, 20),
     data=st.data(),
 )
 def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, k, data):
     family = HashFamily.public() if key is None else HashFamily.keyed(key)
-    expected = tuple(_reference_digest(family.key, i, x) % m for i in range(k))
+    expected = _reference_indices(family.key, x, m, k)
     assert family.indices(x, m, k) == expected
-    # A second shape on the same family grows its cached states.
-    assert family.indices(x, m, 12) == tuple(_reference_digest(family.key, i, x) % m for i in range(12))
+    # Index i does not depend on k; the longer shape grows the cached block states.
+    longest = family.indices(x, m, 20)
+    assert longest == _reference_indices(family.key, x, m, 20)
+    assert longest[:k] == expected
 
     bits = bytearray((m + 7) // 8)
     for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=k, max_size=k))):
@@ -164,6 +184,35 @@ def test_build_empty_and_membership():
     filt = BloomFilter.build(members, FilterParams(m=64, k=3, n=3), HashFamily.keyed(b"x"), u)
     assert all(filt.query(x) == 1 for x in members)
     assert 1 <= filt.popcount() <= 9
+
+
+def _family(mode: str, key: bytes) -> HashFamily:
+    if mode == PUBLIC:
+        return HashFamily.public()
+    if mode == KEYED_PRF:
+        return HashFamily.keyed(key)
+    return HashFamily.true_random(seed=key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from([PUBLIC, KEYED_PRF, TRUE_RANDOM]),
+    key=st.binary(max_size=16),
+    members=st.sets(st.integers(0, 1023), max_size=40),
+    m=st.integers(1, 300),
+    k=st.integers(1, 12),
+)
+def test_build_matches_inserting_sorted_members(mode, key, members, m, k):
+    params = FilterParams(m=m, k=k, n=len(members))
+    u = Universe(1024)
+    built = BloomFilter.build(members, params, _family(mode, key), u)
+    one_by_one = BloomFilter(params, _family(mode, key), u, kind=KIND_STANDARD)
+    for x in sorted(members):
+        one_by_one.insert(x)
+    assert built.bit_bytes() == one_by_one.bit_bytes()
+    assert built.popcount() == one_by_one.popcount()
+    if mode == TRUE_RANDOM:
+        assert built.family.memo == one_by_one.family.memo
 
 
 def test_build_rejects_elements_outside_universe():
@@ -303,10 +352,66 @@ def test_snapshot_rejects_garbage_and_wrong_kind():
     with pytest.raises(ParameterError):
         BloomFilter.from_bytes(ny.to_bytes())
     with pytest.raises(ParameterError):
+        BloomFilter(FilterParams(m=32, k=2, n=0), HashFamily.public(), u, kind=KIND_NY)
+    with pytest.raises(ParameterError):
         NyFilter.from_bytes(
             BloomFilter.build({1}, FilterParams(m=32, k=2, n=1), HashFamily.public(), u).to_bytes(),
             u,
         )
+
+
+# Format version 1 (one digest per index) snapshot of a keyed filter: m=128,
+# k=4, key b"v1-snapshot-key", members 0, 10, ..., 190 of Universe(512).
+V1_KEYED_SNAPSHOT = bytes.fromhex(
+    "42464c5401800000000400010f0076312d736e617073686f742d6b6579"
+    "44a051c1418beaba8c26198d02b2bfdb"
+)
+
+
+def test_version_1_snapshot_is_refused():
+    u = Universe(512)
+    members = range(0, 200, 10)
+    assert V1_KEYED_SNAPSHOT[4] == 1
+    with pytest.raises(ParameterError):
+        BloomFilter.from_bytes(V1_KEYED_SNAPSHOT, u)
+    # Read under the current bit positions, the old bits drop members.
+    relabeled = BloomFilter.from_bytes(
+        V1_KEYED_SNAPSHOT[:4] + bytes([FORMAT_VERSION]) + V1_KEYED_SNAPSHOT[5:], u
+    )
+    assert any(relabeled.query(x) == 0 for x in members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from([KIND_STANDARD, KIND_PRF, KIND_NY]),
+    mode=st.sampled_from([PUBLIC, KEYED_PRF, TRUE_RANDOM]),
+    key=st.binary(max_size=16),
+    members=st.sets(st.integers(0, 511), max_size=30),
+    probes=st.lists(st.integers(0, 511), max_size=60),
+    m=st.integers(1, 300),
+    k=st.integers(1, 12),
+)
+def test_snapshot_round_trips_or_refuses(kind, mode, key, members, probes, m, k):
+    u = Universe(512)
+    params = FilterParams(m=m, k=k, n=len(members))
+    if kind == KIND_NY:
+        filt = NyFilter.build(members, params, key, u, family=_family(mode, key))
+        restore = NyFilter.from_bytes
+    else:
+        filt = BloomFilter(params, _family(mode, key), u, kind=KIND_STANDARD)
+        for x in sorted(members):
+            filt.insert(x)
+        filt.kind = kind  # a static filter holding the same bits
+        restore = BloomFilter.from_bytes
+    refused = mode == TRUE_RANDOM or (kind == KIND_NY and mode != PUBLIC)
+    if refused:
+        with pytest.raises(UnsupportedOperationError):
+            filt.to_bytes()
+        return
+    back = restore(filt.to_bytes(), u)
+    assert back.kind == filt.kind
+    assert all(back.query(x) == 1 for x in members)
+    assert all(back.query(x) == filt.query(x) for x in probes)
 
 
 def test_true_random_snapshot_is_refused():

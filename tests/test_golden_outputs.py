@@ -47,8 +47,8 @@ CASES = {
 }
 
 DIGESTS = {
-    'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '2075baf10375c95c3722c50d908111ed5ad77aa270e1d9b15d0e3cc029dffa43'},
-    'ab-public-saturation': {11: 'e9c514ba8dcc1e6ff1f609c829f8872435a130b4137bb61171a23589ec106676', 2024: 'c273608df6f1ac787e6467ffdb7f97f5f03b8f0459546641b6f5587b21c27e71'},
+    'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '9b4c81113ca7ea9f93ebca36cc656549d8331425fe024003562b03215fe10cc9'},
+    'ab-public-saturation': {11: 'd2ebc50bfd461eecf2f93333b3b11397ab7bbed9e478fc4112f6e0daa7941b24', 2024: '402936551b65c47d9df62cd5185180579c665354deed7c1f1e9f762a0ad8e554'},
     'ab-true-random-uniform': {11: '90b996de90f161c873fb2e8d395b6167ea568492e4e3df370623a8ee2b928eee', 2024: 'bb2ff7514ddfe7ea87a76ec1580338c172dfbbc1d5acacb74efdaf096b072f85'},
     'bp-attack': {11: 'f3dee474a0815cd3cf10c90953a932e83f8c836ba8acbf3bbbd8bef72ce75c1a', 2024: 'e9bdbae842caca977f7f111b3dd3869508f6627c49e2e9d38800080f3387e71e'},
     'error-analysis-mangat': {11: 'eef88aabe93cb16c939131f9e5e2763f77a90c0c525950a87ac6f32bd7363fb5', 2024: '58584ec3b2177a3cfb5d0ac8a991c18bad3c0de23b41695064a03d44d03ce047'},
@@ -56,8 +56,8 @@ DIGESTS = {
     'filic-key-leak': {11: 'ae0e0ebedbd395aa7c27f21c118f459530eb45eb94c5b2d5fb5bf3fb02cb6f78', 2024: '33d210e980e7a755bf9f23db04e29ba612c42ef713e6ebabf08850457cf70286'},
     'filic-null': {11: '76371bb235faf362b3490005eafb5018fa3aa3a7d79208c898c8ada4d53458f8', 2024: 'bf6be8f015727c31d272d36a0d9a40cebe361df992fb7bb3480fd8b945d5899a'},
     'filic-public-collision': {11: '89a6dd71dc01a7425dc774e8100bceaa562efff3d6d14d8cc25b8552a85b36cb', 2024: '5b0bf63802aee3849b1b23b0a287d1fe923223bb99689b64789f0e1264225045'},
-    'fpr-keyed': {11: 'ebf88fcce4f0c41bdc557565afea31eaa074a45e8b982e828f347b9408f88f97', 2024: '024c6b47f8a55332a46942fb1098689ccef06ccd50e439aecb35b520d7e077ba'},
-    'fpr-public': {11: '7c7417f1a67d98d2e6b9922320b739c952718e65f5c6a7ebbc0b70be119cee25', 2024: '9a64eefce4613af946c84242b1e84befeca7acf859d35dfc6dc1fca479c9a3d2'},
+    'fpr-keyed': {11: '76be2e0a157e20b8c16d3e35b700bcc891d396a7b86a9dcec8b9492cf2075ce2', 2024: 'bba9e21fecf7750c619e77cc0b86e288aeb9d4e3dd9faa8607c672af975d3fe9'},
+    'fpr-public': {11: '7c7417f1a67d98d2e6b9922320b739c952718e65f5c6a7ebbc0b70be119cee25', 2024: 'b5ca9ee11177b05745d7649fc020472ff81972caa39199e621265541235c3866'},
     'fpr-true-random': {11: '802110e4fa6157995e4246319f90eb2bd37d8ac36a0199f6b6d1eb07e4999613', 2024: '09c970497e24780a9c5bff9d51e1bcded93827e6816ee4a12b8ec6c01a01c340'},
     'privacy-mangat': {11: '14735cf09f5b0525d57c6f052fb6eda962e2636320d4446de172830cf7180f32', 2024: 'f184b4a80aed3ed4e53ee64b40f0be0e26f2c2e4adef1bf448e1e51367cf3aac'},
     'privacy-warner': {11: 'fbafb8890edadb5fd3b9c1d672fea9ac19b9a60a2f555c880fe70b37c06955df', 2024: 'c06e254ff5b5a97a2d0966ecf1a5894f3f39e86b30e12002780dcdcd2571f6f7'},
