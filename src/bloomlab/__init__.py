@@ -11,11 +11,10 @@ from .filters import (
     HashFamily,
     NyFilter,
     Universe,
-    derive_indices,
     estimate_fpr,
     expected_fpr,
+    filter_factory,
     fresh_family,
-    ny_wrap,
     optimal_k,
 )
 from .games import (
@@ -27,9 +26,7 @@ from .games import (
     profit_lower_bound,
     resilience_threshold_with_optimal_k,
     run_ab_test,
-    run_adaptive_game,
     run_bp_test,
-    saturation_adversary,
     saturation_probability,
 )
 from .filic import (

@@ -34,11 +34,10 @@ from .filic import (
     RepresentationPredictionAdversary,
     estimate_advantage,
     identity_distinguisher,
-    insertable_filter_factory,
     key_leaking_filter_factory,
     snapshot_reveal_codec,
 )
-from .filters import FilterParams, Universe, estimate_fpr, expected_fpr
+from .filters import TRUE_RANDOM, FilterParams, Universe, estimate_fpr, expected_fpr, filter_factory
 from .games import (
     GameConfig,
     SaturationAdversary,
@@ -49,8 +48,6 @@ from .games import (
     run_bp_experiment,
     saturation_frequency,
     saturation_probability,
-    standard_filter_factory,
-    true_random_filter_factory,
 )
 from .privacy import (
     PrivacyParams,
@@ -159,7 +156,7 @@ def _run_bp_attack(point, trials, seed):
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     universe = Universe(point["u"])
     cfg = GameConfig(universe=universe, n=point["n"], t=point["t"], threshold=point["delta"])
-    result = run_bp_experiment(true_random_filter_factory(params, universe),
+    result = run_bp_experiment(filter_factory(params, universe, TRUE_RANDOM),
                                SaturationAdversary(), cfg, trials, seed)
     sat = saturation_probability(point["m"], point["n"], point["k"])
     return {
@@ -180,8 +177,7 @@ def _run_ab_game(point, trials, seed):
     universe = Universe(point["u"])
     cfg = GameConfig(universe=universe, n=point["n"], t=point["t"], threshold=point["epsilon"])
     adversary = SaturationAdversary() if point["adversary"] == "saturation" else UniformAdversary()
-    factory = (true_random_filter_factory(params, universe) if point["mode"] == "true-random"
-               else standard_filter_factory(params, universe, point["mode"]))
+    factory = filter_factory(params, universe, point["mode"])
     result = run_ab_experiment(factory, adversary, cfg, trials, seed)
     return {
         "win_rate": result.win_rate, "ci_lo": result.ci_lo, "ci_hi": result.ci_hi,
@@ -202,10 +198,10 @@ def _run_filic(point, trials, seed):
         codec = snapshot_reveal_codec(params)
     elif scenario == "public-collision":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=False)
-        factory = insertable_filter_factory(params, universe)
+        factory = filter_factory(params, universe)
     else:
         adversary = NullAdversary(universe, point["n"])
-        factory = insertable_filter_factory(params, universe)
+        factory = filter_factory(params, universe)
     report = estimate_advantage(adversary, factory, params, identity_distinguisher,
                                 budget, trials, seed, reveal_codec=codec)
     return {

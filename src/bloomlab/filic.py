@@ -18,8 +18,10 @@ An over-budget call gets the ``REFUSED`` sentinel instead of an answer, and
 any violation replaces the adversary's output by ``REFUSED`` before it
 reaches the distinguisher.
 
-The package's key-leaking construction demonstrates why resilience against
-betting adversaries does not compose with a reveal oracle: it stores its
+The package's key-leaking construction, :class:`KeyLeakingFilter`, is a
+:class:`~bloomlab.filters.NyFilter` subclass that accepts inserts and whose
+reveal is its snapshot. It demonstrates why resilience against betting
+adversaries does not compose with a reveal oracle: the snapshot stores the
 permutation key inside the revealed representation (at ``KEY_OFFSET``), so
 an adversary can read the key, predict a false positive offline and verify
 it with a single query. Against the simulator the same adversary's
@@ -36,17 +38,19 @@ from .errors import ParameterError
 from .feistel import FeistelPermutation
 from .filters import (
     KIND_NY,
-    BloomFilter,
     FilterParams,
     HashFamily,
+    NyFilter,
     Universe,
     _pack_snapshot,
     _unpack_snapshot,
 )
-from .games import Adversary, GameConfig
+from .games import Adversary, GameConfig, GameTranscript, choose_members, referee
 from .stats import mix_seed, wilson_interval
 
 REFUSED = "refused"
+# Candidates a representation-prediction adversary tries before giving up.
+MAX_SCAN = 4096
 
 
 @dataclass(frozen=True)
@@ -274,16 +278,7 @@ def estimate_advantage(adversary: FilicAdversary, filter_factory, params: Filter
                            advantage=abs(p_real - p_ideal), ci_lo=lo, ci_hi=hi)
 
 
-def insertable_filter_factory(params: FilterParams, universe: Universe):
-    """The construction the simulator models: a standard public-hash filter."""
-
-    def make(members, rng: random.Random) -> BloomFilter:
-        return BloomFilter.build(members, params, HashFamily.public(), universe)
-
-    return make
-
-
-class KeyLeakingFilter:
+class KeyLeakingFilter(NyFilter):
     """Permutation-wrapped insertable filter whose reveal embeds the key.
 
     The wrapped layout makes the bit positions useless without the
@@ -291,38 +286,20 @@ class KeyLeakingFilter:
     ``KEY_OFFSET``, so reveal access collapses the protection entirely.
     """
 
-    def __init__(self, members, params: FilterParams, prp_key: bytes, universe: Universe):
-        self.prp = FeistelPermutation(prp_key, universe.size)
-        self.universe = universe
-        permuted = {self.prp.encrypt(universe.require(x)) for x in set(members)}
-        self.inner = BloomFilter.build(permuted, params, HashFamily.public(), universe)
-
-    @property
-    def params(self) -> FilterParams:
-        return self.inner.params
-
-    def query(self, x: int) -> int:
-        return self.inner.query(self.prp.encrypt(self.universe.require(x)))
+    __slots__ = ()
 
     def insert(self, x: int) -> None:
         self.inner.insert(self.prp.encrypt(self.universe.require(x)))
 
     def reveal(self) -> bytes:
-        return _pack_snapshot(self.inner.params.m, self.inner.params.k, KIND_NY,
-                              self.prp.key, self.inner.bit_bytes())
-
-    def is_saturated(self) -> bool:
-        return self.inner.is_saturated()
-
-    def fill_ratio(self) -> float:
-        return self.inner.fill_ratio()
+        return self.to_bytes()
 
 
 def key_leaking_filter_factory(params: FilterParams, universe: Universe):
     """Fresh key-leaking filter per trial with a random permutation key."""
 
     def make(members, rng: random.Random) -> KeyLeakingFilter:
-        return KeyLeakingFilter(members, params, rng.randbytes(16), universe)
+        return KeyLeakingFilter.build(members, params, rng.randbytes(16), universe)
 
     return make
 
@@ -363,14 +340,13 @@ class RepresentationPredictionAdversary(FilicAdversary):
     """
 
     def __init__(self, params: FilterParams, universe: Universe, n: int,
-                 expects_snapshot: bool, max_scan: int = 4096):
+                 expects_snapshot: bool):
         if not 0 < n < universe.size:
             raise ParameterError("need 0 < n < universe size")
         self.params = params
         self.universe = universe
         self.n = n
         self.expects_snapshot = expects_snapshot
-        self.max_scan = max_scan
         self._public = HashFamily.public()
 
     def choose_set(self) -> set[int]:
@@ -388,7 +364,7 @@ class RepresentationPredictionAdversary(FilicAdversary):
             m, k = self.params.m, self.params.k
             bits = blob
             prp = None
-        for _ in range(self.max_scan):
+        for _ in range(MAX_SCAN):
             x = self.rng.randrange(self.universe.size)
             if x in self.members:
                 continue
@@ -425,39 +401,26 @@ class _WrappedAbAdversary(FilicAdversary):
         self.ab.begin(self.cfg, rng)
 
     def choose_set(self) -> set[int]:
-        self.members = frozenset(self.ab.choose_set())
-        if len(self.members) != self.cfg.n:
-            raise ParameterError(f"adversary chose {len(self.members)} members, expected {self.cfg.n}")
+        self.members = choose_members(self.ab, self.cfg)
         return set(self.members)
 
     def interact(self, oracles: OracleSet):
-        history: list[tuple[int, int]] = []
-        seen: set[int] = set()
-        for _ in range(self.cfg.t):
-            q = self.ab.next_query(list(history))
-            if q is None:
-                break
-            if q in self.members or q in seen:
-                return 0
-            ans = oracles.query(q)
-            if ans not in (0, 1):
-                return 0
-            seen.add(q)
-            history.append((q, ans))
-        _, target = self.ab.finalize(list(history))
-        if target in self.members or target in seen:
+        play = referee(oracles.query, self.ab, self.cfg, GameTranscript(members=self.members))
+        if play is None:
             return 0
-        ans = oracles.query(target)
+        ans = oracles.query(play[1])
         return ans if ans in (0, 1) else 0
 
 
 def ab_to_filic_adversary(ab_adversary: Adversary, cfg: GameConfig):
     """Wrap a betting-game adversary for the real/ideal experiments.
 
-    The wrapper relays the at most cfg.t adaptive probes, spends one final
-    query on the adversary's target and outputs that bit; the matching
-    distinguisher is the identity. Rule violations and budget refusals
-    force output 0, mirroring the betting harness's forfeits. Budgets must
-    allow cfg.t + 1 queries for a faithful embedding.
+    The wrapper relays the at most cfg.t adaptive probes through
+    :func:`bloomlab.games.referee`, spends one final query on the
+    adversary's target and outputs that bit; the matching distinguisher is
+    the identity. Forfeits under the betting rules and budget refusals force
+    output 0, and out-of-universe probes or targets raise
+    :class:`DomainError` in both worlds. Budgets must allow cfg.t + 1
+    queries for a faithful embedding.
     """
     return _WrappedAbAdversary(ab_adversary, cfg), identity_distinguisher

@@ -134,9 +134,6 @@ class Universe:
             raise DomainError(f"element {x!r} outside universe [0, {self.size})")
         return x
 
-    def sample(self, rng: random.Random) -> int:
-        return rng.randrange(self.size)
-
     def sample_outside(self, rng: random.Random, excluded) -> int:
         """Uniform element not in ``excluded``, found by resampling."""
         if len(excluded) >= self.size:
@@ -249,9 +246,14 @@ def fresh_family(mode: str, rng: random.Random) -> HashFamily:
     raise ParameterError(f"unknown hash mode {mode!r}")
 
 
-def derive_indices(family: HashFamily, params: FilterParams, x: int) -> tuple[int, ...]:
-    """The k bit positions for element x under this family and shape."""
-    return family.indices(x, params.m, params.k)
+def filter_factory(params: FilterParams, universe: Universe, mode: str = PUBLIC):
+    """Per-trial builder ``make(members, rng)``: a fresh filter of the given
+    hash mode, with any key material drawn from ``rng``."""
+
+    def make(members, rng: random.Random) -> BloomFilter:
+        return BloomFilter.build(members, params, fresh_family(mode, rng), universe)
+
+    return make
 
 
 class BloomFilter:
@@ -307,11 +309,6 @@ class BloomFilter:
             if not bits[j >> 3] & (1 << (j & 7)):
                 return 0
         return 1
-
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.params.m:
-            raise ParameterError(f"bit index {j} outside [0, {self.params.m})")
-        return 1 if self._bits[j >> 3] & (1 << (j & 7)) else 0
 
     def popcount(self) -> int:
         return self._ones
@@ -473,21 +470,6 @@ class NyFilter:
         inner._bits = bytearray(bits)
         inner._ones = _popcount(bits)
         return cls(inner, FeistelPermutation(key, universe.size), universe)
-
-
-def ny_wrap(inner_factory, prp_key: bytes, universe: Universe):
-    """Builder that permutes a member set before handing it to ``inner_factory``.
-
-    ``inner_factory`` takes the permuted member set and returns the inner
-    filter. The returned callable builds the wrapped filter from a plain set.
-    """
-    prp = FeistelPermutation(prp_key, universe.size)
-
-    def build(members) -> NyFilter:
-        permuted = {prp.encrypt(universe.require(x)) for x in set(members)}
-        return NyFilter(inner_factory(permuted), prp, universe)
-
-    return build
 
 
 @dataclass(frozen=True)

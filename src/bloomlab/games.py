@@ -2,12 +2,16 @@
 
 The harness drives one adversary per trial: the adversary picks the member
 set, issues up to t adaptive membership queries, then commits to a target
-element. Rule violations (repeated queries, querying a member, targeting a
-member or an already-queried element) forfeit the game rather than abort
-it, so Monte Carlo estimates stay well defined and a violation can never
-score as a win.
+element. Rule violations (repeated queries, querying a member, a refused
+answer, targeting a member or an already-queried element) forfeit the game
+rather than abort it, so Monte Carlo estimates stay well defined and a
+violation can never score as a win. Probes and targets outside the universe
+raise :class:`DomainError`.
 
-Two scoring modes share the transcript machinery:
+All rules live in :func:`referee`, which takes the membership oracle as a
+callable: both scoring modes pass the filter's ``query``, and the
+reveal-oracle wrapper ``filic.ab_to_filic_adversary`` passes its budgeted
+query oracle. The modes differ only in their payouts:
 
 * always-bet: the adversary must bet on its target; it wins iff the target
   is a false positive.
@@ -42,25 +46,19 @@ from .filters import (
 )
 from .stats import mean_confidence_interval, mix_seed, wilson_interval
 
-# Slack constant standing in for "negligible" in resilience checks at
-# desk-scale parameters.
-DEFAULT_SLACK = 0.01
-
 
 @dataclass(frozen=True)
 class GameConfig:
     """Game shape: universe, member count n, query budget t, bet threshold.
 
     ``threshold`` is the epsilon of the always-bet game or the delta of the
-    profit game. ``lam`` is carried for reporting only; nothing at these
-    scales depends on it.
+    profit game.
     """
 
     universe: Universe
     n: int
     t: int
     threshold: float
-    lam: int = 128
 
     def __post_init__(self):
         if self.n < 1:
@@ -102,46 +100,60 @@ class Adversary(ABC):
         """(bet, target) after the query phase."""
 
 
-def _drive_queries(filt, adversary: Adversary, cfg: GameConfig,
-                   transcript: GameTranscript) -> None:
-    seen: set[int] = set()
-    for _ in range(cfg.t):
-        q = adversary.next_query(list(zip(transcript.queries, transcript.answers)))
-        if q is None:
-            return
-        cfg.universe.require(q)
-        if q in transcript.members:
-            transcript.forfeited = True
-            transcript.forfeit_reason = "queried a member"
-            return
-        if q in seen:
-            transcript.forfeited = True
-            transcript.forfeit_reason = "repeated a query"
-            return
-        seen.add(q)
-        transcript.queries.append(q)
-        transcript.answers.append(filt.query(q))
-
-
-def _start(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int):
-    rng = random.Random(seed)
-    adversary.begin(cfg, rng)
+def choose_members(adversary: Adversary, cfg: GameConfig) -> frozenset[int]:
+    """The adversary's member set, checked for size and universe."""
     members = frozenset(adversary.choose_set())
     if len(members) != cfg.n:
         raise ParameterError(f"adversary chose {len(members)} members, expected {cfg.n}")
     for x in members:
         cfg.universe.require(x)
+    return members
+
+
+def _forfeit(transcript: GameTranscript, reason: str) -> None:
+    transcript.forfeited = True
+    transcript.forfeit_reason = reason
+
+
+def referee(query, adversary: Adversary, cfg: GameConfig,
+            transcript: GameTranscript) -> tuple[int, int] | None:
+    """Relay at most cfg.t probes to ``query``, then return the adversary's
+    (bet, target) unqueried, or None after a forfeit.
+
+    Probing a member, repeating a probe, an answer other than 0/1 (an oracle
+    refusal) and targeting a member or an earlier probe forfeit, with the
+    reason recorded in ``transcript``.
+    """
+    seen: set[int] = set()
+    for _ in range(cfg.t):
+        q = adversary.next_query(list(zip(transcript.queries, transcript.answers)))
+        if q is None:
+            break
+        cfg.universe.require(q)
+        if q in transcript.members:
+            return _forfeit(transcript, "queried a member")
+        if q in seen:
+            return _forfeit(transcript, "repeated a query")
+        seen.add(q)
+        answer = query(q)
+        if answer not in (0, 1):
+            return _forfeit(transcript, "query refused")
+        transcript.queries.append(q)
+        transcript.answers.append(answer)
+    bet, target = adversary.finalize(list(zip(transcript.queries, transcript.answers)))
+    cfg.universe.require(target)
+    if target in transcript.members or target in seen:
+        return _forfeit(transcript, "target was a member or an earlier query")
+    return bet, target
+
+
+def _play(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int):
+    rng = random.Random(seed)
+    adversary.begin(cfg, rng)
+    members = choose_members(adversary, cfg)
     filt = filter_factory(members, rng)
     transcript = GameTranscript(members=members)
-    _drive_queries(filt, adversary, cfg, transcript)
-    return filt, transcript, adversary
-
-
-def run_adaptive_game(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int) -> GameTranscript:
-    """Query phase only; answers come from the filter built over the
-    adversary's own member set."""
-    _, transcript, _ = _start(filter_factory, adversary, cfg, seed)
-    return transcript
+    return filt, transcript, referee(filt.query, adversary, cfg, transcript)
 
 
 @dataclass(frozen=True)
@@ -154,16 +166,10 @@ def run_ab_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int
     """Always-bet game: the adversary wins iff its fresh target is a false
     positive. The bet returned by the adversary is ignored; betting is
     forced in this variant."""
-    filt, transcript, adv = _start(filter_factory, adversary, cfg, seed)
-    if transcript.forfeited:
+    filt, transcript, play = _play(filter_factory, adversary, cfg, seed)
+    if play is None:
         return AbOutcome(win=0, transcript=transcript)
-    _, target = adv.finalize(list(zip(transcript.queries, transcript.answers)))
-    cfg.universe.require(target)
-    if target in transcript.members or target in transcript.queries:
-        transcript.forfeited = True
-        transcript.forfeit_reason = "target was a member or an earlier query"
-        return AbOutcome(win=0, transcript=transcript)
-    return AbOutcome(win=filt.query(target), transcript=transcript)
+    return AbOutcome(win=filt.query(play[1]), transcript=transcript)
 
 
 @dataclass(frozen=True)
@@ -184,20 +190,15 @@ class BpRun:
 
 
 def run_bp_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int) -> BpRun:
-    """Profit game at threshold cfg.threshold; forfeits pay 0."""
-    filt, transcript, adv = _start(filter_factory, adversary, cfg, seed)
+    """Profit game at threshold cfg.threshold; forfeits and passes pay 0."""
+    filt, transcript, play = _play(filter_factory, adversary, cfg, seed)
     saturated = filt.is_saturated() if hasattr(filt, "is_saturated") else None
-    if transcript.forfeited:
+    if play is None:
         return BpRun(ProfitOutcome(0, 0, 0.0), transcript, saturated)
-    bet, target = adv.finalize(list(zip(transcript.queries, transcript.answers)))
+    bet, target = play
     if bet not in (0, 1):
         raise ParameterError("bet must be 0 or 1")
     if bet == 0:
-        return BpRun(ProfitOutcome(0, 0, 0.0), transcript, saturated)
-    cfg.universe.require(target)
-    if target in transcript.members or target in transcript.queries:
-        transcript.forfeited = True
-        transcript.forfeit_reason = "target was a member or an earlier query"
         return BpRun(ProfitOutcome(0, 0, 0.0), transcript, saturated)
     fp = filt.query(target)
     profit = 1.0 / cfg.threshold if fp else -1.0 / (1.0 - cfg.threshold)
@@ -237,11 +238,6 @@ class SaturationAdversary(UniformAdversary):
 
     def _bet(self, history) -> int:
         return 1 if all(ans == 1 for _, ans in history) else 0
-
-
-def saturation_adversary(cfg: GameConfig) -> SaturationAdversary:
-    """The probe-then-bet adversary matched to ``cfg``."""
-    return SaturationAdversary()
 
 
 @dataclass(frozen=True)
@@ -319,24 +315,6 @@ def resilience_threshold_with_optimal_k(m: int, n: int, delta: float) -> bool:
         return False
     k = optimal_k(m, n)
     return delta < 1.0 - m * math.exp(-n * k / m)
-
-
-def true_random_filter_factory(params: FilterParams, universe: Universe):
-    """Fresh truly-random-hash filter per trial."""
-
-    def make(members, rng: random.Random) -> BloomFilter:
-        return BloomFilter.build(members, params, fresh_family(TRUE_RANDOM, rng), universe)
-
-    return make
-
-
-def standard_filter_factory(params: FilterParams, universe: Universe, mode: str = "public"):
-    """Fresh filter of the given hash mode per trial."""
-
-    def make(members, rng: random.Random) -> BloomFilter:
-        return BloomFilter.build(members, params, fresh_family(mode, rng), universe)
-
-    return make
 
 
 @dataclass(frozen=True)

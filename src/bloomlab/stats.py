@@ -50,10 +50,7 @@ def mean_confidence_interval(values: list[float], z: float = Z99) -> tuple[float
     if n == 0:
         raise ValueError("need at least one value")
     mean = math.fsum(values) / n
-    if n == 1:
-        return (mean, mean, mean)
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    se = math.sqrt(var / n)
+    se = standard_error(values)
     return (mean, mean - z * se, mean + z * se)
 
 

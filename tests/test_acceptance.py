@@ -17,19 +17,20 @@ from bloomlab.filic import (
     ab_to_filic_adversary,
     estimate_advantage,
     identity_distinguisher,
-    insertable_filter_factory,
     key_leaking_filter_factory,
     run_ideal,
     run_real,
     snapshot_reveal_codec,
 )
 from bloomlab.filters import (
+    TRUE_RANDOM,
     BloomFilter,
     FilterParams,
     HashFamily,
     NyFilter,
     Universe,
     estimate_fpr,
+    filter_factory,
 )
 from bloomlab.games import (
     GameConfig,
@@ -41,7 +42,6 @@ from bloomlab.games import (
     run_bp_experiment,
     saturation_frequency,
     saturation_probability,
-    true_random_filter_factory,
 )
 from bloomlab.learned import learned_build, make_training_set, private_learned_build, train_threshold_model
 from bloomlab.privacy import (
@@ -188,7 +188,7 @@ def test_6_saturation_attack_profit():
     u = Universe(65_536)
     cfg = GameConfig(universe=u, n=n, t=t, threshold=delta)
     params = FilterParams(m=m, k=k, n=n)
-    exp = run_bp_experiment(true_random_filter_factory(params, u), SaturationAdversary(), cfg,
+    exp = run_bp_experiment(filter_factory(params, u, TRUE_RANDOM), SaturationAdversary(), cfg,
                             trials=10_000, seed=66)
     elapsed = time.perf_counter() - started
     p_s = saturation_probability(m, n, k).exact
@@ -239,12 +239,12 @@ def test_7_reveal_reduction_harness():
     ab_u = Universe(1024)
     cfg = GameConfig(universe=ab_u, n=8, t=3, threshold=0.5)
     n_ab = 1500
-    ab = run_ab_experiment(insertable_filter_factory(ab_params, ab_u), UniformAdversary(),
+    ab = run_ab_experiment(filter_factory(ab_params, ab_u), UniformAdversary(),
                            cfg, trials=n_ab, seed=778)
     wrapper, dist = ab_to_filic_adversary(UniformAdversary(), cfg)
     wrap_budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
     wrap_hits = sum(
-        run_real(wrapper, insertable_filter_factory(ab_params, ab_u), dist, wrap_budget,
+        run_real(wrapper, filter_factory(ab_params, ab_u), dist, wrap_budget,
                  mix_seed(779, "wrap", i))
         for i in range(n_ab)
     )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bloomlab.errors import ParameterError
+from bloomlab.errors import ParameterError, UnsupportedOperationError
 from bloomlab.filic import (
     REFUSED,
     FilicAdversary,
@@ -16,13 +16,12 @@ from bloomlab.filic import (
     ab_to_filic_adversary,
     estimate_advantage,
     identity_distinguisher,
-    insertable_filter_factory,
     key_leaking_filter_factory,
     run_ideal,
     run_real,
     snapshot_reveal_codec,
 )
-from bloomlab.filters import KEY_OFFSET, FilterParams, Universe
+from bloomlab.filters import KEY_OFFSET, FilterParams, NyFilter, Universe, filter_factory
 from bloomlab.games import GameConfig, SaturationAdversary, UniformAdversary, run_ab_experiment
 from bloomlab.stats import mix_seed, wilson_interval
 
@@ -148,7 +147,7 @@ def test_violation_replaces_adversary_output():
 
     params = FilterParams(m=16, k=2, n=1)
     u = Universe(64)
-    bit = run_real(Greedy(), insertable_filter_factory(params, u), identity_distinguisher,
+    bit = run_real(Greedy(), filter_factory(params, u), identity_distinguisher,
                    OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
     assert bit == 0
     bit = run_ideal(Greedy(), params, identity_distinguisher,
@@ -171,7 +170,7 @@ def test_worlds_are_deterministic_per_seed():
 def test_null_adversary_has_no_advantage():
     params = FilterParams(m=32, k=3, n=4)
     u = Universe(1024)
-    report = estimate_advantage(NullAdversary(u, 4), insertable_filter_factory(params, u),
+    report = estimate_advantage(NullAdversary(u, 4), filter_factory(params, u),
                                 params, identity_distinguisher,
                                 OracleBudget(inserts=2, queries=2, reveals=1), trials=200, seed=7)
     assert report.p_real == 0.0 and report.p_ideal == 0.0
@@ -187,6 +186,18 @@ def test_key_leaking_reveal_exposes_key_bytes():
     blob = filt.reveal()
     assert blob[KEY_OFFSET:KEY_OFFSET + len(filt.prp.key)] == filt.prp.key
     assert all(filt.query(x) == 1 for x in members)
+
+
+def test_key_leaking_insert_goes_through_the_permutation():
+    params = FilterParams(m=256, k=3, n=4)
+    u = Universe(4096)
+    filt = key_leaking_filter_factory(params, u)(frozenset({1, 2, 3, 4}), random.Random(2))
+    x = 1000
+    filt.insert(x)
+    assert filt.query(x) == 1
+    assert filt.inner.query(filt.prp.encrypt(x)) == 1
+    with pytest.raises(UnsupportedOperationError):
+        NyFilter.build({1, 2}, params, b"static", u).insert(x)
 
 
 def test_key_leak_distinguisher_has_large_advantage():
@@ -206,19 +217,19 @@ def test_public_hash_reveal_distinguishes_without_any_key():
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=False)
-    report = estimate_advantage(adv, insertable_filter_factory(params, u), params,
+    report = estimate_advantage(adv, filter_factory(params, u), params,
                                 identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=300, seed=13)
     assert report.advantage > 0.5
 
 
-def test_wrapped_saturation_adversary_wins_real_world():
+def test_wrapped_saturation_attack_wins_real_world():
     u = Universe(65536)
     params = FilterParams(m=4, k=3, n=20)
     cfg = GameConfig(universe=u, n=20, t=4, threshold=0.5)
     wrapper, dist = ab_to_filic_adversary(SaturationAdversary(), cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
-    hits = sum(run_real(wrapper, insertable_filter_factory(params, u), dist, budget,
+    hits = sum(run_real(wrapper, filter_factory(params, u), dist, budget,
                         seed=mix_seed(101, "wrap", i)) for i in range(100))
     assert hits >= 95
 
@@ -228,11 +239,11 @@ def test_wrapped_uniform_adversary_matches_ab_harness():
     params = FilterParams(m=32, k=2, n=8)
     cfg = GameConfig(universe=u, n=8, t=3, threshold=0.5)
     trials = 800
-    ab = run_ab_experiment(lambda members, rng: insertable_filter_factory(params, u)(members, rng),
+    ab = run_ab_experiment(lambda members, rng: filter_factory(params, u)(members, rng),
                            UniformAdversary(), cfg, trials, seed=17)
     wrapper, dist = ab_to_filic_adversary(UniformAdversary(), cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
-    hits = sum(run_real(wrapper, insertable_filter_factory(params, u), dist, budget,
+    hits = sum(run_real(wrapper, filter_factory(params, u), dist, budget,
                         seed=mix_seed(19, "wrap", i)) for i in range(trials))
     lo, hi = wilson_interval(hits, trials)
     assert lo <= ab.win_rate <= hi  # both harnesses estimate the same rate
@@ -243,6 +254,6 @@ def test_wrapped_adversary_insufficient_budget_outputs_zero():
     params = FilterParams(m=4, k=3, n=20)
     cfg = GameConfig(universe=u, n=20, t=4, threshold=0.5)
     wrapper, dist = ab_to_filic_adversary(SaturationAdversary(), cfg)
-    bit = run_real(wrapper, insertable_filter_factory(params, u), dist,
+    bit = run_real(wrapper, filter_factory(params, u), dist,
                    OracleBudget(inserts=0, queries=1, reveals=0), seed=23)
     assert bit == 0

@@ -27,10 +27,8 @@ from bloomlab.filters import (
     HashFamily,
     NyFilter,
     Universe,
-    derive_indices,
     estimate_fpr,
     expected_fpr,
-    ny_wrap,
     optimal_k,
 )
 
@@ -66,11 +64,11 @@ def test_universe_validation():
         Universe(0)
 
 
-def test_derive_indices_deterministic_and_in_range():
+def test_indices_deterministic_and_in_range():
     params = FilterParams(m=97, k=5, n=10)
     for family in (HashFamily.public(), HashFamily.keyed(b"secret")):
-        a = derive_indices(family, params, 42)
-        b = derive_indices(family, params, 42)
+        a = family.indices(42, params.m, params.k)
+        b = family.indices(42, params.m, params.k)
         assert a == b
         assert len(a) == 5
         assert all(0 <= j < 97 for j in a)
@@ -82,8 +80,8 @@ def test_keyed_families_differ_and_public_is_keyless():
     fam2 = HashFamily.keyed(b"k2")
     pub = HashFamily.public()
     sample = range(200)
-    assert any(derive_indices(fam1, params, x) != derive_indices(fam2, params, x) for x in sample)
-    assert any(derive_indices(fam1, params, x) != derive_indices(pub, params, x) for x in sample)
+    assert any(fam1.indices(x, params.m, params.k) != fam2.indices(x, params.m, params.k) for x in sample)
+    assert any(fam1.indices(x, params.m, params.k) != pub.indices(x, params.m, params.k) for x in sample)
     assert pub.key == b""
     with pytest.raises(ParameterError):
         HashFamily(mode=PUBLIC, key=b"k")
@@ -165,7 +163,7 @@ def test_keyed_prf_indices_uniform_chi_square():
     family = HashFamily.keyed(b"uniformity-check-key")
     counts = [[0] * m for _ in range(k)]
     for x in range(samples):
-        for i, j in enumerate(derive_indices(family, params, x)):
+        for i, j in enumerate(family.indices(x, params.m, params.k)):
             counts[i][j] += 1
     expected = samples / m
     critical = chi2.ppf(0.999, m - 1)
@@ -454,16 +452,11 @@ def test_debug_json_fields():
     assert bytes.fromhex(dump["key_hex"]) == b"dbg"
 
 
-def test_ny_wrap_matches_inner_on_permuted_elements():
+def test_ny_build_matches_inner_on_permuted_elements():
     u = Universe(256)
     params = FilterParams(m=64, k=2, n=8)
     members = set(range(0, 80, 10))
-    builder = ny_wrap(
-        lambda permuted: BloomFilter.build(permuted, params, HashFamily.public(), u),
-        b"wrapped",
-        u,
-    )
-    ny = builder(members)
+    ny = NyFilter.build(members, params, b"wrapped", u, HashFamily.public())
     assert all(ny.query(x) == 1 for x in members)
     prp = FeistelPermutation(b"wrapped", 256)
     for x in range(256):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab.errors import ParameterError
-from bloomlab.filters import FilterParams, Universe, expected_fpr, optimal_k
+from bloomlab.errors import DomainError, ParameterError
+from bloomlab.filic import OracleBudget, ab_to_filic_adversary, run_ideal, run_real
+from bloomlab.filters import TRUE_RANDOM, FilterParams, Universe, expected_fpr, filter_factory, optimal_k
 from bloomlab.games import (
     Adversary,
     GameConfig,
@@ -18,13 +19,10 @@ from bloomlab.games import (
     resilience_threshold_with_optimal_k,
     run_ab_experiment,
     run_ab_test,
-    run_adaptive_game,
     run_bp_experiment,
     run_bp_test,
     saturation_frequency,
     saturation_probability,
-    standard_filter_factory,
-    true_random_filter_factory,
 )
 
 
@@ -99,7 +97,7 @@ def test_transcript_shape_uniform_adversary():
     u = Universe(4096)
     cfg = GameConfig(universe=u, n=10, t=6, threshold=0.5)
     params = FilterParams(m=128, k=3, n=10)
-    transcript = run_adaptive_game(standard_filter_factory(params, u), UniformAdversary(), cfg, seed=5)
+    transcript = run_ab_test(filter_factory(params, u), UniformAdversary(), cfg, seed=5).transcript
     assert len(transcript.members) == 10
     assert len(transcript.queries) == 6
     assert len(set(transcript.queries)) == 6
@@ -147,6 +145,55 @@ def test_forfeit_on_stale_target():
         assert out.win == 0
 
 
+def _wrapped_bit(factory, adversary, cfg, seed, queries=None):
+    """The reveal-oracle embedding's output bit in the real world."""
+    wrapper, dist = ab_to_filic_adversary(adversary, cfg)
+    budget = OracleBudget(inserts=0, queries=cfg.t + 1 if queries is None else queries, reveals=0)
+    return run_real(wrapper, factory, dist, budget, seed)
+
+
+@pytest.mark.parametrize(
+    "queries, target, win",
+    [
+        ([3], 50, 0),  # probed a member
+        ([25, 25], 50, 0),  # repeated a probe
+        ([25], 3, 0),  # targeted a member
+        ([25], 25, 0),  # targeted an earlier probe
+        ([25, 26], 50, 1),  # clean run against a saturated filter
+    ],
+)
+def test_referee_agrees_across_harnesses(queries, target, win):
+    u = Universe(256)
+    members = set(range(20))
+    params = FilterParams(m=4, k=3, n=20)
+    cfg = GameConfig(universe=u, n=20, t=3, threshold=0.5)
+    factory = filter_factory(params, u)
+    out = run_ab_test(factory, _Scripted(members, queries, target=target), cfg, seed=0)
+    assert out.win == win
+    assert out.transcript.forfeited == (win == 0)
+    assert _wrapped_bit(factory, _Scripted(members, queries, target=target), cfg, seed=0) == win
+    if win:
+        # A budget short of the final query, or of the probes, refuses and scores 0.
+        for short in (len(queries), 0):
+            assert _wrapped_bit(factory, _Scripted(members, queries, target=target), cfg, 0, short) == 0
+
+
+@pytest.mark.parametrize("queries, target", [([256], 50), ([25], 256)])
+def test_out_of_universe_raises_in_every_harness(queries, target):
+    u = Universe(256)
+    members = set(range(20))
+    params = FilterParams(m=64, k=3, n=20)
+    cfg = GameConfig(universe=u, n=20, t=3, threshold=0.5)
+    with pytest.raises(DomainError):
+        run_ab_test(filter_factory(params, u), _Scripted(members, queries, target=target), cfg, seed=0)
+    wrapper, dist = ab_to_filic_adversary(_Scripted(members, queries, target=target), cfg)
+    budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
+    with pytest.raises(DomainError):
+        run_real(wrapper, filter_factory(params, u), dist, budget, seed=0)
+    with pytest.raises(DomainError):
+        run_ideal(wrapper, params, dist, budget, seed=0)
+
+
 def test_wrong_set_size_rejected():
     u = Universe(256)
     cfg = GameConfig(universe=u, n=4, t=0, threshold=0.5)
@@ -175,7 +222,7 @@ def test_profit_values_exact():
     assert sit_out.outcome.profit == 0.0 and sit_out.outcome.bet == 0
 
 
-def test_saturation_adversary_bets_only_on_all_ones():
+def test_saturation_attack_bets_only_on_all_ones():
     u = Universe(65536)
     cfg = GameConfig(universe=u, n=5, t=3, threshold=0.5)
     adv = SaturationAdversary()
@@ -281,7 +328,7 @@ def test_bp_zero_mean_at_fair_threshold():
     u = Universe(65536)
     cfg = GameConfig(universe=u, n=n, t=0, threshold=p_star)
     params = FilterParams(m=m, k=k, n=n)
-    exp = run_bp_experiment(true_random_filter_factory(params, u), UniformAdversary(), cfg, 6000, seed=11)
+    exp = run_bp_experiment(filter_factory(params, u, TRUE_RANDOM), UniformAdversary(), cfg, 6000, seed=11)
     assert exp.bet_rate == 1.0
     assert exp.ci_lo <= 0.0 <= exp.ci_hi
     assert abs(exp.win_rate - p_star) < 0.02
@@ -292,7 +339,7 @@ def test_bp_saturation_attack_on_tiny_filter():
     u = Universe(65536)
     cfg = GameConfig(universe=u, n=n, t=t, threshold=0.5)
     params = FilterParams(m=m, k=k, n=n)
-    exp = run_bp_experiment(true_random_filter_factory(params, u), SaturationAdversary(), cfg, 500, seed=12)
+    exp = run_bp_experiment(filter_factory(params, u, TRUE_RANDOM), SaturationAdversary(), cfg, 500, seed=12)
     assert exp.mean_profit > 1.9
     assert exp.saturation_rate > 0.99
     assert exp.forfeits == 0
@@ -304,7 +351,7 @@ def test_ab_uniform_adversary_tracks_closed_form_fpr():
     params = FilterParams(m=1024, k=7, n=100)
     u = Universe(1 << 20)
     cfg = GameConfig(universe=u, n=100, t=4, threshold=0.5)
-    exp = run_ab_experiment(standard_filter_factory(params, u), UniformAdversary(), cfg, 2000, seed=42)
+    exp = run_ab_experiment(filter_factory(params, u), UniformAdversary(), cfg, 2000, seed=42)
     assert exp.forfeits == 0
     assert exp.ci_lo <= expected_fpr(params) <= exp.ci_hi
 
@@ -314,7 +361,7 @@ def test_bp_experiment_reports_unsaturated_probe_rate():
     u = Universe(65536)
     cfg = GameConfig(universe=u, n=n, t=16, threshold=0.5)
     params = FilterParams(m=m, k=k, n=n)
-    exp = run_bp_experiment(true_random_filter_factory(params, u), SaturationAdversary(), cfg, 1500, seed=13)
+    exp = run_bp_experiment(filter_factory(params, u, TRUE_RANDOM), SaturationAdversary(), cfg, 1500, seed=13)
     exact = saturation_probability(m, n, k).exact
     assert abs(exp.saturation_rate - exact) < 0.01
     assert 0.0 <= exp.probe_fp_rate_unsaturated < 1.0
