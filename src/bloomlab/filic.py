@@ -201,17 +201,28 @@ def identity_distinguisher(out) -> int:
     return 1 if out == 1 else 0
 
 
-def run_real(adversary: FilicAdversary, filter_factory, distinguisher, budget: OracleBudget, seed: int) -> int:
-    """One real-world experiment; returns the distinguisher's bit."""
+def _run_world(adversary: FilicAdversary, make_world, distinguisher, budget: OracleBudget, seed: int) -> int:
+    """The protocol of both worlds: ``make_world(members, rng)`` returns the
+    world's (query, insert, reveal); a violation turns the adversary's output
+    into ``REFUSED`` before the distinguisher sees it."""
     adversary.begin(random.Random(mix_seed(seed, "filic-adv", 0)))
     members = frozenset(adversary.choose_set())
-    world_rng = random.Random(mix_seed(seed, "filic-world", 0))
-    filt = filter_factory(members, world_rng)
-    oracles = OracleSet(filt.query, filt.insert, filt.reveal, budget)
+    world = make_world(members, random.Random(mix_seed(seed, "filic-world", 0)))
+    oracles = OracleSet(*world, budget)
     out = adversary.interact(oracles)
     if oracles.violated:
         out = REFUSED
     return 1 if distinguisher(out) == 1 else 0
+
+
+def run_real(adversary: FilicAdversary, filter_factory, distinguisher, budget: OracleBudget, seed: int) -> int:
+    """One real-world experiment; returns the distinguisher's bit."""
+
+    def world(members, rng):
+        filt = filter_factory(members, rng)
+        return filt.query, filt.insert, filt.reveal
+
+    return _run_world(adversary, world, distinguisher, budget, seed)
 
 
 def run_ideal(adversary: FilicAdversary, params: FilterParams, distinguisher,
@@ -224,23 +235,18 @@ def run_ideal(adversary: FilicAdversary, params: FilterParams, distinguisher,
     cannot be told apart. ``state_probe`` receives the simulator right
     after the initial build, for instrumentation.
     """
-    adversary.begin(random.Random(mix_seed(seed, "filic-adv", 0)))
-    members = frozenset(adversary.choose_set())
-    world_rng = random.Random(mix_seed(seed, "filic-world", 0))
-    sim = SimulatorState(params.m, params.k, world_rng)
-    sim.build(sorted(members))
-    if state_probe is not None:
-        state_probe(sim)
-    if reveal_codec is not None:
-        codec = reveal_codec(world_rng)
-        reveal = lambda: codec(sim.reveal())
-    else:
-        reveal = sim.reveal
-    oracles = OracleSet(sim.query, sim.insert, reveal, budget)
-    out = adversary.interact(oracles)
-    if oracles.violated:
-        out = REFUSED
-    return 1 if distinguisher(out) == 1 else 0
+
+    def world(members, rng):
+        sim = SimulatorState(params.m, params.k, rng)
+        sim.build(sorted(members))
+        if state_probe is not None:
+            state_probe(sim)
+        if reveal_codec is None:
+            return sim.query, sim.insert, sim.reveal
+        codec = reveal_codec(rng)
+        return sim.query, sim.insert, lambda: codec(sim.reveal())
+
+    return _run_world(adversary, world, distinguisher, budget, seed)
 
 
 @dataclass(frozen=True)

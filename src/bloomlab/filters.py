@@ -207,8 +207,16 @@ class HashFamily:
                 raise ParameterError("true-random family already bound to another (m, k)")
             got = self.memo.get(x)
             if got is None:
-                got = tuple(self._rng.randrange(m) for _ in range(k))
-                self.memo[x] = got
+                # randrange(m) one index at a time, as CPython draws it:
+                # getrandbits(m.bit_length()) until the value is below m.
+                getrandbits, width = self._rng.getrandbits, m.bit_length()
+                draws = []
+                for _ in range(k):
+                    j = getrandbits(width)
+                    while j >= m:
+                        j = getrandbits(width)
+                    draws.append(j)
+                got = self.memo[x] = tuple(draws)
             return got
         blocks = (k + 7) >> 3
         states = self._states

@@ -99,13 +99,10 @@ def mangat_perturb(members, universe: Universe, p: float, seed: int) -> Perturbe
     PrivacyParams(MANGAT, p)
     _check_cap(universe)
     members = {universe.require(x) for x in set(members)}
-    rng = random.Random(seed)
-    out = set(members)
+    draw = random.Random(seed).random
     q = 1.0 - p
-    for x in range(universe.size):
-        if x not in members and rng.random() < q:
-            out.add(x)
-    return PerturbedSet(frozenset(out), MANGAT, p, len(members))
+    out = frozenset([x for x in range(universe.size) if x in members or draw() < q])
+    return PerturbedSet(out, MANGAT, p, len(members))
 
 
 def warner_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:
@@ -113,15 +110,10 @@ def warner_perturb(members, universe: Universe, p: float, seed: int) -> Perturbe
     PrivacyParams(WARNER, p)
     _check_cap(universe)
     members = {universe.require(x) for x in set(members)}
-    rng = random.Random(seed)
-    out = set()
-    for x in range(universe.size):
-        if x in members:
-            if rng.random() < p:
-                out.add(x)
-        elif rng.random() < 1.0 - p:
-            out.add(x)
-    return PerturbedSet(frozenset(out), WARNER, p, len(members))
+    draw = random.Random(seed).random
+    q = 1.0 - p
+    out = frozenset([x for x in range(universe.size) if draw() < (p if x in members else q)])
+    return PerturbedSet(out, WARNER, p, len(members))
 
 
 def perturb(members, universe: Universe, params: PrivacyParams, seed: int) -> PerturbedSet:

@@ -173,6 +173,9 @@ def test_bad_flags_exit_one():
     assert _run(["saturation-scan", "--no-such-flag"])[0] == 1
     assert _run(["saturation-scan", "--m", "zero"])[0] == 1
     assert _run(["fpr-estimate", "--queries", "0"])[0] == 1  # rejected parameters
+    # No bound decides m=1024 with 20000 throws, and the exact sum is capped.
+    code, _, err = _run(["saturation-scan", "--m", "1024", "--n", "2000", "--k", "10"])
+    assert code == 1 and "m=1024, n*k=20000" in err
 
 
 def test_all_points_failed_exits_two(monkeypatch):

@@ -156,6 +156,25 @@ def test_true_random_indices_ignore_bits():
     assert with_bits.memo == without.memo
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=1, max_size=16),
+    m=st.one_of(st.integers(1, 1 << 20), st.integers(0, 20).map(lambda e: 1 << e)),
+    k=st.integers(1, 20),
+    xs=st.lists(st.integers(0, 63), min_size=1, max_size=12),
+)
+def test_true_random_indices_match_randrange_stream(key, m, k, xs):
+    """The family draws each index as ``randrange(m)`` of the seeded generator
+    would, in order, element by element; repeats come from the memo."""
+    family = HashFamily.true_random(seed=key)
+    reference = random.Random(key)
+    expected = {}
+    for x in xs:
+        if x not in expected:
+            expected[x] = tuple(reference.randrange(m) for _ in range(k))
+        assert family.indices(x, m, k) == expected[x]
+
+
 def test_keyed_prf_indices_uniform_chi_square():
     """Each of the k index positions should be uniform on [0, m)."""
     m, k, samples = 1024, 7, 100_000

@@ -1,15 +1,17 @@
 """Adaptive membership games, saturation analysis, profit accounting."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab.errors import DomainError, ParameterError
+from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.filic import OracleBudget, ab_to_filic_adversary, run_ideal, run_real
 from bloomlab.filters import TRUE_RANDOM, FilterParams, Universe, expected_fpr, filter_factory, optimal_k
 from bloomlab.games import (
+    SATURATION_CAP,
     Adversary,
     GameConfig,
     SaturationAdversary,
@@ -178,6 +180,40 @@ def test_referee_agrees_across_harnesses(queries, target, win):
             assert _wrapped_bit(factory, _Scripted(members, queries, target=target), cfg, 0, short) == 0
 
 
+class _Recording(UniformAdversary):
+    """Records the history of every call, then vandalizes the list it got."""
+
+    def begin(self, cfg, rng):
+        super().begin(cfg, rng)
+        self.seen = []
+
+    def next_query(self, history):
+        self.seen.append(list(history))
+        history.append((-1, 7))
+        return super().next_query(history)
+
+    def finalize(self, history):
+        self.seen.append(list(history))
+        history.clear()
+        return super().finalize(history)
+
+
+@pytest.mark.parametrize("run", [run_ab_test, run_bp_test])
+def test_referee_passes_each_call_the_history_so_far(run):
+    u = Universe(1 << 12)
+    cfg = GameConfig(universe=u, n=20, t=6, threshold=0.5)
+    factory = filter_factory(FilterParams(m=16, k=3, n=20), u, TRUE_RANDOM)
+    recorder = _Recording()
+    recorded = run(factory, recorder, cfg, 9)
+    plain = run(factory, UniformAdversary(), cfg, 9)
+    transcript = recorded.transcript
+    pairs = list(zip(transcript.queries, transcript.answers))
+    assert len(pairs) == cfg.t and not transcript.forfeited
+    assert recorder.seen == [pairs[:i] for i in range(cfg.t + 1)]
+    # Mutating the received lists reaches neither the transcript nor the result.
+    assert recorded == plain
+
+
 @pytest.mark.parametrize("queries, target", [([256], 50), ([25], 256)])
 def test_out_of_universe_raises_in_every_harness(queries, target):
     u = Universe(256)
@@ -275,6 +311,73 @@ def test_saturation_probability_reference_point():
     got = saturation_probability(8, 20, 3)
     assert got.exact == pytest.approx(0.997348895077887, rel=1e-12)
     assert got.lower_bound == pytest.approx(1.0 - 8.0 * math.exp(-7.5), rel=1e-12)
+
+
+def _exact_saturation(m, throws):
+    """Coverage probability as an exact fraction, from the integer
+    inclusion-exclusion sum."""
+    total = sum((-1) ** j * math.comb(m, j) * (m - j) ** throws for j in range(m + 1))
+    return Fraction(total, m ** throws)
+
+
+def _saturation_grid(m):
+    """Throw counts around each cut-off of saturation_probability: T < m
+    (pigeonhole), T near m, and the first T with m * miss < 2**-56, where the
+    union-bound rule starts deciding 1.0. The first T with m * miss < 2**-52
+    is added because P still rounds below 1.0 there, so a looser rule fails
+    on it. Each first T is settled in exact integers from a float estimate."""
+    if m == 1:
+        return [0, 1, 2]
+    grid = {0, m - 1, m, m + 1, 2 * m}
+    for bits in (52, 56):
+
+        def below(t):
+            return m * (m - 1) ** t << bits < m ** t
+
+        first = math.ceil((bits * math.log(2) + math.log(m)) / -math.log1p(-1 / m))
+        while below(first - 1):
+            first -= 1
+        while not below(first):
+            first += 1
+        grid |= {first} if bits == 52 else {first - 1, first, first + 1}
+    return sorted(grid)
+
+
+@pytest.mark.parametrize("m", [*range(1, 13), 32, 64, 256])
+def test_saturation_probability_matches_integer_reference_across_cutoffs(m):
+    for throws in _saturation_grid(m):
+        assert saturation_probability(m, throws, 1).exact == float(_exact_saturation(m, throws)), throws
+
+
+def test_saturation_probability_negative_association_cutoff():
+    """The negative-association rule, m * log1p(-miss) < -746, decides 0.0
+    only for m above about 1627 (miss is at most 1/e once T >= m). At
+    m = 1700 the test straddles the last T it decides."""
+    m = 1700
+    last = m
+    while m * math.log1p(-((1 - 1 / m) ** (last + 1))) < -746:
+        last += 1
+    for throws in (last, last + 1):
+        assert saturation_probability(m, throws, 1).exact == float(_exact_saturation(m, throws))
+
+
+def test_negative_association_bound_dominates_exact_probability():
+    for m in range(1, 17):
+        for throws in range(0, 8 * m):
+            miss = Fraction(m - 1, m) ** throws
+            assert (1 - miss) ** m >= _exact_saturation(m, throws)
+
+
+def test_saturation_probability_refuses_past_the_cap():
+    # No rule decides m=1024 with 20000 throws, and m * n * k exceeds 2**24.
+    assert 1024 * 20000 > SATURATION_CAP
+    with pytest.raises(UnsupportedOperationError, match="m=1024, n\\*k=20000"):
+        saturation_probability(1024, 2000, 10)
+    # Past the cap but decided by a rule (union bound, negative association,
+    # pigeonhole), so the cap does not apply.
+    for m, n, k, exact in ((8, 300 * 10**4, 7, 1.0), (4096, 1000, 5, 0.0), (1 << 20, 300, 7, 0.0)):
+        assert m * n * k > SATURATION_CAP
+        assert saturation_probability(m, n, k).exact == exact
 
 
 def test_saturation_frequency_matches_exact():

@@ -1,6 +1,7 @@
 """Randomized-response perturbation, budgets, and the empirical audit."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,35 @@ def test_perturb_dispatch_and_determinism():
     c = perturb(members, u, PrivacyParams(MANGAT, 0.8), seed=11)
     assert members <= set(c.members)
     assert a.mode == WARNER and c.mode == MANGAT
+
+
+def _loop_perturb(mode, members, size, p, seed):
+    """Randomized response restated as a plain loop: one draw per element in
+    universe order, none for mangat members."""
+    rng = random.Random(seed)
+    out = set(members) if mode == MANGAT else set()
+    for x in range(size):
+        if x in members:
+            if mode == WARNER and rng.random() < p:
+                out.add(x)
+        elif rng.random() < 1.0 - p:
+            out.add(x)
+    return frozenset(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mode=st.sampled_from([MANGAT, WARNER]),
+    size=st.integers(1, 300),
+    p=st.floats(0.51, 0.99),
+    seed=st.integers(0, 1 << 64),
+    data=st.data(),
+)
+def test_perturbation_matches_plain_loop(mode, size, p, seed, data):
+    members = data.draw(st.sets(st.integers(0, size - 1), max_size=size))
+    got = perturb(members, Universe(size), PrivacyParams(mode, p), seed)
+    assert got.members == _loop_perturb(mode, members, size, p, seed)
+    assert isinstance(got.members, frozenset) and got.original_size == len(members)
 
 
 def test_budget_closed_forms():
