@@ -11,7 +11,7 @@ The four round states are built once per permutation: each is keyed and has
 already absorbed ``<Q>(round index)``, and a round copies its state and feeds
 it ``<Q>(half-block)``. The digest is byte-identical to hashing the packed
 pair from scratch, so every image is unchanged; only the per-call key setup
-is saved.
+is saved. The block functions run the rounds inline over those states.
 """
 
 from __future__ import annotations
@@ -47,24 +47,23 @@ class FeistelPermutation:
             hashlib.blake2b(_WORD.pack(i), key=self.key, digest_size=8) for i in range(ROUNDS)
         )
 
-    def _round(self, index: int, value: int) -> int:
-        h = self._rounds[index].copy()
-        h.update(_WORD.pack(value))
-        return int.from_bytes(h.digest(), "little") & self._half_mask
-
     def _encrypt_block(self, value: int) -> int:
-        left = value >> self._half_bits
-        right = value & self._half_mask
-        for i in range(ROUNDS):
-            left, right = right, left ^ self._round(i, right)
-        return (left << self._half_bits) | right
+        half_bits, mask, pack, from_bytes = self._half_bits, self._half_mask, _WORD.pack, int.from_bytes
+        left, right = value >> half_bits, value & mask
+        for state in self._rounds:
+            h = state.copy()
+            h.update(pack(right))
+            left, right = right, left ^ (from_bytes(h.digest(), "little") & mask)
+        return (left << half_bits) | right
 
     def _decrypt_block(self, value: int) -> int:
-        left = value >> self._half_bits
-        right = value & self._half_mask
-        for i in reversed(range(ROUNDS)):
-            left, right = right ^ self._round(i, left), left
-        return (left << self._half_bits) | right
+        half_bits, mask, pack, from_bytes = self._half_bits, self._half_mask, _WORD.pack, int.from_bytes
+        left, right = value >> half_bits, value & mask
+        for state in reversed(self._rounds):
+            h = state.copy()
+            h.update(pack(left))
+            left, right = right ^ (from_bytes(h.digest(), "little") & mask), left
+        return (left << half_bits) | right
 
     def encrypt(self, x: int) -> int:
         """Map x to its image; inverse of :meth:`decrypt`."""

@@ -329,10 +329,6 @@ def snapshot_reveal_codec(params: FilterParams):
     return factory
 
 
-def _bit_set(bits: bytes, j: int) -> bool:
-    return bool(bits[j >> 3] & (1 << (j & 7)))
-
-
 class RepresentationPredictionAdversary(FilicAdversary):
     """Reads the revealed representation, predicts a positive offline and
     spends one query confirming it.
@@ -375,7 +371,7 @@ class RepresentationPredictionAdversary(FilicAdversary):
             if x in self.members:
                 continue
             image = prp.encrypt(x) if prp is not None else x
-            if all(_bit_set(bits, j) for j in self._public.indices(image, m, k, bits)):
+            if all(bits[j >> 3] & (1 << (j & 7)) for j in self._public.indices(image, m, k)):
                 ans = oracles.query(x)
                 return ans if ans in (0, 1) else 0
         return 0

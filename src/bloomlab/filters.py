@@ -21,9 +21,13 @@ independent PRF outputs as the keyed construction requires. Double hashing
 (Kirsch and Mitzenmacher, "Less Hashing, Same Performance") would be cheaper
 still but is not used: its indices ``h1 + i*h2`` are correlated, not
 independent PRF outputs. A family caches, per block b, a blake2b state that
-is already keyed and has absorbed ``<Q>(b)``, and copies it per element.
-Queries pass their bit array to :meth:`HashFamily.indices`, which then stops
-at the first position whose bit is clear, skipping any later block.
+is already keyed and has absorbed ``<Q>(b)`` (:meth:`HashFamily.block_states`).
+A :class:`BloomFilter` binds those states for its k, and m, once at
+construction; ``build`` and ``query`` copy each state and feed it ``<Q>(x)``
+themselves, without a call into the family. ``query`` owns the early exit:
+it tests each index as it is derived and returns 0 at the first clear bit,
+skipping any later block. True-random filters bind no states and go through
+:meth:`HashFamily.indices`, which always draws and memoizes all k indices.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -75,7 +79,8 @@ _KIND_CODES = {KIND_STANDARD: 0, KIND_PRF: 1, KIND_NY: 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 _WORD = struct.Struct("<Q")
-_BLOCK = struct.Struct("<8Q")
+# _WORDS[n] reads the first n little-endian 64-bit words of a block digest.
+_WORDS = {n: struct.Struct(f"<{n}Q") for n in range(1, 9)}
 _LN2 = math.log(2.0)
 
 
@@ -190,15 +195,22 @@ class HashFamily:
             seed = seed.to_bytes(8, "little", signed=False)
         return cls(mode=TRUE_RANDOM, key=bytes(seed))
 
-    def indices(self, x: int, m: int, k: int, bits: bytearray | bytes | None = None) -> tuple[int, ...]:
+    def block_states(self, k: int) -> tuple:
+        """The blake2b states of blocks 0 .. ceil(k/8)-1 of a public or keyed
+        family: state b is keyed and has absorbed ``<Q>(b)``, so copying it and
+        feeding it ``<Q>(x)`` gives block b of x. Grown on demand, never rebuilt."""
+        blocks = (k + 7) >> 3
+        states = self._states
+        if len(states) < blocks:
+            states.extend(hashlib.blake2b(_WORD.pack(b), key=self.key, digest_size=64)
+                          for b in range(len(states), blocks))
+        return tuple(states[:blocks])
+
+    def indices(self, x: int, m: int, k: int) -> tuple[int, ...]:
         """The k bit positions of x in an m-bit array.
 
-        With ``bits``, public and keyed derivation stop at the first position
-        whose bit is clear in that array and return the prefix up to and
-        including it, so a caller that checks every returned bit gets the
-        answer it would get from all k positions. True-random
-        derivation ignores ``bits`` and always draws and memoizes all k
-        indices, so its generator stream does not depend on the filter state.
+        True-random derivation draws and memoizes all k indices, so its
+        generator stream does not depend on which of them a caller tests.
         """
         if self.mode == TRUE_RANDOM:
             if self._shape is None:
@@ -218,29 +230,13 @@ class HashFamily:
                     draws.append(j)
                 got = self.memo[x] = tuple(draws)
             return got
-        blocks = (k + 7) >> 3
-        states = self._states
-        if len(states) < blocks:
-            states.extend(hashlib.blake2b(_WORD.pack(b), key=self.key, digest_size=64)
-                          for b in range(len(states), blocks))
         tail = _WORD.pack(x)
-        if bits is None:
-            words = ()
-            for state in states[:blocks]:
-                h = state.copy()
-                h.update(tail)
-                words += _BLOCK.unpack(h.digest())
-            return tuple([w % m for w in words[:k]])
-        found = []
-        for state in states[:blocks]:
+        words = ()
+        for state in self.block_states(k):
             h = state.copy()
             h.update(tail)
-            for w in _BLOCK.unpack(h.digest())[:k - len(found)]:
-                j = w % m
-                found.append(j)
-                if not bits[j >> 3] & (1 << (j & 7)):
-                    return tuple(found)
-        return tuple(found)
+            words += _WORDS[8].unpack(h.digest())
+        return tuple([w % m for w in words[:k]])
 
 
 def fresh_family(mode: str, rng: random.Random) -> HashFamily:
@@ -267,7 +263,7 @@ def filter_factory(params: FilterParams, universe: Universe, mode: str = PUBLIC)
 class BloomFilter:
     """Bit-array filter; ``standard`` kind is insertable, others are static."""
 
-    __slots__ = ("params", "family", "kind", "universe", "_bits", "_ones")
+    __slots__ = ("params", "family", "kind", "universe", "_bits", "_ones", "_m", "_blocks")
 
     def __init__(self, params: FilterParams, family: HashFamily, universe: Universe, kind: str | None = None):
         self.params = params
@@ -280,6 +276,14 @@ class BloomFilter:
             raise ParameterError(f"a BloomFilter cannot be of kind {self.kind!r}")
         self._bits = bytearray((params.m + 7) // 8)
         self._ones = 0
+        # What build and query derive indices with: m, and per block of the
+        # family's k indices its pre-keyed state and the reader of its words.
+        # None for true-random families, which derive through family.indices.
+        self._m = params.m
+        self._blocks = None if family.mode == TRUE_RANDOM else tuple(
+            (state, _WORDS[min(8, params.k - 8 * b)])
+            for b, state in enumerate(family.block_states(params.k))
+        )
 
     @classmethod
     def build(cls, members, params: FilterParams, family: HashFamily, universe: Universe) -> "BloomFilter":
@@ -290,11 +294,23 @@ class BloomFilter:
         in true-random mode where derivation order matters.
         """
         filt = cls(params, family, universe)
-        require, indices = universe.require, family.indices
-        m, k, bits = params.m, params.k, filt._bits
-        for x in sorted(set(members)):
-            for j in indices(require(x), m, k):
-                bits[j >> 3] |= 1 << (j & 7)
+        require, bits, m, blocks = universe.require, filt._bits, params.m, filt._blocks
+        members = sorted(set(members))
+        if blocks is None:
+            indices, k = family.indices, params.k
+            for x in members:
+                for j in indices(require(x), m, k):
+                    bits[j >> 3] |= 1 << (j & 7)
+        else:
+            pack = _WORD.pack
+            for x in members:
+                tail = pack(require(x))
+                for state, words in blocks:
+                    h = state.copy()
+                    h.update(tail)
+                    for w in words.unpack_from(h.digest()):
+                        j = w % m
+                        bits[j >> 3] |= 1 << (j & 7)
         filt._ones = _popcount(bits)
         return filt
 
@@ -310,12 +326,27 @@ class BloomFilter:
                 self._ones += 1
 
     def query(self, x: int) -> int:
-        """1 if every derived bit is set, else 0. Never mutates the bits."""
+        """1 if every derived bit is set, else 0. Never mutates the bits.
+
+        Public and keyed indices are derived block by block from the bound
+        states, and the first clear bit answers 0 before any later block is
+        hashed. True-random queries take all k indices from the family.
+        """
         self.universe.require(x)
-        bits = self._bits
-        for j in self.family.indices(x, self.params.m, self.params.k, bits):
-            if not bits[j >> 3] & (1 << (j & 7)):
-                return 0
+        bits, blocks = self._bits, self._blocks
+        if blocks is None:
+            for j in self.family.indices(x, self._m, self.params.k):
+                if not bits[j >> 3] & (1 << (j & 7)):
+                    return 0
+            return 1
+        tail, m = _WORD.pack(x), self._m
+        for state, words in blocks:
+            h = state.copy()
+            h.update(tail)
+            for w in words.unpack_from(h.digest()):
+                j = w % m
+                if not bits[j >> 3] & (1 << (j & 7)):
+                    return 0
         return 1
 
     def popcount(self) -> int:
@@ -513,16 +544,24 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
     if params.n + 1 > universe.size:
         raise ParameterError("universe too small for n members plus a non-member")
     per_build = queries // builds
+    size = universe.size
+    width = size.bit_length()
     hits = 0
     total = 0
     for b in range(builds):
         rng = random.Random(mix_seed(seed, "fpr-build", b))
-        members = set(rng.sample(range(universe.size), params.n))
-        filt = BloomFilter.build(members, params, fresh_family(mode, rng), universe)
+        members = set(rng.sample(range(size), params.n))
+        query = BloomFilter.build(members, params, fresh_family(mode, rng), universe).query
+        # Universe.sample_outside drawn inline: randrange(size) is
+        # getrandbits(size.bit_length()) redrawn while >= size (CPython's
+        # rule for a plain Random), and a member is redrawn the same way.
+        getrandbits = rng.getrandbits
         for _ in range(per_build):
-            x = universe.sample_outside(rng, members)
-            hits += filt.query(x)
-            total += 1
+            x = getrandbits(width)
+            while x >= size or x in members:
+                x = getrandbits(width)
+            hits += query(x)
+        total += per_build
     lo, hi = wilson_interval(hits, total)
     return FprEstimate(
         rate=hits / total, ci_lo=lo, ci_hi=hi,

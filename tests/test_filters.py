@@ -29,8 +29,10 @@ from bloomlab.filters import (
     Universe,
     estimate_fpr,
     expected_fpr,
+    fresh_family,
     optimal_k,
 )
+from bloomlab.stats import mix_seed
 
 
 def test_params_validation():
@@ -137,23 +139,69 @@ def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, 
     assert longest == _reference_indices(family.key, x, m, 20)
     assert longest[:k] == expected
 
-    bits = bytearray((m + 7) // 8)
+    # Any subset of x's bits set, so the first clear one falls at every
+    # position and in every block: query answers 1 exactly when none is clear.
+    filt = BloomFilter(FilterParams(m=m, k=k, n=0), family, Universe(1 << 64))
     for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=k, max_size=k))):
         if on:
-            bits[j >> 3] |= 1 << (j & 7)
-    clear = [n for n, j in enumerate(expected) if not bits[j >> 3] & (1 << (j & 7))]
-    prefix = expected[:clear[0] + 1] if clear else expected
-    assert family.indices(x, m, k, bits) == prefix
-    assert family.indices(x, m, k, b"\xff" * len(bits)) == expected
+            filt._bits[j >> 3] |= 1 << (j & 7)
+    assert filt.query(x) == all(filt._bits[j >> 3] & (1 << (j & 7)) for j in expected)
+    filt._bits[:] = b"\xff" * len(filt._bits)
+    assert filt.query(x) == 1
 
 
 def test_true_random_indices_ignore_bits():
-    with_bits = HashFamily.true_random(seed=5)
-    without = HashFamily.true_random(seed=5)
-    empty = bytearray(4)
+    """A true-random query draws the same stream whatever the filter's bits."""
+    params = FilterParams(m=32, k=4, n=0)
+    empty = BloomFilter(params, HashFamily.true_random(seed=5), Universe(64))
+    full = BloomFilter(params, HashFamily.true_random(seed=5), Universe(64))
+    full._bits[:] = b"\xff" * len(full._bits)
     for x in (3, 9, 3, 1):
-        assert with_bits.indices(x, 32, 4, empty) == without.indices(x, 32, 4)
-    assert with_bits.memo == without.memo
+        assert (empty.query(x), full.query(x)) == (0, 1)
+    assert empty.family.memo == full.family.memo
+    assert empty.family._rng.getstate() == full.family._rng.getstate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.one_of(st.none(), st.binary(min_size=1, max_size=64)),
+    m=st.one_of(st.integers(1, 64), st.integers(65, 1 << 20), st.integers(0, 20).map(lambda e: 1 << e)),
+    k=st.integers(1, 20),
+    members=st.lists(st.integers(0, (1 << 64) - 1), max_size=40),
+    probes=st.lists(st.integers(0, (1 << 64) - 1), max_size=40),
+)
+def test_query_matches_reference_indices_on_built_filters(key, m, k, members, probes):
+    """Build sets exactly the reference bits, and query(x) is 1 exactly when
+    every reference bit of x is set."""
+    family = HashFamily.public() if key is None else HashFamily.keyed(key)
+    filt = BloomFilter.build(members, FilterParams(m=m, k=k, n=len(members)), family, Universe(1 << 64))
+    reference = bytearray((m + 7) // 8)
+    for x in members:
+        for j in _reference_indices(family.key, x, m, k):
+            reference[j >> 3] |= 1 << (j & 7)
+    assert filt.bit_bytes() == bytes(reference)
+    for x in members + probes:
+        expected = all(reference[j >> 3] & (1 << (j & 7)) for j in _reference_indices(family.key, x, m, k))
+        assert filt.query(x) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.binary(min_size=1, max_size=16),
+    m=st.one_of(st.integers(1, 64), st.integers(65, 1 << 20)),
+    k=st.integers(1, 20),
+    members=st.lists(st.integers(0, 255), max_size=30),
+    probes=st.lists(st.integers(0, 255), max_size=30),
+)
+def test_true_random_query_matches_all_indices_and_keeps_memo(key, m, k, members, probes):
+    family = HashFamily.true_random(seed=key)
+    filt = BloomFilter.build(members, FilterParams(m=m, k=k, n=len(members)), family, Universe(256))
+    bits = filt.bit_bytes()
+    for x in members + probes:
+        answer = filt.query(x)
+        memo, state = dict(family.memo), family._rng.getstate()
+        assert answer == all(bits[j >> 3] & (1 << (j & 7)) for j in family.indices(x, m, k))
+        assert family.memo == memo and family._rng.getstate() == state
 
 
 @settings(max_examples=200, deadline=None)
@@ -261,6 +309,47 @@ def test_fpr_monte_carlo_matches_closed_form():
     est = estimate_fpr(params, Universe(1 << 20), "public", builds=20, queries=40_000, seed=9)
     assert abs(est.rate - est.expected) < 0.002
     assert est.ci_lo <= est.rate <= est.ci_hi
+
+
+class _RecordingRandom(random.Random):
+    """The plain ``Random`` stream; while ``log`` is a list it records every
+    ``getrandbits`` result."""
+
+    log = None
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        if self.log is not None:
+            self.log.append(r)
+        return r
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+@pytest.mark.parametrize("size, n", [(37, 30), (64, 50)])
+def test_estimate_fpr_draws_match_sample_outside(monkeypatch, mode, size, n):
+    """estimate_fpr queries, draw for draw, what Universe.sample_outside
+    returns on the same generator. Most elements are members, and draws are
+    size.bit_length() bits wide, so both rejections happen; 37 is not a power
+    of two, and at 64 the width differs from (size - 1).bit_length()."""
+    universe, params = Universe(size), FilterParams(m=64, k=3, n=n)
+    seed, builds, queries = 11, 3, 90
+    queried = []
+    query = BloomFilter.query
+    monkeypatch.setattr(BloomFilter, "query", lambda self, x: queried.append(x) or query(self, x))
+    est = estimate_fpr(params, universe, mode, builds, queries, seed)
+
+    expected, out_of_range, member_redraws = [], 0, 0
+    for b in range(builds):
+        rng = _RecordingRandom(mix_seed(seed, "fpr-build", b))
+        members = set(rng.sample(range(universe.size), params.n))
+        fresh_family(mode, rng)
+        rng.log = []
+        expected += [universe.sample_outside(rng, members) for _ in range(queries // builds)]
+        out_of_range += sum(r >= universe.size for r in rng.log)
+        member_redraws += sum(r in members for r in rng.log)
+    assert queried == expected
+    assert est.queries == len(expected)
+    assert out_of_range and member_redraws
 
 
 def test_insert_grows_membership_never_shrinks():
@@ -527,18 +616,45 @@ def test_query_domain_error():
         filt.query(32)
     with pytest.raises(DomainError):
         filt.insert(-1)
+    params = FilterParams(m=64, k=9, n=1)
+    for mode in (PUBLIC, KEYED_PRF, TRUE_RANDOM):
+        built = BloomFilter.build({1}, params, _family(mode, b"key"), u)
+        wrapped = NyFilter.build({1}, params, b"prp", u, family=_family(mode, b"key"))
+        for bad in (-1, u.size, 3.0, "3"):
+            for query in (built.query, wrapped.query):
+                with pytest.raises(DomainError):
+                    query(bad)
+            with pytest.raises(DomainError):
+                BloomFilter.build([bad], params, _family(mode, b"key"), u)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.binary(max_size=64),
     size=st.integers(1, 1 << 40),
-    index=st.integers(0, ROUNDS - 1),
     value=st.integers(0, (1 << 64) - 1),
 )
-def test_feistel_round_matches_reference_formula(key, size, index, value):
+def test_feistel_round_matches_reference_formula(key, size, value):
+    """encrypt and decrypt against a four-round Feistel network built from
+    scratch: round i maps (L, R) to (R, L ^ PRF(i, R)) on the smallest
+    even-width domain covering [0, size), cycle-walking back into it."""
+    width = max((size - 1).bit_length(), 2)
+    width += width % 2
+    half, mask = width // 2, (1 << (width // 2)) - 1
+
+    def block(v):
+        left, right = v >> half, v & mask
+        for i in range(ROUNDS):
+            left, right = right, left ^ (_reference_digest(key, i, right) & mask)
+        return (left << half) | right
+
     perm = FeistelPermutation(key, size)
-    half_mask = (1 << perm._half_bits) - 1
-    assert perm._round(index, value) == _reference_digest(key, index, value) & half_mask
+    v = value % (1 << width)
+    assert perm._encrypt_block(v) == block(v)
+    assert perm._decrypt_block(block(v)) == v
     x = value % size
-    assert perm.decrypt(perm.encrypt(x)) == x
+    y = block(x)
+    while y >= size:
+        y = block(y)
+    assert perm.encrypt(x) == y
+    assert perm.decrypt(y) == x
