@@ -27,35 +27,9 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
+# Each runner imports its experiment's modules when it is called, so a run
+# from the shell loads and compiles only what that experiment uses.
 from .errors import ParameterError, UnsupportedOperationError
-from .filic import (
-    NullAdversary,
-    OracleBudget,
-    RepresentationPredictionAdversary,
-    estimate_advantage,
-    identity_distinguisher,
-    key_leaking_filter_factory,
-    snapshot_reveal_codec,
-)
-from .filters import TRUE_RANDOM, FilterParams, Universe, estimate_fpr, expected_fpr, filter_factory
-from .games import (
-    GameConfig,
-    SaturationAdversary,
-    UniformAdversary,
-    expected_profit_formula,
-    profit_lower_bound,
-    run_ab_experiment,
-    run_bp_experiment,
-    saturation_frequency,
-    saturation_probability,
-)
-from .privacy import (
-    PrivacyParams,
-    audit_perturbation,
-    expected_cardinality,
-    expected_fnr,
-    privacy_budget,
-)
 from .stats import mix_seed
 
 _VERSION = "0.1.0"
@@ -123,6 +97,8 @@ class Experiment:
 
 
 def _run_fpr(point, trials, seed):
+    from .filters import FilterParams, Universe, estimate_fpr
+
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     est = estimate_fpr(params, Universe(point["u"]), point["mode"],
                        builds=trials, queries=point["queries"], seed=seed)
@@ -134,6 +110,9 @@ def _run_fpr(point, trials, seed):
 
 
 def _run_privacy_audit(point, trials, seed):
+    from .filters import Universe
+    from .privacy import PrivacyParams, audit_perturbation
+
     universe = Universe(point["u"])
     members = frozenset(range(point["s"]))
     if point["s"] < 1 or point["s"] >= universe.size:
@@ -153,6 +132,16 @@ def _run_privacy_audit(point, trials, seed):
 
 
 def _run_bp_attack(point, trials, seed):
+    from .filters import TRUE_RANDOM, FilterParams, Universe, filter_factory
+    from .games import (
+        GameConfig,
+        SaturationAdversary,
+        expected_profit_formula,
+        profit_lower_bound,
+        run_bp_experiment,
+        saturation_probability,
+    )
+
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     universe = Universe(point["u"])
     cfg = GameConfig(universe=universe, n=point["n"], t=point["t"], threshold=point["delta"])
@@ -173,6 +162,9 @@ def _run_bp_attack(point, trials, seed):
 
 
 def _run_ab_game(point, trials, seed):
+    from .filters import FilterParams, Universe, expected_fpr, filter_factory
+    from .games import GameConfig, SaturationAdversary, UniformAdversary, run_ab_experiment
+
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     universe = Universe(point["u"])
     cfg = GameConfig(universe=universe, n=point["n"], t=point["t"], threshold=point["epsilon"])
@@ -187,6 +179,17 @@ def _run_ab_game(point, trials, seed):
 
 
 def _run_filic(point, trials, seed):
+    from .filic import (
+        NullAdversary,
+        OracleBudget,
+        RepresentationPredictionAdversary,
+        estimate_advantage,
+        identity_distinguisher,
+        key_leaking_filter_factory,
+        snapshot_reveal_codec,
+    )
+    from .filters import FilterParams, Universe, filter_factory
+
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     universe = Universe(point["u"])
     budget = OracleBudget(inserts=point["q_u"], queries=point["q_t"], reveals=point["q_v"])
@@ -211,6 +214,8 @@ def _run_filic(point, trials, seed):
 
 
 def _run_saturation_scan(point, trials, seed):
+    from .games import saturation_frequency, saturation_probability
+
     sat = saturation_probability(point["m"], point["n"], point["k"])
     record = {"p_s_exact": sat.exact, "p_s_lower_bound": sat.lower_bound}
     if trials > 1:
@@ -221,6 +226,9 @@ def _run_saturation_scan(point, trials, seed):
 
 
 def _run_error_analysis(point, trials, seed):
+    from .filters import FilterParams, expected_fpr
+    from .privacy import PrivacyParams, expected_cardinality, expected_fnr, privacy_budget
+
     privacy = PrivacyParams(point["mode"], point["p"])
     budget = privacy_budget(privacy)
     card = expected_cardinality(point["mode"], point["s"], point["u"], point["p"])

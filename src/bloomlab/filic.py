@@ -35,15 +35,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .feistel import FeistelPermutation
 from .filters import (
     KIND_NY,
+    KIND_STANDARD,
+    BloomFilter,
     FilterParams,
-    HashFamily,
     NyFilter,
     Universe,
     _pack_snapshot,
-    _unpack_snapshot,
 )
 from .games import Adversary, GameConfig, GameTranscript, choose_members, referee
 from .stats import mix_seed, wilson_interval
@@ -333,10 +332,11 @@ class RepresentationPredictionAdversary(FilicAdversary):
     """Reads the revealed representation, predicts a positive offline and
     spends one query confirming it.
 
-    With ``expects_snapshot`` the reveal is parsed as a key-carrying
-    snapshot and candidates are routed through the recovered permutation;
-    otherwise the reveal is taken as a raw bit array and the public hash is
-    used directly. Real-world predictions are exact, so the confirmed bit
+    With ``expects_snapshot`` the reveal is restored as the key-carrying
+    :class:`NyFilter` snapshot it is, permutation included; otherwise it is
+    taken as a raw bit array under the public hash. Random non-members are
+    queried against that offline copy until one is positive, at most
+    ``MAX_SCAN`` draws. Real-world predictions are exact, so the confirmed bit
     is 1 almost surely; against the simulator the prediction is independent
     of the fresh sampling and only hits at the density rate.
     """
@@ -349,7 +349,6 @@ class RepresentationPredictionAdversary(FilicAdversary):
         self.universe = universe
         self.n = n
         self.expects_snapshot = expects_snapshot
-        self._public = HashFamily.public()
 
     def choose_set(self) -> set[int]:
         self.members = set(self.rng.sample(range(self.universe.size), self.n))
@@ -357,21 +356,17 @@ class RepresentationPredictionAdversary(FilicAdversary):
 
     def interact(self, oracles: OracleSet):
         blob = oracles.reveal()
-        if blob == REFUSED:
+        if blob is REFUSED:
             return 0
         if self.expects_snapshot:
-            m, k, _, key, bits = _unpack_snapshot(blob)
-            prp = FeistelPermutation(key, self.universe.size)
+            offline = NyFilter.from_bytes(blob, self.universe)
         else:
-            m, k = self.params.m, self.params.k
-            bits = blob
-            prp = None
+            snapshot = _pack_snapshot(self.params.m, self.params.k, KIND_STANDARD, b"", blob)
+            offline = BloomFilter.from_bytes(snapshot, self.universe)
+        members, randrange, size = self.members, self.rng.randrange, self.universe.size
         for _ in range(MAX_SCAN):
-            x = self.rng.randrange(self.universe.size)
-            if x in self.members:
-                continue
-            image = prp.encrypt(x) if prp is not None else x
-            if all(bits[j >> 3] & (1 << (j & 7)) for j in self._public.indices(image, m, k)):
+            x = randrange(size)
+            if x not in members and offline.query(x):
                 ans = oracles.query(x)
                 return ans if ans in (0, 1) else 0
         return 0

@@ -1,11 +1,15 @@
 """Real/ideal indistinguishability harness and the reveal-channel attack."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 
 from bloomlab.errors import ParameterError, UnsupportedOperationError
+from bloomlab.feistel import FeistelPermutation
 from bloomlab.filic import (
+    MAX_SCAN,
     REFUSED,
     FilicAdversary,
     NullAdversary,
@@ -21,7 +25,15 @@ from bloomlab.filic import (
     run_real,
     snapshot_reveal_codec,
 )
-from bloomlab.filters import KEY_OFFSET, FilterParams, NyFilter, Universe, filter_factory
+from bloomlab.filters import (
+    KEY_OFFSET,
+    KIND_NY,
+    FilterParams,
+    NyFilter,
+    Universe,
+    _pack_snapshot,
+    filter_factory,
+)
 from bloomlab.games import GameConfig, SaturationAdversary, UniformAdversary, run_ab_experiment
 from bloomlab.stats import mix_seed, wilson_interval
 
@@ -221,6 +233,106 @@ def test_public_hash_reveal_distinguishes_without_any_key():
                                 identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=300, seed=13)
     assert report.advantage > 0.5
+
+
+class _RecordingOracles:
+    """Hands out one fixed reveal and records the queries, answering 1."""
+
+    def __init__(self, blob):
+        self.blob = blob
+        self.queried = []
+
+    def reveal(self):
+        return self.blob
+
+    def query(self, x):
+        self.queried.append(x)
+        return 1
+
+
+def _public_indices(x: int, m: int, k: int) -> list[int]:
+    """Public index i of x hashed from scratch: word i % 8 of the unkeyed
+    64-byte blake2b digest of the pair (i // 8, x), reduced mod m."""
+    words = []
+    for b in range((k + 7) // 8):
+        words += struct.unpack("<8Q", hashlib.blake2b(struct.pack("<QQ", b, x), digest_size=64).digest())
+    return [w % m for w in words[:k]]
+
+
+def _reference_scan(rng, members, bits, m, k, size, key):
+    """The candidate a representation-prediction scan must pick: the first
+    of MAX_SCAN draws that is not a member and whose public indices, of its
+    permuted image when a key is given, are all set; None if there is none."""
+    prp = FeistelPermutation(key, size) if key is not None else None
+    for _ in range(MAX_SCAN):
+        x = rng.randrange(size)
+        if x in members:
+            continue
+        image = prp.encrypt(x) if prp is not None else x
+        if all(bits[j >> 3] & (1 << (j & 7)) for j in _public_indices(image, m, k)):
+            return x
+    return None
+
+
+@pytest.mark.parametrize("expects_snapshot", [True, False])
+@pytest.mark.parametrize("world", ["real", "ideal"])
+@pytest.mark.parametrize("m, k, n", [(64, 5, 9), (256, 4, 3), (40, 11, 6)])
+def test_representation_prediction_matches_reference_scan(expects_snapshot, world, m, k, n):
+    """The adversary queries exactly the candidate a from-scratch scan of the
+    same draws picks, and draws exactly as often, on real and ideal reveals."""
+    params, u = FilterParams(m=m, k=k, n=n), Universe(4096)
+    for seed in range(6):
+        adv = RepresentationPredictionAdversary(params, u, n, expects_snapshot=expects_snapshot)
+        adv.begin(random.Random(seed))
+        members = frozenset(adv.choose_set())
+        world_rng = random.Random(1000 + seed)
+        if world == "real":
+            make = key_leaking_filter_factory(params, u) if expects_snapshot else filter_factory(params, u)
+            blob = make(members, world_rng).reveal()
+        else:
+            sim = SimulatorState(m, k, world_rng)
+            sim.build(sorted(members))
+            blob = sim.reveal()
+            if expects_snapshot:
+                blob = snapshot_reveal_codec(params)(world_rng)(blob)
+        bits = blob[len(blob) - (m + 7) // 8:]
+        key = blob[KEY_OFFSET:len(blob) - len(bits)] if expects_snapshot else None
+        ref = random.Random()
+        ref.setstate(adv.rng.getstate())
+        expected = _reference_scan(ref, members, bits, m, k, u.size, key)
+        oracles = _RecordingOracles(blob)
+        assert adv.interact(oracles) == (0 if expected is None else 1)
+        assert oracles.queried == ([] if expected is None else [expected])
+        assert adv.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("expects_snapshot", [True, False])
+def test_representation_prediction_refused_reveal_draws_nothing(expects_snapshot):
+    params, u = FilterParams(m=64, k=5, n=9), Universe(4096)
+    adv = RepresentationPredictionAdversary(params, u, 9, expects_snapshot=expects_snapshot)
+    adv.begin(_CountingRandom(3))
+    adv.choose_set()
+    state, calls = adv.rng.getstate(), adv.rng.calls
+    oracles = OracleSet(lambda x: 1, lambda x: None, lambda: b"", OracleBudget(inserts=0, queries=4, reveals=0))
+    assert adv.interact(oracles) == 0
+    assert adv.rng.calls == calls and adv.rng.getstate() == state
+    assert oracles.remaining_queries == 4
+
+
+@pytest.mark.parametrize("expects_snapshot", [True, False])
+def test_representation_prediction_gives_up_after_max_scan_on_empty_bits(expects_snapshot):
+    """An all-zero bit array has no positive: the scan draws MAX_SCAN times,
+    asks nothing and outputs 0."""
+    params, u = FilterParams(m=64, k=5, n=9), Universe(4096)
+    adv = RepresentationPredictionAdversary(params, u, 9, expects_snapshot=expects_snapshot)
+    adv.begin(_CountingRandom(4))
+    adv.choose_set()
+    calls = adv.rng.calls
+    bits = bytes(8)
+    oracles = _RecordingOracles(_pack_snapshot(64, 5, KIND_NY, b"k" * 16, bits) if expects_snapshot else bits)
+    assert adv.interact(oracles) == 0
+    assert adv.rng.calls - calls == MAX_SCAN
+    assert oracles.queried == []
 
 
 def test_wrapped_saturation_attack_wins_real_world():
