@@ -23,7 +23,7 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
 
@@ -46,37 +46,50 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.lru_cache(maxsize=1)
 def build_identifier() -> str:
-    """Package version plus the source revision when one is available."""
+    """Package version plus the source revision when one is available.
+
+    The revision is used only when the package is this project's checkout,
+    that is when it sits at ``src/bloomlab`` of the enclosing git work tree;
+    a copy inside some other repository gets the bare version.
+    """
     base = f"bloomlab-{_VERSION}"
+    package = Path(__file__).resolve().parent
     try:
         rev = subprocess.run(
-            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(package), "rev-parse", "--show-toplevel", "--short", "HEAD"],
             capture_output=True, text=True, timeout=5,
         )
-        if rev.returncode == 0 and rev.stdout.strip():
-            return f"{base}+g{rev.stdout.strip()}"
     except (OSError, subprocess.TimeoutExpired):
-        pass
+        return base
+    top, _, sha = rev.stdout.strip().partition("\n")
+    if rev.returncode == 0 and sha and Path(top).resolve() / "src" / "bloomlab" == package:
+        return f"{base}+g{sha}"
     return base
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    kind: str  # int | float | str | ints | floats
-    default: object
-    choices: tuple | None = None
+class Param(namedtuple("Param", "name kind default choices", defaults=(None,))):
+    """One experiment parameter; ``kind`` is int, float, str, ints or floats."""
+
+    __slots__ = ()
+
+
+def _int(raw) -> int:
+    """An int, or a string of one: what an integer flag accepts. Floats and
+    booleans are refused rather than truncated or read as 0 and 1."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_value(param: Param, raw):
     try:
         if param.kind == "int":
-            return int(raw)
+            return _int(raw)
         if param.kind == "float":
             return float(raw)
         if param.kind == "ints":
             items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-            return [int(v) for v in items]
+            return [_int(v) for v in items]
         if param.kind == "floats":
             items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
             return [float(v) for v in items]
@@ -88,12 +101,11 @@ def _parse_value(param: Param, raw):
     return value
 
 
-@dataclass(frozen=True)
-class Experiment:
-    name: str
-    params: tuple[Param, ...]
-    default_trials: int
-    runner: object  # callable(point, trials, seed) -> dict
+class Experiment(namedtuple("Experiment", "name params default_trials runner")):
+    """A subcommand: its parameters, default trial count and
+    ``runner(point, trials, seed) -> dict`` of metrics."""
+
+    __slots__ = ()
 
 
 def _run_fpr(point, trials, seed):
@@ -111,14 +123,15 @@ def _run_fpr(point, trials, seed):
 
 def _run_privacy_audit(point, trials, seed):
     from .filters import Universe
-    from .privacy import PrivacyParams, audit_perturbation
+    from .privacy import PrivacyParams, _check_cap, audit_perturbation
 
+    # Both checks come before the member set is built: its size is s.
     universe = Universe(point["u"])
-    members = frozenset(range(point["s"]))
-    if point["s"] < 1 or point["s"] >= universe.size:
+    if not 1 <= point["s"] < universe.size:
         raise ParameterError("need 1 <= s < u")
+    _check_cap(universe)
     report = audit_perturbation(
-        PrivacyParams(point["mode"], point["p"]), members, universe, 0,
+        PrivacyParams(point["mode"], point["p"]), frozenset(range(point["s"])), universe, 0,
         trials, seed, direction=point["direction"],
     )
     return {
@@ -404,7 +417,10 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process from the static
+    ``EXPERIMENTS`` table; every caller shares it, so do not modify it."""
     parser = _Parser(prog="bloomlab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for experiment in EXPERIMENTS.values():
@@ -424,6 +440,13 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return data
+
+
+def _config_int(config: dict, key: str, default: int) -> int:
+    try:
+        return _int(config.get(key, default))
+    except ValueError as exc:
+        raise ConfigError(f"config {key!r}: {exc}") from exc
 
 
 def _resolve(experiment: Experiment, args, config: dict) -> dict:
@@ -455,13 +478,16 @@ def main(argv=None, out=None, err=None) -> int:
             raise ConfigError("config file is for a different experiment")
         experiment = EXPERIMENTS[args.experiment]
         values = _resolve(experiment, args, config)
-        trials = args.trials if args.trials is not None else config.get("trials", experiment.default_trials)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        trials = args.trials if args.trials is not None else _config_int(
+            config, "trials", experiment.default_trials)
+        seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
         fmt = args.fmt if args.fmt is not None else config.get("format", "csv")
         output = args.output if args.output is not None else config.get("output", "-")
         if fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        return run_config(args.experiment, values, int(trials), int(seed), fmt, output, out, err)
+        if not isinstance(output, str):
+            raise ConfigError("output must be a path or '-'")
+        return run_config(args.experiment, values, trials, seed, fmt, output, out, err)
     except ConfigError as exc:
         print(f"error: {exc}", file=err)
         return 1

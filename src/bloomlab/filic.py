@@ -32,7 +32,7 @@ density-driven rate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 from .filters import (
@@ -52,18 +52,16 @@ REFUSED = "refused"
 MAX_SCAN = 4096
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(namedtuple("OracleBudget", "inserts queries reveals")):
     """Call allowances: inserts (updates), queries (membership tests),
     reveals (representation dumps)."""
 
-    inserts: int
-    queries: int
-    reveals: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.inserts, self.queries, self.reveals) < 0:
+    def __new__(cls, inserts: int, queries: int, reveals: int):
+        if min(inserts, queries, reveals) < 0:
             raise ParameterError("budgets must be >= 0")
+        return super().__new__(cls, inserts, queries, reveals)
 
 
 class OracleSet:
@@ -248,17 +246,11 @@ def run_ideal(adversary: FilicAdversary, params: FilterParams, distinguisher,
     return _run_world(adversary, world, distinguisher, budget, seed)
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(namedtuple("AdvantageReport", "trials p_real p_ideal advantage ci_lo ci_hi")):
     """Distinguishing advantage |p_real - p_ideal| with a conservative CI
     combining the per-world Wilson intervals."""
 
-    trials: int
-    p_real: float
-    p_ideal: float
-    advantage: float
-    ci_lo: float
-    ci_hi: float
+    __slots__ = ()
 
 
 def estimate_advantage(adversary: FilicAdversary, filter_factory, params: FilterParams,
@@ -376,6 +368,8 @@ class NullAdversary(FilicAdversary):
     """Ignores its oracles and outputs 0; its advantage is zero."""
 
     def __init__(self, universe: Universe, n: int):
+        if not 0 < n < universe.size:
+            raise ParameterError("need 0 < n < universe size")
         self.universe = universe
         self.n = n
 

@@ -56,7 +56,7 @@ import json
 import math
 import random
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .feistel import FeistelPermutation
@@ -84,24 +84,21 @@ _WORDS = {n: struct.Struct(f"<{n}Q") for n in range(1, 9)}
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class FilterParams:
+class FilterParams(namedtuple("FilterParams", "m k n epsilon", defaults=(None,))):
     """Size parameters: m bits, k hash functions, n expected insertions."""
 
-    m: int
-    k: int
-    n: int
-    epsilon: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, k: int, n: int, epsilon: float | None = None):
+        if m < 1:
             raise ParameterError("m must be >= 1")
-        if self.k < 1:
+        if k < 1:
             raise ParameterError("k must be >= 1")
-        if self.n < 0:
+        if n < 0:
             raise ParameterError("n must be >= 0")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
+        if epsilon is not None and not 0.0 < epsilon < 1.0:
             raise ParameterError("epsilon must lie in (0, 1)")
+        return super().__new__(cls, m, k, n, epsilon)
 
     @classmethod
     def from_target(cls, n: int, epsilon: float) -> "FilterParams":
@@ -121,15 +118,37 @@ def optimal_k(m: int, n: int) -> int:
     return max(1, round((m / n) * _LN2))
 
 
-@dataclass(frozen=True)
 class Universe:
-    """Dense integer universe [0, size)."""
+    """Dense integer universe [0, size).
 
-    size: int
+    Immutable, equal and hashed by size. Not a container: it has no length,
+    iteration or ``in``; :meth:`contains` is the membership test.
+    """
 
-    def __post_init__(self):
-        if self.size < 1:
+    __slots__ = ("size",)
+
+    def __init__(self, size: int):
+        if size < 1:
             raise ParameterError("universe size must be >= 1")
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Universe")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Universe")
+
+    def __eq__(self, other):
+        return self.size == other.size if type(other) is Universe else NotImplemented
+
+    def __hash__(self):
+        return hash(self.size)
+
+    def __repr__(self):
+        return f"Universe(size={self.size!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return Universe, (self.size,)
 
     def contains(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.size
@@ -149,7 +168,6 @@ class Universe:
                 return x
 
 
-@dataclass
 class HashFamily:
     """Index derivation in one of the three modes.
 
@@ -157,25 +175,35 @@ class HashFamily:
     ``memo`` holds the draws, so repeated derivation for the same element is
     stable. The first derivation fixes (m, k); reusing the family with other
     filter shapes is refused because the memoized draws would be meaningless.
+    Families are equal when their mode, key, memo, generator and bound shape are.
     """
 
-    mode: str
-    key: bytes = b""
-    memo: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    _rng: random.Random | None = field(default=None, repr=False)
-    _shape: tuple[int, int] | None = field(default=None, repr=False)
-    # blake2b state for block b, keyed and fed <Q>(b); grown on demand to ceil(k/8).
-    _states: list = field(default_factory=list, compare=False, repr=False)
+    __slots__ = ("mode", "key", "memo", "_rng", "_shape", "_states")
 
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"unknown hash mode {self.mode!r}")
-        self.key = bytes(self.key)
-        if self.mode == PUBLIC and self.key:
+    def __init__(self, mode: str, key: bytes = b"", memo: dict[int, tuple[int, ...]] | None = None,
+                 _rng: random.Random | None = None, _shape: tuple[int, int] | None = None,
+                 _states: list | None = None):
+        if mode not in _MODES:
+            raise ParameterError(f"unknown hash mode {mode!r}")
+        key = bytes(key)
+        if mode == PUBLIC and key:
             # Snapshots write no key for a public family, so a keyed one would restore wrong.
             raise ParameterError("a public hash family takes no key")
-        if self.mode == TRUE_RANDOM and self._rng is None:
-            self._rng = random.Random(self.key)
+        self.mode = mode
+        self.key = key
+        self.memo = {} if memo is None else memo
+        if mode == TRUE_RANDOM and _rng is None:
+            _rng = random.Random(key)
+        self._rng = _rng
+        self._shape = _shape
+        # blake2b state for block b, keyed and fed <Q>(b); grown on demand to ceil(k/8).
+        self._states = [] if _states is None else _states
+
+    def __eq__(self, other):
+        if type(other) is not HashFamily:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("mode", "key", "memo", "_rng", "_shape"))
 
     @classmethod
     def public(cls) -> "HashFamily":
@@ -511,16 +539,10 @@ class NyFilter:
         return cls(inner, FeistelPermutation(key, universe.size), universe)
 
 
-@dataclass(frozen=True)
-class FprEstimate:
+class FprEstimate(namedtuple("FprEstimate", "rate ci_lo ci_hi expected builds queries")):
     """Monte Carlo false-positive rate averaged over independent builds."""
 
-    rate: float
-    ci_lo: float
-    ci_hi: float
-    expected: float
-    builds: int
-    queries: int
+    __slots__ = ()
 
 
 def expected_fpr(params: FilterParams, n_effective: float | None = None) -> float:

@@ -25,8 +25,13 @@ saturation probability and the resulting expected profit are provided. The
 exact coverage probability is correctly rounded. Pigeonhole, the union bound
 and negative association of the bin occupancies (Dubhashi and Ranjan, 1998)
 decide it where they can; otherwise an integer inclusion-exclusion sum runs,
-exact where floats would cancel catastrophically, and past m*n*k = 2**24 it
-raises :class:`UnsupportedOperationError` rather than stall.
+exact where floats would cancel catastrophically, and ends in one integer
+division that Python rounds correctly. Past m*n*k = 2**24 it raises
+:class:`UnsupportedOperationError` rather than stall.
+
+Configurations, outcomes and experiment summaries are namedtuples:
+immutable, equal by value and hashable. :class:`GameTranscript`, which the
+referee fills in as a game runs, is a plain mutable object.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import namedtuple
 from math import comb
 
 from .errors import ParameterError, UnsupportedOperationError
@@ -53,37 +57,46 @@ from .stats import mean_confidence_interval, mix_seed, wilson_interval
 SATURATION_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(namedtuple("GameConfig", "universe n t threshold")):
     """Game shape: universe, member count n, query budget t, bet threshold.
 
     ``threshold`` is the epsilon of the always-bet game or the delta of the
     profit game.
     """
 
-    universe: Universe
-    n: int
-    t: int
-    threshold: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, universe: Universe, n: int, t: int, threshold: float):
+        if n < 1:
             raise ParameterError("n must be >= 1")
-        if self.t < 0:
+        if t < 0:
             raise ParameterError("t must be >= 0")
-        if not 0.0 < self.threshold < 1.0:
+        if not 0.0 < threshold < 1.0:
             raise ParameterError("threshold must lie in (0, 1)")
-        if self.n + self.t + 1 > self.universe.size:
+        if n + t + 1 > universe.size:
             raise ParameterError("universe too small for n members, t queries and a target")
+        return super().__new__(cls, universe, n, t, threshold)
 
 
-@dataclass
 class GameTranscript:
-    members: frozenset[int]
-    queries: list[int] = field(default_factory=list)
-    answers: list[int] = field(default_factory=list)
-    forfeited: bool = False
-    forfeit_reason: str = ""
+    """What one game recorded: the probes relayed, their answers, and any
+    forfeit. Mutable, equal by value, unhashable."""
+
+    __slots__ = ("members", "queries", "answers", "forfeited", "forfeit_reason")
+
+    def __init__(self, members: frozenset[int], queries: list[int] | None = None,
+                 answers: list[int] | None = None, forfeited: bool = False,
+                 forfeit_reason: str = ""):
+        self.members = members
+        self.queries = [] if queries is None else queries
+        self.answers = [] if answers is None else answers
+        self.forfeited = forfeited
+        self.forfeit_reason = forfeit_reason
+
+    def __eq__(self, other):
+        if type(other) is not GameTranscript:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class Adversary(ABC):
@@ -164,10 +177,10 @@ def _play(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int):
     return filt, transcript, referee(filt.query, adversary, cfg, transcript)
 
 
-@dataclass(frozen=True)
-class AbOutcome:
-    win: int
-    transcript: GameTranscript
+class AbOutcome(namedtuple("AbOutcome", "win transcript")):
+    """Result of one always-bet trial."""
+
+    __slots__ = ()
 
 
 def run_ab_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int) -> AbOutcome:
@@ -180,21 +193,18 @@ def run_ab_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int
     return AbOutcome(win=filt.query(play[1]), transcript=transcript)
 
 
-@dataclass(frozen=True)
-class ProfitOutcome:
+class ProfitOutcome(namedtuple("ProfitOutcome", "bet false_positive profit")):
     """Payout of one profit-game trial; profit is exactly one of
     1/threshold, -1/(1-threshold), or 0."""
 
-    bet: int
-    false_positive: int
-    profit: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BpRun:
-    outcome: ProfitOutcome
-    transcript: GameTranscript
-    saturated: bool | None
+class BpRun(namedtuple("BpRun", "outcome transcript saturated")):
+    """Result of one profit-game trial; ``saturated`` is None for a filter
+    that cannot tell."""
+
+    __slots__ = ()
 
 
 def run_bp_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int) -> BpRun:
@@ -248,10 +258,10 @@ class SaturationAdversary(UniformAdversary):
         return 1 if all(ans == 1 for _, ans in history) else 0
 
 
-@dataclass(frozen=True)
-class SaturationProbability:
-    exact: float
-    lower_bound: float
+class SaturationProbability(namedtuple("SaturationProbability", "exact lower_bound")):
+    """Exact coverage probability and its union lower bound."""
+
+    __slots__ = ()
 
 
 def saturation_probability(m: int, n: int, k: int) -> SaturationProbability:
@@ -272,10 +282,12 @@ def saturation_probability(m: int, n: int, k: int) -> SaturationProbability:
 
     miss is computed as exp(T*log1p(-1/m)), whose rounding error is far
     inside these margins. Otherwise the inclusion-exclusion sum runs in
-    exact integers before one final division. Its cost grows faster than
-    m*T (0.74 s at m=1024, T=7000 and 5.7 s at m=2048, T=14000 with
-    Python 3.11 on a 2-core x86-64 VM), so past m*T = 2**24 it raises
-    :class:`UnsupportedOperationError` rather than stall.
+    exact integers, and ``exact`` is the sum divided by m**T in a single
+    integer true division, which Python rounds correctly, so no rational
+    type is needed. The sum's cost grows faster than m*T (0.74 s at m=1024,
+    T=7000 and 5.7 s at m=2048, T=14000 with Python 3.11 on a 2-core x86-64
+    VM), so past m*T = 2**24 it raises :class:`UnsupportedOperationError`
+    rather than stall.
 
     ``lower_bound`` is the union bound 1 - m e^{-nk/m}, clamped at 0.
     """
@@ -299,7 +311,7 @@ def saturation_probability(m: int, n: int, k: int) -> SaturationProbability:
         (-1 if j & 1 else 1) * comb(m, j) * (m - j) ** throws
         for j in range(m + 1)
     )
-    return SaturationProbability(exact=float(Fraction(total, m ** throws)), lower_bound=lower)
+    return SaturationProbability(exact=total / m ** throws, lower_bound=lower)
 
 
 def expected_profit_formula(p_s: float, p_fp: float, t: int, delta: float) -> float:
@@ -351,14 +363,10 @@ def resilience_threshold_with_optimal_k(m: int, n: int, delta: float) -> bool:
     return delta < 1.0 - m * math.exp(-n * k / m)
 
 
-@dataclass(frozen=True)
-class AbExperiment:
-    trials: int
-    wins: int
-    forfeits: int
-    win_rate: float
-    ci_lo: float
-    ci_hi: float
+class AbExperiment(namedtuple("AbExperiment", "trials wins forfeits win_rate ci_lo ci_hi")):
+    """Always-bet statistics over independent trials."""
+
+    __slots__ = ()
 
 
 def run_ab_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
@@ -375,17 +383,12 @@ def run_ab_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     return AbExperiment(trials, wins, forfeits, wins / trials, lo, hi)
 
 
-@dataclass(frozen=True)
-class BpExperiment:
-    trials: int
-    mean_profit: float
-    ci_lo: float
-    ci_hi: float
-    bet_rate: float
-    win_rate: float
-    saturation_rate: float
-    probe_fp_rate_unsaturated: float
-    forfeits: int
+class BpExperiment(namedtuple("BpExperiment", (
+        "trials mean_profit ci_lo ci_hi bet_rate win_rate saturation_rate"
+        " probe_fp_rate_unsaturated forfeits"))):
+    """Profit-game statistics over independent trials."""
+
+    __slots__ = ()
 
 
 def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
@@ -426,11 +429,10 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     )
 
 
-@dataclass(frozen=True)
-class SaturationFrequency:
-    rate: float
-    se: float
-    trials: int
+class SaturationFrequency(namedtuple("SaturationFrequency", "rate se trials")):
+    """Monte Carlo saturation rate with its standard error."""
+
+    __slots__ = ()
 
 
 def saturation_frequency(m: int, k: int, n: int, trials: int, seed: int) -> SaturationFrequency:

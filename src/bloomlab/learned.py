@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import ParameterError
 from .filters import BloomFilter, FilterParams, HashFamily, Universe
@@ -24,20 +24,20 @@ from .privacy import PrivacyParams, perturb
 from .stats import mix_seed
 
 
-@dataclass(frozen=True)
-class TrainingDataset:
+class TrainingDataset(namedtuple("TrainingDataset", "pairs")):
     """Labeled pairs (element, label), label 1 for members."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x, label in self.pairs:
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        for x, label in pairs:
             if label not in (0, 1):
                 raise ParameterError("labels must be 0 or 1")
-        pos = {x for x, lab in self.pairs if lab == 1}
-        neg = {x for x, lab in self.pairs if lab == 0}
+        pos = {x for x, lab in pairs if lab == 1}
+        neg = {x for x, lab in pairs if lab == 0}
         if pos & neg:
             raise ParameterError("an element cannot carry both labels")
+        return super().__new__(cls, pairs)
 
     @property
     def positives(self) -> frozenset[int]:
@@ -77,24 +77,33 @@ def make_training_set(members, universe: Universe, negatives_count: int, seed: i
     return TrainingDataset(tuple(pairs))
 
 
-@dataclass
 class LearningModel:
     """Memorizing threshold scorer with measured error rates.
 
     ``eps_p`` bounds the probability a trained negative scores at or above
     the threshold, ``eps_n`` the probability a training member scores below
     it; both are the measured training rates plus a three-sigma binomial
-    slack. Elements never seen in training score 0.
+    slack. Elements never seen in training score 0. Equal by value.
     """
 
-    tau: float
-    noise: float
-    member_noise: float
-    negative_noise: float
-    seed: int
-    eps_p: float
-    eps_n: float
-    scores: dict[int, float] = field(repr=False)
+    __slots__ = ("tau", "noise", "member_noise", "negative_noise", "seed", "eps_p", "eps_n",
+                 "scores")
+
+    def __init__(self, tau: float, noise: float, member_noise: float, negative_noise: float,
+                 seed: int, eps_p: float, eps_n: float, scores: dict[int, float]):
+        self.tau = tau
+        self.noise = noise
+        self.member_noise = member_noise
+        self.negative_noise = negative_noise
+        self.seed = seed
+        self.eps_p = eps_p
+        self.eps_n = eps_n
+        self.scores = scores
+
+    def __eq__(self, other):
+        if type(other) is not LearningModel:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def score(self, x: int) -> float:
         return self.scores.get(x, 0.0)
@@ -165,7 +174,6 @@ def rebuild_model(snapshot: dict, data: TrainingDataset) -> LearningModel:
     )
 
 
-@dataclass
 class LearnedFilter:
     """Model plus backup filter over the members the model misses.
 
@@ -173,10 +181,14 @@ class LearnedFilter:
     a privately built filter that is the perturbed set, not the original.
     """
 
-    model: LearningModel
-    backup: BloomFilter
-    universe: Universe
-    encoded: frozenset[int]
+    __slots__ = ("model", "backup", "universe", "encoded")
+
+    def __init__(self, model: LearningModel, backup: BloomFilter, universe: Universe,
+                 encoded: frozenset[int]):
+        self.model = model
+        self.backup = backup
+        self.universe = universe
+        self.encoded = encoded
 
     @property
     def params(self) -> FilterParams:

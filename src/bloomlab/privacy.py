@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
 from .filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
@@ -33,46 +33,70 @@ WARNER = "warner"
 ENUMERATION_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class PrivacyParams:
+class PrivacyParams(namedtuple("PrivacyParams", "mode p")):
     """Perturbation mode and its retention/injection probability p.
 
     For ``mangat`` p may equal 1, the noise-free limit in which the output
     set is exactly the input (the budget then degenerates to infinity).
     """
 
-    mode: str
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode == MANGAT:
-            if not 0.0 < self.p <= 1.0:
+    def __new__(cls, mode: str, p: float):
+        if mode == MANGAT:
+            if not 0.0 < p <= 1.0:
                 raise ParameterError("mangat requires p in (0, 1]")
-        elif self.mode == WARNER:
-            if not 0.5 < self.p < 1.0:
+        elif mode == WARNER:
+            if not 0.5 < p < 1.0:
                 raise ParameterError("warner requires p in (1/2, 1)")
         else:
-            raise ParameterError(f"unknown perturbation mode {self.mode!r}")
+            raise ParameterError(f"unknown perturbation mode {mode!r}")
+        return super().__new__(cls, mode, p)
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
+class PrivacyBudget(namedtuple("PrivacyBudget", "epsilon epsilon_prime delta symmetric")):
     """Closed-form budget; ``epsilon_prime`` applies only to asymmetric modes."""
 
-    epsilon: float
-    epsilon_prime: float | None
-    delta: float
-    symmetric: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PerturbedSet:
-    """Output of a perturbation run."""
+    """Output of a perturbation run: a container of the perturbed members.
 
-    members: frozenset[int]
-    mode: str
-    p: float
-    original_size: int
+    Immutable, equal and hashed by its four fields; ``len`` and ``in`` refer
+    to ``members``.
+    """
+
+    __slots__ = ("members", "mode", "p", "original_size")
+
+    def __init__(self, members: frozenset[int], mode: str, p: float, original_size: int):
+        set_field = object.__setattr__
+        set_field(self, "members", members)
+        set_field(self, "mode", mode)
+        set_field(self, "p", p)
+        set_field(self, "original_size", original_size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable PerturbedSet")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable PerturbedSet")
+
+    def _key(self) -> tuple:
+        return self.members, self.mode, self.p, self.original_size
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is PerturbedSet else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"PerturbedSet(members={self.members!r}, mode={self.mode!r}, p={self.p!r}, "
+                f"original_size={self.original_size!r})")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return PerturbedSet, self._key()
 
     def __contains__(self, x) -> bool:
         return x in self.members
@@ -168,8 +192,9 @@ def build_private_filter(members, universe: Universe, fparams: FilterParams,
     return BloomFilter.build(perturbed.members, fparams, family or HashFamily.public(), universe)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(namedtuple("AuditReport", (
+        "mode p epsilon_claimed ratio_point ratio_lo ratio_hi prob_with prob_without"
+        " verdict trials"))):
     """Outcome of a marginal-frequency audit against a claimed budget.
 
     ``verdict`` is ``pass``, ``fail`` or ``inconclusive``. A degenerate
@@ -177,16 +202,7 @@ class AuditReport:
     and makes the ratio fields non-finite.
     """
 
-    mode: str
-    p: float
-    epsilon_claimed: float
-    ratio_point: float
-    ratio_lo: float
-    ratio_hi: float
-    prob_with: float
-    prob_without: float
-    verdict: str
-    trials: int
+    __slots__ = ()
 
 
 def dp_audit(mechanism, set_with, set_without, x: int, trials: int,
@@ -258,11 +274,10 @@ def audit_perturbation(params: PrivacyParams, members, universe: Universe, x: in
     raise ParameterError(f"unknown audit direction {direction!r}")
 
 
-@dataclass(frozen=True)
-class FnrEstimate:
-    rate: float
-    se: float
-    trials: int
+class FnrEstimate(namedtuple("FnrEstimate", "rate se trials")):
+    """Member-negative rate with its standard error."""
+
+    __slots__ = ()
 
 
 def measure_member_negative_rate(members, universe: Universe, fparams: FilterParams,
@@ -286,12 +301,10 @@ def measure_member_negative_rate(members, universe: Universe, fparams: FilterPar
     return FnrEstimate(rate=rate, se=standard_error(per_trial), trials=trials)
 
 
-@dataclass(frozen=True)
-class FprWithInjected:
-    rate: float
-    expected: float
-    mean_perturbed_size: float
-    queries: int
+class FprWithInjected(namedtuple("FprWithInjected", "rate expected mean_perturbed_size queries")):
+    """Residual false-positive rate of private filters, injected elements excluded."""
+
+    __slots__ = ()
 
 
 def measure_fpr_excluding_injected(members, universe: Universe, fparams: FilterParams,

@@ -5,6 +5,8 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,27 @@ def test_build_identifier_falls_back_when_git_times_out(monkeypatch):
         assert cli.build_identifier() == "bloomlab-0.1.0"
     finally:
         cli.build_identifier.cache_clear()
+
+
+@pytest.mark.parametrize("top, expected", [
+    (str(Path(cli.__file__).resolve().parents[2]), "bloomlab-0.1.0+gabc1234"),
+    ("/elsewhere/unrelated-repo", "bloomlab-0.1.0"),
+])
+def test_build_identifier_takes_the_revision_only_from_this_checkout(monkeypatch, top, expected):
+    def rev_parse(argv, **kwargs):
+        assert argv[-3:] == ["--show-toplevel", "--short", "HEAD"]
+        return subprocess.CompletedProcess(argv, 0, stdout=f"{top}\nabc1234\n", stderr="")
+
+    monkeypatch.setattr(cli.subprocess, "run", rev_parse)
+    cli.build_identifier.cache_clear()
+    try:
+        assert cli.build_identifier() == expected
+    finally:
+        cli.build_identifier.cache_clear()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -168,6 +191,22 @@ def test_config_rejections(tmp_path):
     garbled.write_text("not json")
     assert _run(["saturation-scan", "--config", str(garbled)])[0] == 1
 
+    # Integer settings follow the flags' rule: no strings that are not
+    # integers, no truncated floats, no booleans read as 0 or 1.
+    for key, value in (("trials", "abc"), ("seed", "x"), ("trials", 2.7), ("trials", True),
+                       ("seed", 1.5), ("seed", None), ("output", 5)):
+        wrong = tmp_path / f"wrong-{key}.json"
+        wrong.write_text(json.dumps({key: value}))
+        code, _, err = _run(["saturation-scan", "--config", str(wrong)])
+        assert code == 1 and key in err, (key, value, err)
+    wrong = tmp_path / "wrong-param.json"
+    wrong.write_text(json.dumps({"parameters": {"m": [4.5], "n": [True]}}))
+    assert _run(["saturation-scan", "--config", str(wrong)])[0] == 1
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps({"trials": "2", "seed": "5", "format": "json"}))
+    code, out, _ = _run(["saturation-scan", "--config", str(digits)])
+    assert code == 0 and _json_lines(out)[0]["trials"] == 2 and _json_lines(out)[0]["master_seed"] == 5
+
 
 def test_bad_flags_exit_one():
     assert _run(["saturation-scan", "--no-such-flag"])[0] == 1
@@ -176,6 +215,25 @@ def test_bad_flags_exit_one():
     # No bound decides m=1024 with 20000 throws, and the exact sum is capped.
     code, _, err = _run(["saturation-scan", "--m", "1024", "--n", "2000", "--k", "10"])
     assert code == 1 and "m=1024, n*k=20000" in err
+    # The null scenario refuses a member count the universe cannot hold, as key-leak does.
+    for scenario in ("null", "key-leak"):
+        code, out, err = _run(["filic-distinguish", "--scenario", scenario, "--n", "5000", "--u", "4096"])
+        assert (code, out) == (1, "") and "0 < n < universe size" in err
+
+
+def test_privacy_audit_refuses_before_building_the_member_set():
+    argv = ["privacy-audit", "--s", "2000000", "--trials", "1"]
+    _run(argv)  # loads the modules and fills the caches outside the measurement
+    tracemalloc.start()
+    try:
+        code, _, err = _run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "1 <= s < u" in err
+    assert peak < 1 << 20
+    code, _, err = _run(["privacy-audit", "--u", str((1 << 20) + 1), "--s", "1000000"])
+    assert code == 1 and "exceeds cap" in err
 
 
 def test_all_points_failed_exits_two(monkeypatch):

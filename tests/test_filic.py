@@ -189,6 +189,15 @@ def test_null_adversary_has_no_advantage():
     assert report.advantage == 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1024, 5000])
+def test_adversaries_refuse_member_counts_the_universe_cannot_hold(n):
+    u = Universe(1024)
+    with pytest.raises(ParameterError, match="0 < n < universe size"):
+        NullAdversary(u, n)
+    with pytest.raises(ParameterError, match="0 < n < universe size"):
+        RepresentationPredictionAdversary(FilterParams(m=32, k=3, n=4), u, n, expects_snapshot=False)
+
+
 def test_key_leaking_reveal_exposes_key_bytes():
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(4096)

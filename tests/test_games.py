@@ -1,6 +1,7 @@
 """Adaptive membership games, saturation analysis, profit accounting."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,18 @@ def test_saturation_probability_negative_association_cutoff():
         last += 1
     for throws in (last, last + 1):
         assert saturation_probability(m, throws, 1).exact == float(_exact_saturation(m, throws))
+
+
+def test_integer_true_division_is_correctly_rounded():
+    """saturation_probability divides two huge ints with ``/`` and relies on
+    the quotient being the correctly rounded float, as Fraction's is. Checked
+    on random operands of up to 4000 bits, the smallest reaching into the
+    subnormal range."""
+    rng = random.Random(2501)
+    for _ in range(2000):
+        den = rng.getrandbits(rng.randrange(1, 4000)) | 1
+        num = rng.randrange(den + 1) >> rng.randrange(0, 1200)
+        assert num / den == float(Fraction(num, den)), (num, den)
 
 
 def test_negative_association_bound_dominates_exact_probability():
