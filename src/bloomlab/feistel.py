@@ -1,17 +1,26 @@
 """Keyed pseudorandom permutation over a small integer domain.
 
-A four-round balanced Feistel network runs on the smallest even-width bit
-domain covering [0, size). Domains whose size is not a power of four are
-handled by cycle walking: the network is applied repeatedly until the value
-lands back inside [0, size), which restricts the permutation to the domain
-without biasing it. The round function is a keyed blake2b of the pair
-(round index, half-block), packed as ``<QQ>``.
+A four-round balanced Feistel network (Luby and Rackoff, 1988) runs on the
+smallest even-width bit domain covering [0, size). Domains whose size is not
+a power of four are handled by cycle walking: the network is applied
+repeatedly until the value lands back inside [0, size), which restricts the
+permutation to the domain without biasing it.
 
-The four round states are built once per permutation: each is keyed and has
-already absorbed ``<Q>(round index)``, and a round copies its state and feeds
-it ``<Q>(half-block)``. The digest is byte-identical to hashing the packed
-pair from scratch, so every image is unchanged; only the per-call key setup
-is saved. The block functions run the rounds inline over those states.
+Round i maps an h-bit half-block r to field r of its keystream. The
+keystream is the 64-byte digests ``blake2b(<Q>(i) || <Q>(b), key=key,
+digest_size=64)`` for b = 0, 1, ..., cut into little-endian fields of w
+bytes, w the smallest of 1, 2, 4, 8 with 8w >= h; each field is masked to h
+bits. This is the block idiom of the filters' index derivation: fields at
+distinct positions of PRF outputs are independent, so each round is a PRF
+and the network a strong PRP. Domains above 2**128 (h > 64) are refused.
+
+When w = 1 (h <= 8, domains up to 2**16) each round is tabulated once, at
+construction: its ceil(2**h / 64) digests joined and masked, at most 256
+bytes, after which a block costs four byte lookups. A domain of 4096 costs
+four digests per permutation in all. Wider half-blocks read one field per
+round per call, from a copy of the round's state, which is already keyed and
+has absorbed ``<Q>(i)``: one digest per round and call. The encrypt block,
+the hot path, runs its four rounds unrolled.
 """
 
 from __future__ import annotations
@@ -23,46 +32,94 @@ from .errors import ParameterError
 
 ROUNDS = 4
 _WORD = struct.Struct("<Q")
+# The reader of one w-byte field of a digest, for the widths read per call.
+_FIELDS = {2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
+_BYTES = bytes(range(256))
 
 
 class FeistelPermutation:
     """Bijection on [0, size) determined entirely by ``key``."""
 
-    __slots__ = ("key", "size", "_half_bits", "_half_mask", "_domain", "_rounds")
+    __slots__ = ("key", "size", "_half_bits", "_half_mask", "_width", "_field", "_rounds", "_tables")
 
     def __init__(self, key: bytes, size: int):
         if size < 1:
             raise ParameterError("permutation domain must have size >= 1")
         if not isinstance(key, (bytes, bytearray)):
             raise ParameterError("key must be bytes")
-        self.key = bytes(key)
+        if size > 1 << 128:
+            raise ParameterError("permutation domain must have size <= 2**128")
+        self.key = key = bytes(key)
         self.size = size
         bits = max((size - 1).bit_length(), 2)
-        if bits % 2:
-            bits += 1
-        self._half_bits = bits // 2
-        self._half_mask = (1 << self._half_bits) - 1
-        self._domain = 1 << bits
-        self._rounds = tuple(
-            hashlib.blake2b(_WORD.pack(i), key=self.key, digest_size=8) for i in range(ROUNDS)
-        )
+        half = self._half_bits = (bits + 1) // 2
+        mask = self._half_mask = (1 << half) - 1
+        width = self._width = next(w for w in (1, 2, 4, 8) if 8 * w >= half)
+        keyed = hashlib.blake2b(key=key, digest_size=64)
+        self._rounds = rounds = []
+        for i in range(ROUNDS):
+            state = keyed.copy()
+            state.update(_WORD.pack(i))
+            rounds.append(state)
+        self._field = _FIELDS[width].unpack_from if width > 1 else None
+        self._tables = None
+        if width == 1:
+            # Round i's table: its first ceil(2**h / 64) digests, each byte masked to h bits.
+            masked = _BYTES[:mask + 1] * (256 >> half)
+            self._tables = tables = []
+            for state in rounds:
+                digests = []
+                for b in range(((1 << half) + 63) >> 6):
+                    h = state.copy()
+                    h.update(_WORD.pack(b))
+                    digests.append(h.digest())
+                tables.append(b"".join(digests).translate(masked))
 
     def _encrypt_block(self, value: int) -> int:
-        half_bits, mask, pack, from_bytes = self._half_bits, self._half_mask, _WORD.pack, int.from_bytes
+        half_bits, mask, tables = self._half_bits, self._half_mask, self._tables
         left, right = value >> half_bits, value & mask
-        for state in self._rounds:
-            h = state.copy()
-            h.update(pack(right))
-            left, right = right, left ^ (from_bytes(h.digest(), "little") & mask)
+        # Round by round, (left, right) becomes (right, left ^ F(right)); here
+        # the halves stay in place and take turns being updated.
+        if tables is not None:
+            t0, t1, t2, t3 = tables
+            left ^= t0[right]
+            right ^= t1[left]
+            left ^= t2[right]
+            right ^= t3[left]
+            return (left << half_bits) | right
+        width, pack, field = self._width, _WORD.pack, self._field
+        r0, r1, r2, r3 = self._rounds
+        at = right * width  # byte offset of field `right` in the round's keystream
+        h = r0.copy()
+        h.update(pack(at >> 6))
+        left ^= field(h.digest(), at & 63)[0] & mask
+        at = left * width
+        h = r1.copy()
+        h.update(pack(at >> 6))
+        right ^= field(h.digest(), at & 63)[0] & mask
+        at = right * width
+        h = r2.copy()
+        h.update(pack(at >> 6))
+        left ^= field(h.digest(), at & 63)[0] & mask
+        at = left * width
+        h = r3.copy()
+        h.update(pack(at >> 6))
+        right ^= field(h.digest(), at & 63)[0] & mask
         return (left << half_bits) | right
 
     def _decrypt_block(self, value: int) -> int:
-        half_bits, mask, pack, from_bytes = self._half_bits, self._half_mask, _WORD.pack, int.from_bytes
+        half_bits, mask, tables = self._half_bits, self._half_mask, self._tables
         left, right = value >> half_bits, value & mask
+        if tables is not None:
+            for table in reversed(tables):
+                left, right = right ^ table[left], left
+            return (left << half_bits) | right
+        width, pack, field = self._width, _WORD.pack, self._field
         for state in reversed(self._rounds):
+            at = left * width
             h = state.copy()
-            h.update(pack(left))
-            left, right = right ^ (from_bytes(h.digest(), "little") & mask), left
+            h.update(pack(at >> 6))
+            left, right = right ^ (field(h.digest(), at & 63)[0] & mask), left
         return (left << half_bits) | right
 
     def encrypt(self, x: int) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
 from .filters import (
@@ -44,8 +45,10 @@ from .filters import (
     Universe,
     _pack_snapshot,
 )
-from .games import Adversary, GameConfig, GameTranscript, choose_members, referee
 from .stats import mix_seed, wilson_interval
+
+if TYPE_CHECKING:
+    from .games import Adversary, GameConfig
 
 REFUSED = "refused"
 # Candidates a representation-prediction adversary tries before giving up.
@@ -381,7 +384,10 @@ class NullAdversary(FilicAdversary):
 
 
 class _WrappedAbAdversary(FilicAdversary):
-    """Relays a betting-game adversary through the oracle interface."""
+    """Relays a betting-game adversary through the oracle interface.
+
+    ``bloomlab.games`` is imported by the methods that use it, so that the
+    reveal-oracle experiments do not load the betting games."""
 
     def __init__(self, ab_adversary: Adversary, cfg: GameConfig):
         self.ab = ab_adversary
@@ -392,10 +398,14 @@ class _WrappedAbAdversary(FilicAdversary):
         self.ab.begin(self.cfg, rng)
 
     def choose_set(self) -> set[int]:
+        from .games import choose_members
+
         self.members = choose_members(self.ab, self.cfg)
         return set(self.members)
 
     def interact(self, oracles: OracleSet):
+        from .games import GameTranscript, referee
+
         play = referee(oracles.query, self.ab, self.cfg, GameTranscript(members=self.members))
         if play is None:
             return 0

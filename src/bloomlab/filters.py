@@ -31,7 +31,11 @@ skipping any later block. True-random filters bind no states and go through
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
-It is static: inserts are refused.
+It is static: inserts are refused. The permutation is a four-round Feistel
+network whose rounds read w-byte fields of 64-byte keyed digests, the block
+idiom above (:mod:`bloomlab.feistel`); over a universe of at most 2**16
+elements each round is a table built once, so an element is permuted by
+four byte lookups.
 
 Snapshots use a versioned binary layout, little-endian throughout:
 
@@ -41,12 +45,19 @@ Snapshots use a versioned binary layout, little-endian throughout:
 The key field holds the PRF key (``keyed-prf``), the permutation key
 (``ny-prp-wrapped``), or is empty. The layout does not record the universe
 size, so restoring an ``ny-prp-wrapped`` snapshot requires passing the
-universe explicitly. Filters whose state the layout cannot carry (true-random
-filters, ``ny-prp-wrapped`` filters over a non-public inner family) refuse to
-serialize with :class:`UnsupportedOperationError`. Version 1 snapshots, written
-under the earlier one-digest-per-index rule, are refused with
-:class:`ParameterError`: their bits sit at other positions, so restoring them
-would answer 0 for members.
+universe explicitly, and it must be the universe the filter was built over:
+another size gives another permutation, and the restored filter answers 0
+for nearly every member. Filters whose state the layout cannot carry
+(true-random filters, ``ny-prp-wrapped`` filters over a non-public inner
+family) refuse to serialize with :class:`UnsupportedOperationError`.
+
+Older versions are refused with :class:`ParameterError` rather than restored
+into a filter that answers 0 for members. Version 1 snapshots were written
+under the earlier one-digest-per-index rule, so their bits sit at other
+positions. Version 2 snapshots were written under the earlier Feistel round
+function, one 8-byte digest per (round, half-block), so an ``ny-prp-wrapped``
+one would permute its members elsewhere; the layout has no per-kind version,
+so every version 2 snapshot is refused.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ from .feistel import FeistelPermutation
 from .stats import mix_seed, wilson_interval
 
 MAGIC = b"BFLT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Offset of the key bytes inside a snapshot: magic + version + m + k + kind + key-length.
 KEY_OFFSET = 4 + 1 + 4 + 2 + 1 + 2
 
@@ -529,6 +540,9 @@ class NyFilter:
 
     @classmethod
     def from_bytes(cls, blob: bytes, universe: Universe) -> "NyFilter":
+        """Restore a snapshot over ``universe``, which must be the universe the
+        filter was built over: the layout does not record its size, and under
+        another size the permutation differs and members answer 0."""
         m, k, kind, key, bits = _unpack_snapshot(blob)
         if kind != KIND_NY:
             raise ParameterError(f"snapshot holds a {kind} filter, not ny-prp-wrapped")

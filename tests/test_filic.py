@@ -234,6 +234,19 @@ def test_key_leak_distinguisher_has_large_advantage():
     assert report.ci_lo > 0.5
 
 
+@pytest.mark.parametrize("size", [1 << 16, (1 << 16) + 1])
+def test_key_leak_advantage_on_both_permutation_paths(size):
+    """2**16 is the largest domain with tabulated rounds; one more element
+    reads the rounds per call. The leaked key predicts positives on both."""
+    params = FilterParams(m=64, k=5, n=9)
+    u = Universe(size)
+    adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
+    report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
+                                identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
+                                trials=200, seed=17, reveal_codec=snapshot_reveal_codec(params))
+    assert report.advantage >= 0.9
+
+
 def test_public_hash_reveal_distinguishes_without_any_key():
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(4096)

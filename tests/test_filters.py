@@ -6,7 +6,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -105,11 +105,15 @@ def test_true_random_same_seed_same_draw_order():
         assert a.indices(x, 16, 2) == b.indices(x, 16, 2)
 
 
-def _reference_digest(key: bytes, i: int, x: int) -> int:
-    """The 8-byte PRF of the pair (i, x) hashed from scratch: the Feistel round."""
-    return int.from_bytes(
-        hashlib.blake2b(struct.pack("<QQ", i, x), key=key, digest_size=8).digest(), "little"
-    )
+def _reference_round(key: bytes, i: int, r: int, half: int) -> int:
+    """Feistel round i of the half-block r, hashed from scratch: field r of
+    the keystream blake2b(<Q>(i) || <Q>(b), key) for b = 0, 1, ..., read as
+    little-endian fields of w bytes (the smallest of 1, 2, 4, 8 with 8w >= half)
+    and masked to half bits."""
+    w = min(w for w in (1, 2, 4, 8) if 8 * w >= half)
+    b, at = divmod(r * w, 64)
+    digest = hashlib.blake2b(struct.pack("<QQ", i, b), key=key, digest_size=64).digest()
+    return int.from_bytes(digest[at:at + w], "little") & ((1 << half) - 1)
 
 
 def _reference_indices(key: bytes, x: int, m: int, k: int) -> tuple[int, ...]:
@@ -487,6 +491,28 @@ def test_version_1_snapshot_is_refused():
     assert any(relabeled.query(x) == 0 for x in members)
 
 
+# Format version 2 snapshot of an ny-prp-wrapped filter, whose permutation
+# rounds were 8-byte digests of (round, half-block): m=128, k=4, permutation
+# key b"v2-snapshot-key", members 0, 10, ..., 190 of Universe(512).
+V2_NY_SNAPSHOT = bytes.fromhex(
+    "42464c5402800000000400020f0076322d736e617073686f742d6b6579"
+    "0c1bb7833030d782617f406d454f7754"
+)
+
+
+def test_version_2_snapshot_is_refused():
+    u = Universe(512)
+    members = range(0, 200, 10)
+    assert V2_NY_SNAPSHOT[4] == 2
+    with pytest.raises(ParameterError):
+        NyFilter.from_bytes(V2_NY_SNAPSHOT, u)
+    # Read under the current permutation rounds, the old bits drop members.
+    relabeled = NyFilter.from_bytes(
+        V2_NY_SNAPSHOT[:4] + bytes([FORMAT_VERSION]) + V2_NY_SNAPSHOT[5:], u
+    )
+    assert any(relabeled.query(x) == 0 for x in members)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from([KIND_STANDARD, KIND_PRF, KIND_NY]),
@@ -585,7 +611,7 @@ def test_ny_filters_with_distinct_keys_differ():
         assert a.inner.bit_bytes() != b.inner.bit_bytes()
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 37, 256, 1000])
+@pytest.mark.parametrize("size", [1, 2, 3, 37, 256, 1000, 4096, 4097, 1 << 16, (1 << 16) + 1])
 def test_feistel_is_a_bijection(size):
     perm = FeistelPermutation(b"bijection", size)
     images = [perm.encrypt(x) for x in range(size)]
@@ -599,6 +625,16 @@ def test_feistel_rejects_out_of_domain():
         perm.encrypt(100)
     with pytest.raises(ParameterError):
         perm.decrypt(-1)
+
+
+def test_feistel_domain_tops_out_at_2_to_the_128():
+    """Half-blocks of up to 64 bits read 8-byte fields; wider ones have no
+    round function, so their domains are refused."""
+    top = FeistelPermutation(b"k", 1 << 128)
+    y = top.encrypt((1 << 128) - 1)
+    assert top.decrypt(y) == (1 << 128) - 1
+    with pytest.raises(ParameterError):
+        FeistelPermutation(b"k", (1 << 128) + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -631,13 +667,19 @@ def test_query_domain_error():
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.binary(max_size=64),
-    size=st.integers(1, 1 << 40),
+    size=st.one_of(st.integers(1, 1 << 16), st.integers(1, 1 << 40)),
     value=st.integers(0, (1 << 64) - 1),
 )
+@example(key=b"tabulated", size=4096, value=(1 << 64) - 1)
+@example(key=b"walks", size=4097, value=12345)
+@example(key=b"tabulated", size=1 << 16, value=65535)
+@example(key=b"per-call", size=(1 << 16) + 1, value=(1 << 40) + 7)
 def test_feistel_round_matches_reference_formula(key, size, value):
     """encrypt and decrypt against a four-round Feistel network built from
-    scratch: round i maps (L, R) to (R, L ^ PRF(i, R)) on the smallest
-    even-width domain covering [0, size), cycle-walking back into it."""
+    scratch: round i maps (L, R) to (R, L ^ F_i(R)) on the smallest
+    even-width domain covering [0, size), cycle-walking back into it. The
+    two size ranges reach both evaluation paths: tabulated rounds (domains up
+    to 2**16) and rounds read per call."""
     width = max((size - 1).bit_length(), 2)
     width += width % 2
     half, mask = width // 2, (1 << (width // 2)) - 1
@@ -645,7 +687,7 @@ def test_feistel_round_matches_reference_formula(key, size, value):
     def block(v):
         left, right = v >> half, v & mask
         for i in range(ROUNDS):
-            left, right = right, left ^ (_reference_digest(key, i, right) & mask)
+            left, right = right, left ^ _reference_round(key, i, right, half)
         return (left << half) | right
 
     perm = FeistelPermutation(key, size)

@@ -54,6 +54,36 @@ def test_cli_loads_only_the_modules_of_the_experiment_run():
     assert seen["heavy"] == []
 
 
+_FILIC_PROBE = """
+import io, json, sys
+import bloomlab.cli as cli
+
+assert cli.main(["filic-distinguish", "--trials", "1"], io.StringIO(), io.StringIO()) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("bloomlab."))))
+"""
+
+
+def test_reveal_oracle_run_loads_no_betting_game_module():
+    """A first experiment run in its own interpreter: the probe above runs
+    bp-attack, which loads games, before filic-distinguish."""
+    src = str(Path(bloomlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FILIC_PROBE], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "bloomlab.filic" in loaded and "bloomlab.feistel" in loaded
+    assert not {"bloomlab.games", "bloomlab.privacy", "bloomlab.learned"} & loaded
+
+
+def test_readme_names_the_current_snapshot_version():
+    from bloomlab.filters import FORMAT_VERSION
+
+    readme = (Path(bloomlab.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    stated = [line for line in readme.splitlines() if line.startswith("The current version is ")]
+    assert len(stated) == 1
+    assert stated[0].split()[4].rstrip(".,") == str(FORMAT_VERSION)
+
+
 def test_every_export_is_its_submodules_object():
     for name in bloomlab.__all__:
         module = importlib.import_module(f"bloomlab.{bloomlab._EXPORTS[name]}")
