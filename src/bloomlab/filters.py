@@ -23,10 +23,19 @@ still but is not used: its indices ``h1 + i*h2`` are correlated, not
 independent PRF outputs. A family caches, per block b, a blake2b state that
 is already keyed and has absorbed ``<Q>(b)`` (:meth:`HashFamily.block_states`).
 A :class:`BloomFilter` binds those states for its k, and m, once at
-construction; ``build`` and ``query`` copy each state and feed it ``<Q>(x)``
-themselves, without a call into the family. ``query`` owns the early exit:
+construction, and derives indices from them without a call into the family.
+``query`` copies each state and feeds it ``<Q>(x)``, and owns the early exit:
 it tests each index as it is derived and returns 0 at the first clear bit,
-skipping any later block. True-random filters bind no states and go through
+skipping any later block. ``build`` derives the words of all members block by
+block, in one pass per block and run of up to 1024 members: a copy of the
+block's state per member, and one unpack of their joined digests. A dense
+build, n·k·16 >= m for n distinct members, sets its bits in a one-byte-per-bit
+array and packs it once, so it holds about m extra bytes while it runs; a
+sparse one sets them in the packed array, where a flag array would cost O(m)
+for few indices. The byte-per-bit fill was measured (x86-64, keyed, k = 7)
+to break even at m = 32·n·k while m <= 2**18, at 24·n·k near m = 2**20 and
+at 12·n·k beyond 2**21, as the flag array outgrows the cache; 16 lies
+between. True-random filters bind no states and go through
 :meth:`HashFamily.indices`, which always draws and memoizes all k indices.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
@@ -49,7 +58,9 @@ universe explicitly, and it must be the universe the filter was built over:
 another size gives another permutation, and the restored filter answers 0
 for nearly every member. Filters whose state the layout cannot carry
 (true-random filters, ``ny-prp-wrapped`` filters over a non-public inner
-family) refuse to serialize with :class:`UnsupportedOperationError`.
+family, and an m of 2**32 or more, or a k or key length of 2**16 or more,
+which its fields cannot hold) refuse to serialize with
+:class:`UnsupportedOperationError`.
 
 Older versions are refused with :class:`ParameterError` rather than restored
 into a filter that answers 0 for members. Version 1 snapshots were written
@@ -67,7 +78,11 @@ import json
 import math
 import random
 import struct
-from collections import namedtuple
+import sys
+from array import array
+from collections import deque, namedtuple
+from collections.abc import Iterator
+from itertools import chain, repeat
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .feistel import FeistelPermutation
@@ -93,6 +108,12 @@ _WORD = struct.Struct("<Q")
 # _WORDS[n] reads the first n little-endian 64-bit words of a block digest.
 _WORDS = {n: struct.Struct(f"<{n}Q") for n in range(1, 9)}
 _LN2 = math.log(2.0)
+# Tails hashed together in build: bounds its transient copies and digests
+# to about 0.7 MiB whatever the member count.
+_RUN = 1024
+# build sets bits through one byte per bit when n*k*_DENSE >= m (see the
+# module docstring for the measured crossover).
+_DENSE = 16
 
 
 class FilterParams(namedtuple("FilterParams", "m k n epsilon", defaults=(None,))):
@@ -333,23 +354,29 @@ class BloomFilter:
         in true-random mode where derivation order matters.
         """
         filt = cls(params, family, universe)
-        require, bits, m, blocks = universe.require, filt._bits, params.m, filt._blocks
+        require, bits, m, k = universe.require, filt._bits, params.m, params.k
         members = sorted(set(members))
-        if blocks is None:
-            indices, k = family.indices, params.k
+        if filt._blocks is None:
+            indices = family.indices
             for x in members:
                 for j in indices(require(x), m, k):
                     bits[j >> 3] |= 1 << (j & 7)
         else:
             pack = _WORD.pack
-            for x in members:
-                tail = pack(require(x))
-                for state, words in blocks:
-                    h = state.copy()
-                    h.update(tail)
-                    for w in words.unpack_from(h.digest()):
-                        j = w % m
-                        bits[j >> 3] |= 1 << (j & 7)
+            words = chain.from_iterable(
+                _member_words(filt._blocks, k, list(map(pack, map(require, members)))))
+            if len(members) * k * _DENSE >= m:
+                # One byte per bit, b"0" or b"1"; reversed, flag j is the digit
+                # of 2**j in a base-2 numeral whose value is the packed array.
+                flags = bytearray(b"0") * m
+                for w in words:
+                    flags[w % m] = 0x31
+                flags.reverse()
+                bits[:] = int(flags, 2).to_bytes(len(bits), "little")
+            else:
+                for w in words:
+                    j = w % m
+                    bits[j >> 3] |= 1 << (j & 7)
         filt._ones = _popcount(bits)
         return filt
 
@@ -456,12 +483,36 @@ class BloomFilter:
         )
 
 
+def _member_words(blocks, k: int, tails: list) -> Iterator:
+    """The words of indices 0 .. k-1 of every tail, a member as ``<Q>(x)``.
+
+    Per run of up to ``_RUN`` tails and per block, every tail of the run is
+    hashed from a copy of the block's state and the joined digests are read
+    with one unpack; then, for each index of the block, that word of every
+    tail is yielded as one array. Words come in no member order."""
+    for lo in range(0, len(tails), _RUN):
+        run = tails[lo:lo + _RUN]
+        for b, (state, _) in enumerate(blocks):
+            blake2b = type(state)
+            hs = list(map(blake2b.copy, repeat(state, len(run))))
+            deque(map(blake2b.update, hs, run), 0)
+            words = array("Q", b"".join(map(blake2b.digest, hs)))
+            if sys.byteorder == "big":
+                words.byteswap()
+            for i in range(min(8, k - 8 * b)):
+                yield words[i::8]
+
+
 def _popcount(bits: bytes) -> int:
     """Number of set bits in a packed bit array."""
     return int.from_bytes(bits, "little").bit_count()
 
 
 def _pack_snapshot(m: int, k: int, kind: str, key: bytes, bits: bytes) -> bytes:
+    for field, value, width in (("m", m, 32), ("k", k, 16), ("key length", len(key), 16)):
+        if value >> width:
+            raise UnsupportedOperationError(
+                f"{field} = {value} does not fit the snapshot's u{width} {field} field")
     head = MAGIC + struct.pack("<BIHBH", FORMAT_VERSION, m, k, _KIND_CODES[kind], len(key))
     return head + key + bits
 

@@ -27,6 +27,8 @@ from bloomlab.filters import (
     HashFamily,
     NyFilter,
     Universe,
+    _DENSE,
+    _pack_snapshot,
     estimate_fpr,
     expected_fpr,
     fresh_family,
@@ -267,13 +269,28 @@ def _family(mode: str, key: bytes) -> HashFamily:
 @given(
     mode=st.sampled_from([PUBLIC, KEYED_PRF, TRUE_RANDOM]),
     key=st.binary(max_size=16),
-    members=st.sets(st.integers(0, 1023), max_size=40),
-    m=st.integers(1, 300),
-    k=st.integers(1, 12),
+    members=st.sets(st.integers(0, 4095), max_size=40),
+    m=st.one_of(st.integers(1, 300), st.integers(1 << 12, 1 << 20)),
+    k=st.integers(1, 20),
 )
+# Ten keyed members on each side of the threshold of the one-byte-per-bit
+# fill, at the block boundaries k = 8, 9, 16, 17.
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 8 * _DENSE, k=8)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 8 * _DENSE + 1, k=8)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 9 * _DENSE, k=9)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 9 * _DENSE + 1, k=9)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 16 * _DENSE, k=16)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 16 * _DENSE + 1, k=16)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 17 * _DENSE, k=17)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 17 * _DENSE + 1, k=17)
+@example(mode=PUBLIC, key=b"", members=set(), m=1, k=1)
+@example(mode=KEYED_PRF, key=b"empty", members=set(), m=1 << 20, k=9)
+# More members than build hashes together in one run, dense and sparse.
+@example(mode=PUBLIC, key=b"", members=set(range(0, 4096, 2)), m=1 << 16, k=9)
+@example(mode=PUBLIC, key=b"", members=set(range(0, 4096, 2)), m=1 << 20, k=9)
 def test_build_matches_inserting_sorted_members(mode, key, members, m, k):
     params = FilterParams(m=m, k=k, n=len(members))
-    u = Universe(1024)
+    u = Universe(4096)
     built = BloomFilter.build(members, params, _family(mode, key), u)
     one_by_one = BloomFilter(params, _family(mode, key), u, kind=KIND_STANDARD)
     for x in sorted(members):
@@ -572,6 +589,24 @@ def test_ny_snapshot_roundtrip_and_key_offset():
     assert blob[KEY_OFFSET:KEY_OFFSET + len(key)] == key
     back = NyFilter.from_bytes(blob, u)
     assert all(back.query(x) == ny.query(x) for x in range(300))
+
+
+def test_snapshot_refuses_fields_its_header_cannot_hold():
+    u = Universe(512)
+    params = FilterParams(m=64, k=1 << 16, n=1)
+    for filt in (BloomFilter.build({1}, params, HashFamily.keyed(b"wide"), u),
+                 NyFilter.build({1}, params, b"pk", u)):
+        with pytest.raises(UnsupportedOperationError, match="u16 k field"):
+            filt.to_bytes()
+    # blake2b refuses keys over 64 bytes, so no filter can carry a 65536-byte
+    # key, and an m of 2**32 would be a 512 MiB bit array: both go to the
+    # snapshot writer directly.
+    with pytest.raises(UnsupportedOperationError, match="u16 key length field"):
+        _pack_snapshot(64, 1, KIND_PRF, bytes(1 << 16), bytes(8))
+    with pytest.raises(UnsupportedOperationError, match="u32 m field"):
+        _pack_snapshot(1 << 32, 1, KIND_STANDARD, b"", b"")
+    blob = _pack_snapshot((1 << 32) - 1, (1 << 16) - 1, KIND_PRF, bytes((1 << 16) - 1), b"")
+    assert len(blob) == KEY_OFFSET + (1 << 16) - 1
 
 
 def test_debug_json_fields():
