@@ -47,6 +47,8 @@ class FeistelPermutation:
             raise ParameterError("permutation domain must have size >= 1")
         if not isinstance(key, (bytes, bytearray)):
             raise ParameterError("key must be bytes")
+        if len(key) > hashlib.blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"key must be at most {hashlib.blake2b.MAX_KEY_SIZE} bytes")
         if size > 1 << 128:
             raise ParameterError("permutation domain must have size <= 2**128")
         self.key = key = bytes(key)

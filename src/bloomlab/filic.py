@@ -45,7 +45,7 @@ from .filters import (
     Universe,
     _pack_snapshot,
 )
-from .stats import mix_seed, wilson_interval
+from .stats import mix_seed, seed_stream, wilson_interval
 
 if TYPE_CHECKING:
     from .games import Adversary, GameConfig
@@ -263,11 +263,11 @@ def estimate_advantage(adversary: FilicAdversary, filter_factory, params: Filter
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     real_hits = ideal_hits = 0
+    real_seed, ideal_seed = seed_stream(seed, "filic-real"), seed_stream(seed, "filic-ideal")
     for i in range(trials):
-        real_hits += run_real(adversary, filter_factory, distinguisher, budget,
-                              mix_seed(seed, "filic-real", i))
-        ideal_hits += run_ideal(adversary, params, distinguisher, budget,
-                                mix_seed(seed, "filic-ideal", i), reveal_codec=reveal_codec)
+        real_hits += run_real(adversary, filter_factory, distinguisher, budget, real_seed(i))
+        ideal_hits += run_ideal(adversary, params, distinguisher, budget, ideal_seed(i),
+                                reveal_codec=reveal_codec)
     p_real = real_hits / trials
     p_ideal = ideal_hits / trials
     lr, ur = wilson_interval(real_hits, trials)

@@ -221,6 +221,8 @@ class HashFamily:
         if mode == PUBLIC and key:
             # Snapshots write no key for a public family, so a keyed one would restore wrong.
             raise ParameterError("a public hash family takes no key")
+        if mode == KEYED_PRF and len(key) > hashlib.blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"a keyed-prf key must be at most {hashlib.blake2b.MAX_KEY_SIZE} bytes")
         self.mode = mode
         self.key = key
         self.memo = {} if memo is None else memo
@@ -361,6 +363,7 @@ class BloomFilter:
             for x in members:
                 for j in indices(require(x), m, k):
                     bits[j >> 3] |= 1 << (j & 7)
+            filt._ones = _popcount(bits)
         else:
             pack = _WORD.pack
             words = chain.from_iterable(
@@ -372,12 +375,18 @@ class BloomFilter:
                 for w in words:
                     flags[w % m] = 0x31
                 flags.reverse()
-                bits[:] = int(flags, 2).to_bytes(len(bits), "little")
+                packed = int(flags, 2)
+                bits[:] = packed.to_bytes(len(bits), "little")
+                filt._ones = packed.bit_count()
             else:
+                ones = 0
                 for w in words:
                     j = w % m
-                    bits[j >> 3] |= 1 << (j & 7)
-        filt._ones = _popcount(bits)
+                    byte, bit = j >> 3, 1 << (j & 7)
+                    if not bits[byte] & bit:
+                        bits[byte] |= bit
+                        ones += 1
+                filt._ones = ones
         return filt
 
     def insert(self, x: int) -> None:

@@ -51,7 +51,7 @@ from .filters import (
     fresh_family,
     optimal_k,
 )
-from .stats import mean_confidence_interval, mix_seed, wilson_interval
+from .stats import mean_confidence_interval, mix_seed, seed_stream, wilson_interval
 
 # Largest m*n*k for which saturation_probability runs its exact sum.
 SATURATION_CAP = 1 << 24
@@ -375,8 +375,9 @@ def run_ab_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     wins = forfeits = 0
+    trial_seed = seed_stream(seed, "ab-trial")
     for i in range(trials):
-        outcome = run_ab_test(filter_factory, adversary, cfg, mix_seed(seed, "ab-trial", i))
+        outcome = run_ab_test(filter_factory, adversary, cfg, trial_seed(i))
         wins += outcome.win
         forfeits += outcome.transcript.forfeited
     lo, hi = wilson_interval(wins, trials)
@@ -407,8 +408,9 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     saturated_trials = 0
     saturation_known = 0
     probe_hits = probe_total = 0
+    trial_seed = seed_stream(seed, "bp-trial")
     for i in range(trials):
-        run = run_bp_test(filter_factory, adversary, cfg, mix_seed(seed, "bp-trial", i))
+        run = run_bp_test(filter_factory, adversary, cfg, trial_seed(i))
         profits.append(run.outcome.profit)
         bets += run.outcome.bet
         wins += run.outcome.profit > 0

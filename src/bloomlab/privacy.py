@@ -15,7 +15,11 @@ one of its neighbors and compares the ratio against the claimed e^epsilon,
 using Wilson intervals so that a failure is only declared when even the
 most mechanism-favorable reading of the data exceeds the bound.
 
-Perturbation enumerates the universe, so it is capped at 2**20 elements.
+A perturbed set draws its members on first use, one draw per element of
+the universe, so every perturbation is capped at 2**20 elements
+(``ENUMERATION_CAP``), checked when ``perturb`` is called. Until then,
+``x in s`` costs one draw plus a skip over the earlier draws in C, which is
+all the audit asks of each trial.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
 from .filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
-from .stats import mix_seed, standard_error, wilson_interval
+from .stats import mix_seed, seed_stream, standard_error, wilson_interval
 
 MANGAT = "mangat"
 WARNER = "warner"
@@ -64,17 +68,52 @@ class PerturbedSet:
     """Output of a perturbation run: a container of the perturbed members.
 
     Immutable, equal and hashed by its four fields; ``len`` and ``in`` refer
-    to ``members``.
+    to ``members``. A set returned by :func:`perturb` keeps the run's input
+    set, universe size and seed, and draws ``members`` on first use: one
+    ``random()`` of ``random.Random(seed)`` per element in universe order,
+    under the rule of :meth:`_kept`. Until then, ``x in s`` for an ``int`` x
+    in the universe reads x's own draw: the stream skips the draws of the
+    elements below x with one ``getrandbits`` call (``random()`` reads two
+    32-bit words, so ``getrandbits(64 * j)`` passes exactly j draws). Any
+    other probe, and equality, hashing, ``repr``, ``len`` and pickling, draw
+    ``members`` first, so every answer is the drawn set's.
     """
 
-    __slots__ = ("members", "mode", "p", "original_size")
+    __slots__ = ("_members", "mode", "p", "original_size", "_run")
 
     def __init__(self, members: frozenset[int], mode: str, p: float, original_size: int):
         set_field = object.__setattr__
-        set_field(self, "members", members)
+        set_field(self, "_members", members)
         set_field(self, "mode", mode)
         set_field(self, "p", p)
         set_field(self, "original_size", original_size)
+        set_field(self, "_run", None)
+
+    @classmethod
+    def _undrawn(cls, inputs: set[int], size: int, mode: str, p: float, seed: int) -> "PerturbedSet":
+        """The output of perturbing ``inputs`` over [0, size) with ``seed``, not drawn yet."""
+        out = cls(None, mode, p, len(inputs))
+        object.__setattr__(out, "_run", (inputs, size, seed))
+        return out
+
+    def _kept(self, elements, inputs, draw) -> list[int]:
+        """The per-element rule: the elements kept, in order, where ``draw``
+        returns the draw of the next element that takes one. A mangat member
+        is kept with no draw; any other element is kept when its draw is
+        below p (a warner member) or 1 - p (a non-member)."""
+        p, q = self.p, 1.0 - self.p
+        if self.mode == MANGAT:
+            return [x for x in elements if x in inputs or draw() < q]
+        return [x for x in elements if draw() < (p if x in inputs else q)]
+
+    @property
+    def members(self) -> frozenset[int]:
+        members = self._members
+        if members is None:
+            inputs, size, seed = self._run
+            members = frozenset(self._kept(range(size), inputs, random.Random(seed).random))
+            object.__setattr__(self, "_members", members)
+        return members
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable PerturbedSet")
@@ -99,7 +138,18 @@ class PerturbedSet:
         return PerturbedSet, self._key()
 
     def __contains__(self, x) -> bool:
-        return x in self.members
+        if self._members is not None or type(x) is not int or not 0 <= x < self._run[1]:
+            return x in self.members
+        inputs, _, seed = self._run
+
+        def draw():
+            # Every element below x draws once, except the members under mangat.
+            j = x - sum(v < x for v in inputs) if self.mode == MANGAT else x
+            rng = random.Random(seed)
+            rng.getrandbits(64 * j)
+            return rng.random()
+
+        return bool(self._kept((x,), inputs, draw))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -118,26 +168,20 @@ def _check_cap(universe: Universe) -> None:
         )
 
 
+def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -> PerturbedSet:
+    PrivacyParams(mode, p)
+    _check_cap(universe)
+    return PerturbedSet._undrawn({universe.require(x) for x in set(members)}, universe.size, mode, p, seed)
+
+
 def mangat_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:
     """Keep all members, add each non-member with probability 1 - p."""
-    PrivacyParams(MANGAT, p)
-    _check_cap(universe)
-    members = {universe.require(x) for x in set(members)}
-    draw = random.Random(seed).random
-    q = 1.0 - p
-    out = frozenset([x for x in range(universe.size) if x in members or draw() < q])
-    return PerturbedSet(out, MANGAT, p, len(members))
+    return _perturbation(MANGAT, members, universe, p, seed)
 
 
 def warner_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:
     """Keep each member with probability p, add each non-member with 1 - p."""
-    PrivacyParams(WARNER, p)
-    _check_cap(universe)
-    members = {universe.require(x) for x in set(members)}
-    draw = random.Random(seed).random
-    q = 1.0 - p
-    out = frozenset([x for x in range(universe.size) if draw() < (p if x in members else q)])
-    return PerturbedSet(out, WARNER, p, len(members))
+    return _perturbation(WARNER, members, universe, p, seed)
 
 
 def perturb(members, universe: Universe, params: PrivacyParams, seed: int) -> PerturbedSet:
@@ -221,10 +265,11 @@ def dp_audit(mechanism, set_with, set_without, x: int, trials: int,
     set_without = frozenset(set_without)
     hits_with = 0
     hits_without = 0
+    seed_with, seed_without = seed_stream(seed, "audit-with"), seed_stream(seed, "audit-without")
     for t in range(trials):
-        if x in mechanism(set_with, mix_seed(seed, "audit-with", t)):
+        if x in mechanism(set_with, seed_with(t)):
             hits_with += 1
-        if x in mechanism(set_without, mix_seed(seed, "audit-without", t)):
+        if x in mechanism(set_without, seed_without(t)):
             hits_without += 1
     prob_with = hits_with / trials
     prob_without = hits_without / trials

@@ -3,6 +3,8 @@
 Per-trial seeds are derived from a 64-bit master seed, an experiment tag and
 the trial index with ``mix_seed``, so trials are reproducible individually
 and could be executed out of order or in parallel without changing results.
+A loop over trials derives them with ``seed_stream``, which absorbs the
+master seed and tag once.
 """
 
 from __future__ import annotations
@@ -13,20 +15,36 @@ import struct
 
 # Two-sided 99% normal quantile, used for every confidence interval here.
 Z99 = 2.5758293035489004
+_WORD = struct.Struct("<Q")
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def seed_stream(master_seed: int, tag: str):
+    """``index -> mix_seed(master_seed, tag, index)`` for one master seed and tag.
+
+    The mix is blake2b over the little-endian master seed, the UTF-8 tag and
+    the little-endian index, truncated to 8 bytes. The returned function
+    holds a blake2b state that has already absorbed the first two, so each
+    seed costs a copy of it and the index alone.
+    """
+    absorbed = hashlib.blake2b(_WORD.pack(master_seed & _MASK) + tag.encode("utf-8"), digest_size=8)
+    pack, from_bytes = _WORD.pack, int.from_bytes
+
+    def seed(index: int) -> int:
+        h = absorbed.copy()
+        h.update(pack(index & _MASK))
+        return from_bytes(h.digest(), "little")
+
+    return seed
 
 
 def mix_seed(master_seed: int, tag: str, index: int) -> int:
     """Derive a 64-bit trial seed from (master_seed, tag, index).
 
-    The mix is blake2b over the little-endian master seed, the UTF-8 tag and
-    the little-endian index, truncated to 8 bytes. It is a fixed, documented
-    function: the same triple always yields the same seed.
+    A fixed, documented function (see :func:`seed_stream`): the same triple
+    always yields the same seed.
     """
-    payload = struct.pack("<Q", master_seed & 0xFFFFFFFFFFFFFFFF)
-    payload += tag.encode("utf-8")
-    payload += struct.pack("<Q", index & 0xFFFFFFFFFFFFFFFF)
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return seed_stream(master_seed, tag)(index)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:

@@ -29,6 +29,7 @@ from bloomlab.filters import (
     Universe,
     _DENSE,
     _pack_snapshot,
+    _popcount,
     estimate_fpr,
     expected_fpr,
     fresh_family,
@@ -89,6 +90,21 @@ def test_keyed_families_differ_and_public_is_keyless():
     assert pub.key == b""
     with pytest.raises(ParameterError):
         HashFamily(mode=PUBLIC, key=b"k")
+
+
+def test_keys_longer_than_blake2b_allows_are_refused_at_construction():
+    u = Universe(512)
+    params = FilterParams(m=32, k=2, n=1)
+    assert BloomFilter.build({1}, params, HashFamily.keyed(b"x" * 64), u).query(1) == 1
+    perm = FeistelPermutation(b"x" * 64, 512)
+    assert perm.decrypt(perm.encrypt(7)) == 7
+    for make in (lambda: HashFamily.keyed(b"x" * 65),
+                 lambda: FeistelPermutation(b"x" * 65, 512),
+                 lambda: NyFilter.build({1}, params, b"x" * 65, u)):
+        with pytest.raises(ParameterError, match="64 bytes"):
+            make()
+    # A true-random seed is not a blake2b key.
+    assert HashFamily.true_random(seed=b"x" * 65).indices(1, 32, 2)
 
 
 def test_true_random_memoizes_and_locks_shape():
@@ -299,6 +315,18 @@ def test_build_matches_inserting_sorted_members(mode, key, members, m, k):
     assert built.popcount() == one_by_one.popcount()
     if mode == TRUE_RANDOM:
         assert built.family.memo == one_by_one.family.memo
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+@pytest.mark.parametrize("n, k, m", [
+    (10, 7, 10 * 7 * _DENSE), (10, 7, 10 * 7 * _DENSE + 1),   # dense, sparse
+    (10, 7, 1 << 20), (-(-(1 << 20) // (7 * _DENSE)), 7, 1 << 20),
+])
+def test_build_popcount_counts_the_set_bits(mode, n, k, m):
+    members = random.Random(n).sample(range(1 << 20), n)
+    filt = BloomFilter.build(members, FilterParams(m=m, k=k, n=n), _family(mode, b"count"),
+                             Universe(1 << 20))
+    assert 0 < filt.popcount() == _popcount(filt.bit_bytes())
 
 
 def test_build_rejects_elements_outside_universe():

@@ -1,6 +1,7 @@
 """Randomized-response perturbation, budgets, and the empirical audit."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from bloomlab.privacy import (
     ENUMERATION_CAP,
     MANGAT,
     WARNER,
+    PerturbedSet,
     PrivacyParams,
     audit_perturbation,
     build_private_filter,
@@ -170,6 +172,34 @@ def test_perturbation_matches_plain_loop(mode, size, p, seed, data):
     got = perturb(members, Universe(size), PrivacyParams(mode, p), seed)
     assert got.members == _loop_perturb(mode, members, size, p, seed)
     assert isinstance(got.members, frozenset) and got.original_size == len(members)
+
+
+_P_RANGE = {
+    MANGAT: st.floats(0.0, 1.0, exclude_min=True),
+    WARNER: st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from([MANGAT, WARNER]), size=st.integers(1, 300),
+       seed=st.integers(0, 1 << 64), data=st.data())
+def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
+    p = data.draw(st.one_of(st.just(1.0), _P_RANGE[MANGAT]) if mode == MANGAT else _P_RANGE[WARNER])
+    members = data.draw(st.sets(st.integers(0, size - 1), max_size=size))
+    params, universe = PrivacyParams(mode, p), Universe(size)
+    drawn = _loop_perturb(mode, members, size, p, seed)
+    assert perturb(members, universe, params, seed).members == drawn
+    for x in [*range(size), -1, size, 3.0, True, "a"]:
+        fresh = perturb(members, universe, params, seed)
+        assert (x in fresh) == (x in drawn)
+    fresh = perturb(members, universe, params, seed)
+    assert all((x in fresh) == (x in drawn) for x in range(size))
+    assert fresh._members is None  # answered from the stream, nothing drawn
+    eager = PerturbedSet(drawn, mode, p, len(members))
+    assert perturb(members, universe, params, seed) == eager
+    assert hash(perturb(members, universe, params, seed)) == hash(eager)
+    assert pickle.loads(pickle.dumps(perturb(members, universe, params, seed))) == eager
+    assert len(perturb(members, universe, params, seed)) == len(drawn)
 
 
 def test_budget_closed_forms():

@@ -1,8 +1,20 @@
 """Seed derivation and interval helpers."""
 
-import pytest
+import hashlib
+import struct
 
-from bloomlab.stats import Z99, mean_confidence_interval, mix_seed, standard_error, wilson_interval
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bloomlab.stats import (
+    Z99,
+    mean_confidence_interval,
+    mix_seed,
+    seed_stream,
+    standard_error,
+    wilson_interval,
+)
 
 
 def test_mix_seed_depends_on_every_input():
@@ -12,6 +24,30 @@ def test_mix_seed_depends_on_every_input():
     assert mix_seed(1, "gat", 0) != base
     assert mix_seed(1, "tag", 1) != base
     assert 0 <= base < 1 << 64
+
+
+def _reference_mix(master_seed, tag, index):
+    """The documented mix in one blake2b call over the whole payload."""
+    payload = (struct.pack("<Q", master_seed % (1 << 64)) + tag.encode("utf-8")
+               + struct.pack("<Q", index % (1 << 64)))
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def test_mix_seed_pinned_values():
+    assert mix_seed(0, "", 0) == 1041621211125469266
+    assert mix_seed(4242, "audit-with", 3999) == 11040617262222084935
+    assert mix_seed((1 << 64) - 1, "Prüfung-試験", (1 << 64) - 1) == 8426546506688896314
+    assert mix_seed(-1, "x", -5) == 18445583596212363091
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=st.integers(-(1 << 70), 1 << 70), tag=st.text(max_size=40),
+       indices=st.lists(st.integers(-(1 << 70), 1 << 70), max_size=20))
+def test_seed_stream_matches_mix_seed(master_seed, tag, indices):
+    stream = seed_stream(master_seed, tag)
+    for index in [*range(50), *indices]:
+        expected = _reference_mix(master_seed, tag, index)
+        assert stream(index) == mix_seed(master_seed, tag, index) == expected
 
 
 def test_wilson_interval_contains_point_estimate():
