@@ -346,7 +346,7 @@ class RepresentationPredictionAdversary(FilicAdversary):
         self.expects_snapshot = expects_snapshot
 
     def choose_set(self) -> set[int]:
-        self.members = set(self.rng.sample(range(self.universe.size), self.n))
+        self.members = set(self.universe.sample(self.rng, self.n))
         return set(self.members)
 
     def interact(self, oracles: OracleSet):
@@ -377,7 +377,7 @@ class NullAdversary(FilicAdversary):
         self.n = n
 
     def choose_set(self) -> set[int]:
-        return set(self.rng.sample(range(self.universe.size), self.n))
+        return set(self.universe.sample(self.rng, self.n))
 
     def interact(self, oracles: OracleSet):
         return 0

@@ -35,8 +35,9 @@ sparse one sets them in the packed array, where a flag array would cost O(m)
 for few indices. The byte-per-bit fill was measured (x86-64, keyed, k = 7)
 to break even at m = 32·n·k while m <= 2**18, at 24·n·k near m = 2**20 and
 at 12·n·k beyond 2**21, as the flag array outgrows the cache; 16 lies
-between. True-random filters bind no states and go through
-:meth:`HashFamily.indices`, which always draws and memoizes all k indices.
+between. A true-random filter binds its (m, k) to the family instead; ``build``
+draws the indices of members missing from the family's memo in one stream and
+sets them through the same fill, and ``query`` draws only on a memo miss.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -190,14 +191,38 @@ class Universe:
             raise DomainError(f"element {x!r} outside universe [0, {self.size})")
         return x
 
+    def sample(self, rng: random.Random, n: int) -> list[int]:
+        """``rng.sample(range(size), n)``: the same list, and ``rng`` left in the
+        same state. Where that keeps a ``selected`` set (size above 21, or above
+        ``21 + 4**ceil(log(3n, 4))`` for n > 5), an exact ``random.Random``
+        draws inline by CPython's rule: ``getrandbits(size.bit_length())``,
+        redrawn while >= size or selected. Otherwise, a subclass of ``Random``
+        included, it calls ``rng.sample``."""
+        size = self.size
+        setsize = 21 + 4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 21
+        if type(rng) is not random.Random or n < 0 or size <= setsize:
+            return rng.sample(range(size), n)
+        getrandbits, width = rng.getrandbits, size.bit_length()
+        selected = {}  # insertion-ordered: the draws in selection order
+        for _ in range(n):
+            x = getrandbits(width)
+            while x >= size or x in selected:
+                x = getrandbits(width)
+            selected[x] = None
+        return list(selected)
+
     def sample_outside(self, rng: random.Random, excluded) -> int:
-        """Uniform element not in ``excluded``, found by resampling."""
-        if len(excluded) >= self.size:
+        """Uniform element not in ``excluded``: ``rng.randrange(size)``, redrawn
+        while excluded. An exact ``random.Random`` draws it inline, as above."""
+        size = self.size
+        if len(excluded) >= size:
             raise ParameterError("excluded set covers the whole universe")
-        while True:
-            x = rng.randrange(self.size)
-            if x not in excluded:
-                return x
+        plain = type(rng) is random.Random
+        draw, arg = (rng.getrandbits, size.bit_length()) if plain else (rng.randrange, size)
+        x = draw(arg)
+        while x >= size or x in excluded:
+            x = draw(arg)
+        return x
 
 
 class HashFamily:
@@ -275,30 +300,31 @@ class HashFamily:
         generator stream does not depend on which of them a caller tests.
         """
         if self.mode == TRUE_RANDOM:
-            if self._shape is None:
-                self._shape = (m, k)
-            elif self._shape != (m, k):
-                raise ParameterError("true-random family already bound to another (m, k)")
+            self._bind(m, k)
             got = self.memo.get(x)
             if got is None:
-                # randrange(m) one index at a time, as CPython draws it:
-                # getrandbits(m.bit_length()) until the value is below m.
-                getrandbits, width = self._rng.getrandbits, m.bit_length()
-                draws = []
-                for _ in range(k):
-                    j = getrandbits(width)
-                    while j >= m:
-                        j = getrandbits(width)
-                    draws.append(j)
-                got = self.memo[x] = tuple(draws)
+                got = self.memo[x] = tuple(self._draws(m, k))
             return got
-        tail = _WORD.pack(x)
-        words = ()
-        for state in self.block_states(k):
-            h = state.copy()
-            h.update(tail)
-            words += _WORDS[8].unpack(h.digest())
-        return tuple([w % m for w in words[:k]])
+        words = _member_words(self.block_states(k), k, [_WORD.pack(x)])
+        return tuple([w % m for w in chain.from_iterable(words)])
+
+    def _bind(self, m: int, k: int) -> None:
+        """Fix a true-random family's (m, k), or refuse another one."""
+        if self._shape is None:
+            self._shape = (m, k)
+        elif self._shape != (m, k):
+            raise ParameterError("true-random family already bound to another (m, k)")
+
+    def _draws(self, m: int, count: int) -> list[int]:
+        """``count`` draws of CPython's ``randrange(m)``: getrandbits(m.bit_length()) until below m."""
+        getrandbits, width = self._rng.getrandbits, m.bit_length()
+        draws = []
+        for _ in range(count):
+            j = getrandbits(width)
+            while j >= m:
+                j = getrandbits(width)
+            draws.append(j)
+        return draws
 
 
 def fresh_family(mode: str, rng: random.Random) -> HashFamily:
@@ -340,12 +366,14 @@ class BloomFilter:
         self._ones = 0
         # What build and query derive indices with: m, and per block of the
         # family's k indices its pre-keyed state and the reader of its words.
-        # None for true-random families, which derive through family.indices.
+        # None for true-random families, whose (m, k) is bound here instead.
         self._m = params.m
-        self._blocks = None if family.mode == TRUE_RANDOM else tuple(
-            (state, _WORDS[min(8, params.k - 8 * b)])
-            for b, state in enumerate(family.block_states(params.k))
-        )
+        self._blocks = None
+        if family.mode == TRUE_RANDOM:
+            family._bind(params.m, params.k)
+        else:
+            self._blocks = tuple((state, _WORDS[min(8, params.k - 8 * b)])
+                                 for b, state in enumerate(family.block_states(params.k)))
 
     @classmethod
     def build(cls, members, params: FilterParams, family: HashFamily, universe: Universe) -> "BloomFilter":
@@ -353,40 +381,23 @@ class BloomFilter:
 
         Members are processed in sorted order so that identical
         (key, members, params) always yield bit-identical filters, including
-        in true-random mode where derivation order matters.
-        """
-        filt = cls(params, family, universe)
-        require, bits, m, k = universe.require, filt._bits, params.m, params.k
+        in true-random mode where derivation order matters. All members are
+        checked first, so a refused build leaves the family untouched."""
         members = sorted(set(members))
+        for x in members:
+            universe.require(x)
+        filt = cls(params, family, universe)
+        m, k = params.m, params.k
         if filt._blocks is None:
-            indices = family.indices
-            for x in members:
-                for j in indices(require(x), m, k):
-                    bits[j >> 3] |= 1 << (j & 7)
-            filt._ones = _popcount(bits)
+            # One stream for the members not in the memo, cut into k-tuples.
+            memo = family.memo
+            fresh = [x for x in members if x not in memo]
+            memo.update(zip(fresh, zip(*[iter(family._draws(m, len(fresh) * k))] * k)))
+            words = chain.from_iterable(map(memo.__getitem__, members))
         else:
-            pack = _WORD.pack
-            words = chain.from_iterable(
-                _member_words(filt._blocks, k, list(map(pack, map(require, members)))))
-            if len(members) * k * _DENSE >= m:
-                # One byte per bit, b"0" or b"1"; reversed, flag j is the digit
-                # of 2**j in a base-2 numeral whose value is the packed array.
-                flags = bytearray(b"0") * m
-                for w in words:
-                    flags[w % m] = 0x31
-                flags.reverse()
-                packed = int(flags, 2)
-                bits[:] = packed.to_bytes(len(bits), "little")
-                filt._ones = packed.bit_count()
-            else:
-                ones = 0
-                for w in words:
-                    j = w % m
-                    byte, bit = j >> 3, 1 << (j & 7)
-                    if not bits[byte] & bit:
-                        bits[byte] |= bit
-                        ones += 1
-                filt._ones = ones
+            states = [state for state, _ in filt._blocks]
+            words = chain.from_iterable(_member_words(states, k, list(map(_WORD.pack, members))))
+        filt._ones = _fill(filt._bits, m, words, len(members) * k * _DENSE >= m)
         return filt
 
     def insert(self, x: int) -> None:
@@ -394,23 +405,29 @@ class BloomFilter:
         if self.kind != KIND_STANDARD:
             raise UnsupportedOperationError(f"{self.kind} filters are static; insert is not supported")
         self.universe.require(x)
-        for j in self.family.indices(x, self.params.m, self.params.k):
-            byte, bit = j >> 3, 1 << (j & 7)
-            if not self._bits[byte] & bit:
-                self._bits[byte] |= bit
-                self._ones += 1
+        if self._blocks is None:
+            words = self.family.indices(x, self._m, self.params.k)
+        else:
+            states = [state for state, _ in self._blocks]
+            words = chain.from_iterable(_member_words(states, self.params.k, [_WORD.pack(x)]))
+        self._ones += _fill(self._bits, self._m, words, False)
 
     def query(self, x: int) -> int:
         """1 if every derived bit is set, else 0. Never mutates the bits.
 
         Public and keyed indices are derived block by block from the bound
         states, and the first clear bit answers 0 before any later block is
-        hashed. True-random queries take all k indices from the family.
+        hashed. True-random queries read the family's memo and draw all k
+        indices of an element they miss.
         """
         self.universe.require(x)
         bits, blocks = self._bits, self._blocks
         if blocks is None:
-            for j in self.family.indices(x, self._m, self.params.k):
+            memo = self.family.memo
+            got = memo.get(x)
+            if got is None:
+                got = memo[x] = tuple(self.family._draws(self._m, self.params.k))
+            for j in got:
                 if not bits[j >> 3] & (1 << (j & 7)):
                     return 0
             return 1
@@ -492,16 +509,16 @@ class BloomFilter:
         )
 
 
-def _member_words(blocks, k: int, tails: list) -> Iterator:
+def _member_words(states, k: int, tails: list) -> Iterator:
     """The words of indices 0 .. k-1 of every tail, a member as ``<Q>(x)``.
 
     Per run of up to ``_RUN`` tails and per block, every tail of the run is
     hashed from a copy of the block's state and the joined digests are read
     with one unpack; then, for each index of the block, that word of every
-    tail is yielded as one array. Words come in no member order."""
+    tail is yielded as one array: a lone tail's words in index order."""
     for lo in range(0, len(tails), _RUN):
         run = tails[lo:lo + _RUN]
-        for b, (state, _) in enumerate(blocks):
+        for b, state in enumerate(states):
             blake2b = type(state)
             hs = list(map(blake2b.copy, repeat(state, len(run))))
             deque(map(blake2b.update, hs, run), 0)
@@ -510,6 +527,29 @@ def _member_words(blocks, k: int, tails: list) -> Iterator:
                 words.byteswap()
             for i in range(min(8, k - 8 * b)):
                 yield words[i::8]
+
+
+def _fill(bits: bytearray, m: int, words, dense: bool) -> int:
+    """Set bit ``w % m`` for every word; return how many were newly set. A
+    ``dense`` fill of an all-zero array sets one byte per bit, b"0" or b"1":
+    reversed, flag j is the digit of 2**j in a base-2 numeral whose value is
+    the packed array."""
+    if dense:
+        flags = bytearray(b"0") * m
+        for w in words:
+            flags[w % m] = 0x31
+        flags.reverse()
+        packed = int(flags, 2)
+        bits[:] = packed.to_bytes(len(bits), "little")
+        return packed.bit_count()
+    ones = 0
+    for w in words:
+        j = w % m
+        byte, bit = j >> 3, 1 << (j & 7)
+        if not bits[byte] & bit:
+            bits[byte] |= bit
+            ones += 1
+    return ones
 
 
 def _popcount(bits: bytes) -> int:
@@ -646,11 +686,9 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
     total = 0
     for b in range(builds):
         rng = random.Random(mix_seed(seed, "fpr-build", b))
-        members = set(rng.sample(range(size), params.n))
+        members = set(universe.sample(rng, params.n))
         query = BloomFilter.build(members, params, fresh_family(mode, rng), universe).query
-        # Universe.sample_outside drawn inline: randrange(size) is
-        # getrandbits(size.bit_length()) redrawn while >= size (CPython's
-        # rule for a plain Random), and a member is redrawn the same way.
+        # Universe.sample_outside, drawn inline as it draws for a plain Random.
         getrandbits = rng.getrandbits
         for _ in range(per_build):
             x = getrandbits(width)

@@ -234,7 +234,7 @@ class UniformAdversary(Adversary):
         self._used: set[int] = set()
 
     def choose_set(self) -> set[int]:
-        self._members = set(self.rng.sample(range(self.cfg.universe.size), self.cfg.n))
+        self._members = set(self.cfg.universe.sample(self.rng, self.cfg.n))
         self._used = set(self._members)
         return set(self._members)
 
@@ -446,7 +446,7 @@ def saturation_frequency(m: int, k: int, n: int, trials: int, seed: int) -> Satu
     hits = 0
     for i in range(trials):
         rng = random.Random(mix_seed(seed, "saturation", i))
-        members = set(rng.sample(range(universe.size), n))
+        members = set(universe.sample(rng, n))
         filt = BloomFilter.build(members, params, fresh_family(TRUE_RANDOM, rng), universe)
         hits += filt.is_saturated()
     rate = hits / trials

@@ -401,6 +401,152 @@ def test_estimate_fpr_draws_match_sample_outside(monkeypatch, mode, size, n):
     assert out_of_range and member_redraws
 
 
+def _setsize(n: int) -> int:
+    """The population size up to which CPython's Random.sample draws from a
+    pool list rather than keeping a set of the selected indices."""
+    return 21 + 4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 21
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1 << 64), size=st.integers(1, 1 << 21), data=st.data())
+@example(seed=1, size=21, data=None)    # n <= 5: the switch lies at 21
+@example(seed=2, size=22, data=None)
+@example(seed=3, size=1045, data=None)  # n = 300: at 21 + 4**5
+@example(seed=4, size=1046, data=None)
+@example(seed=5, size=1 << 21, data=None)
+def test_universe_sample_matches_random_sample(seed, size, data):
+    """Universe.sample returns Random.sample's list over range(size) and
+    leaves the generator where Random.sample leaves it, on both sides of the
+    pool/set switch."""
+    top = min(size, 300)
+    ns = [data.draw(st.integers(0, top))] if data is not None else sorted({0, 1, 5, 6, top // 2, top})
+    for n in ns:
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert Universe(size).sample(ours, n) == ref.sample(range(size), n)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_universe_sample_matches_random_sample_at_every_switch():
+    """Each n from 0 to 300 at the sizes around its switch (a size of at least n)."""
+    for n in range(301):
+        for size in range(max(1, n, _setsize(n) - 1), _setsize(n) + 3):
+            ours, ref = random.Random(n * 7 + size), random.Random(n * 7 + size)
+            assert Universe(size).sample(ours, n) == ref.sample(range(size), n), (n, size)
+            assert ours.getstate() == ref.getstate(), (n, size)
+
+
+def test_universe_sample_refuses_what_random_sample_refuses():
+    for n in (-1, 65, 1000):
+        with pytest.raises(ValueError):
+            Universe(64).sample(random.Random(0), n)
+    with pytest.raises(ValueError):
+        Universe(1 << 20).sample(random.Random(0), -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 1 << 64), size=st.integers(1, 1 << 21), data=st.data())
+@example(seed=6, size=37, data=None)
+@example(seed=7, size=64, data=None)
+def test_sample_outside_matches_randrange_redrawn_while_excluded(seed, size, data):
+    """Three draws from one generator, each randrange(size) redrawn while
+    excluded, with most of a small universe excluded so both redraws happen."""
+    if data is None:
+        excluded = set(range(0, size, 2)) | {size - 1}
+    else:
+        excluded = data.draw(st.sets(st.integers(0, size - 1), max_size=min(size - 1, 60)))
+    ours, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        expected = ref.randrange(size)
+        while expected in excluded:
+            expected = ref.randrange(size)
+        assert Universe(size).sample_outside(ours, excluded) == expected
+        assert ours.getstate() == ref.getstate()
+
+
+class _CountingRandom(random.Random):
+    """A Random subclass that counts its sample and randrange calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = {"sample": 0, "randrange": 0}
+
+    def sample(self, population, k, **kwargs):
+        self.calls["sample"] += 1
+        return super().sample(population, k, **kwargs)
+
+    def randrange(self, *args):
+        self.calls["randrange"] += 1
+        return super().randrange(*args)
+
+
+def test_random_subclasses_draw_through_their_own_methods():
+    """Only an exact Random is drawn from inline: a subclass sees its calls,
+    and as it draws the same stream, gets the same elements."""
+    from bloomlab.games import GameConfig, UniformAdversary
+
+    u = Universe(1 << 16)
+    counting, plain = _CountingRandom(3), random.Random(3)
+    assert u.sample(counting, 20) == u.sample(plain, 20)
+    assert u.sample_outside(counting, {1, 2}) == u.sample_outside(plain, {1, 2})
+    assert counting.calls == {"sample": 1, "randrange": 1}
+    assert counting.getstate() == plain.getstate()
+
+    adversary = UniformAdversary()
+    adversary.begin(GameConfig(universe=u, n=20, t=2, threshold=0.5), counting)
+    adversary.choose_set()
+    adversary.next_query([])
+    assert counting.calls == {"sample": 2, "randrange": 2}
+
+
+def test_refused_true_random_build_leaves_the_family_unchanged():
+    """Every member is checked before the first draw: after a refused build
+    the family is as it was, and a retry matches a fresh family bit for bit."""
+    params, u = FilterParams(m=64, k=3, n=4), Universe(100)
+    family = HashFamily.true_random(seed=7)
+    state = family._rng.getstate()
+    with pytest.raises(DomainError):
+        BloomFilter.build({1, 2, 3, 500}, params, family, u)
+    assert family.memo == {} and family._shape is None and family._rng.getstate() == state
+    retry = BloomFilter.build({1, 2, 3, 50}, params, family, u)
+    fresh = BloomFilter.build({1, 2, 3, 50}, params, HashFamily.true_random(seed=7), u)
+    assert retry.bit_bytes() == fresh.bit_bytes()
+    assert (family.memo, family._shape) == (fresh.family.memo, fresh.family._shape)
+    assert family._rng.getstate() == fresh.family._rng.getstate()
+
+
+def test_true_random_filter_binds_its_shape_at_construction():
+    family = HashFamily.true_random(seed=8)
+    BloomFilter(FilterParams(m=64, k=3, n=0), family, Universe(100))
+    assert family._shape == (64, 3)
+    with pytest.raises(ParameterError):
+        BloomFilter(FilterParams(m=64, k=4, n=0), family, Universe(100))
+
+
+@pytest.mark.parametrize("n, k, m", [
+    (10, 7, 10 * 7 * _DENSE), (10, 7, 10 * 7 * _DENSE + 1),   # dense, sparse
+    (10, 7, 1 << 20), (-(-(1 << 20) // (7 * _DENSE)), 7, 1 << 20), (300, 3, 8),
+])
+def test_true_random_build_matches_inserting_sorted_members(n, k, m):
+    """Dense and sparse true-random builds up to m = 2**20, on a family whose
+    memo already holds some members and non-members: the bits, popcount,
+    memo and generator state of inserting the sorted members one by one."""
+    members = random.Random(n).sample(range(1 << 20), n)
+    seen = members[::3] + [-1 - x for x in range(5)]
+    u, params = Universe(1 << 20), FilterParams(m=m, k=k, n=n)
+    families = HashFamily.true_random(seed=b"bulk"), HashFamily.true_random(seed=b"bulk")
+    for family in families:
+        for x in seen:
+            family.indices(abs(x), m, k)
+    built = BloomFilter.build(members, params, families[0], u)
+    one_by_one = BloomFilter(params, families[1], u, kind=KIND_STANDARD)
+    for x in sorted(members):
+        one_by_one.insert(x)
+    assert built.bit_bytes() == one_by_one.bit_bytes()
+    assert built.popcount() == one_by_one.popcount() == _popcount(built.bit_bytes())
+    assert families[0].memo == families[1].memo
+    assert families[0]._rng.getstate() == families[1]._rng.getstate()
+
+
 def test_insert_grows_membership_never_shrinks():
     params = FilterParams(m=16, k=2, n=0)
     u = Universe(512)
