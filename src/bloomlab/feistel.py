@@ -16,11 +16,14 @@ and the network a strong PRP. Domains above 2**128 (h > 64) are refused.
 
 When w = 1 (h <= 8, domains up to 2**16) each round is tabulated once, at
 construction: its ceil(2**h / 64) digests joined and masked, at most 256
-bytes, after which a block costs four byte lookups. A domain of 4096 costs
-four digests per permutation in all. Wider half-blocks read one field per
-round per call, from a copy of the round's state, which is already keyed and
-has absorbed ``<Q>(i)``: one digest per round and call. The encrypt block,
-the hot path, runs its four rounds unrolled.
+bytes, after which a block costs four byte lookups. Each table digest comes
+from one copy of the keyed state fed ``<QQ>(i, b)``, the same bytes as
+``<Q>(i) || <Q>(b)``, and a tabulated permutation keeps no per-round state.
+A domain of 4096 costs four digests per permutation in all. Wider
+half-blocks read one field per round per call, from a copy of the round's
+state, which is already keyed and has absorbed ``<Q>(i)``: one digest per
+round and call. The encrypt block, the hot path, runs its four rounds
+unrolled.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import ParameterError
 
 ROUNDS = 4
 _WORD = struct.Struct("<Q")
+_PAIR = struct.Struct("<QQ")
 # The reader of one w-byte field of a digest, for the widths read per call.
 _FIELDS = {2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
 _BYTES = bytes(range(256))
@@ -56,26 +60,28 @@ class FeistelPermutation:
         bits = max((size - 1).bit_length(), 2)
         half = self._half_bits = (bits + 1) // 2
         mask = self._half_mask = (1 << half) - 1
-        width = self._width = next(w for w in (1, 2, 4, 8) if 8 * w >= half)
+        width = self._width = 1 if half <= 8 else 2 if half <= 16 else 4 if half <= 32 else 8
         keyed = hashlib.blake2b(key=key, digest_size=64)
-        self._rounds = rounds = []
-        for i in range(ROUNDS):
-            state = keyed.copy()
-            state.update(_WORD.pack(i))
-            rounds.append(state)
-        self._field = _FIELDS[width].unpack_from if width > 1 else None
-        self._tables = None
+        self._tables = self._rounds = self._field = None
         if width == 1:
-            # Round i's table: its first ceil(2**h / 64) digests, each byte masked to h bits.
+            # Round i's table: digests b < ceil(2**h / 64) of <QQ>(i, b), each byte masked to h bits.
             masked = _BYTES[:mask + 1] * (256 >> half)
+            blocks = range(((1 << half) + 63) >> 6)
             self._tables = tables = []
-            for state in rounds:
+            for i in range(ROUNDS):
                 digests = []
-                for b in range(((1 << half) + 63) >> 6):
-                    h = state.copy()
-                    h.update(_WORD.pack(b))
+                for b in blocks:
+                    h = keyed.copy()
+                    h.update(_PAIR.pack(i, b))
                     digests.append(h.digest())
                 tables.append(b"".join(digests).translate(masked))
+        else:
+            self._field = _FIELDS[width].unpack_from
+            self._rounds = rounds = []
+            for i in range(ROUNDS):
+                state = keyed.copy()
+                state.update(_WORD.pack(i))
+                rounds.append(state)
 
     def _encrypt_block(self, value: int) -> int:
         half_bits, mask, tables = self._half_bits, self._half_mask, self._tables

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
@@ -43,6 +44,8 @@ from .filters import (
     FilterParams,
     NyFilter,
     Universe,
+    _draws,
+    _fill,
     _pack_snapshot,
 )
 from .stats import mix_seed, seed_stream, wilson_interval
@@ -110,6 +113,13 @@ class SimulatorState:
     none otherwise. Replaying the same operation sequence against the same
     generator therefore reproduces every answer, regardless of which
     element labels appear.
+
+    Each index is ``rng.randrange(m)``'s draw, taken through the filters'
+    ``_draws``: an exact ``random.Random`` reads it straight from
+    ``getrandbits`` by CPython's rule, any other sampler (a subclass, or an
+    object with only ``randrange``) is asked for ``randrange(m)``. ``build``
+    draws the indices of all its first-time members as one stream, the
+    draws their inserts one by one would make.
     """
 
     __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list", "ctr",
@@ -130,44 +140,31 @@ class SimulatorState:
         self._fp_set: set[int] = set()
         self._ones = 0
 
-    def _draw(self) -> tuple[int, ...]:
-        return tuple(self.rng.randrange(self.m) for _ in range(self.k))
-
-    def _set_bits(self, indices) -> None:
-        for j in indices:
-            byte, bit = j >> 3, 1 << (j & 7)
-            if not self.bits[byte] & bit:
-                self.bits[byte] |= bit
-                self._ones += 1
-
     def _all_set(self, indices) -> bool:
         return all(self.bits[j >> 3] & (1 << (j & 7)) for j in indices)
 
     def insert(self, x) -> None:
         """First-time inserts set the bits of f(x); repeats do nothing."""
-        if x in self._inserted_set:
-            return
-        indices = self.f.get(x)
-        if indices is None:
-            indices = self._draw()
-            self.f[x] = indices
-        self._set_bits(indices)
-        self.inserted.append(x)
-        self._inserted_set.add(x)
-        self.ctr += 1
+        self.build((x,))
 
     def build(self, members) -> None:
-        """Insert the initial members in the order given."""
-        for x in members:
-            self.insert(x)
+        """Insert the initial members in the order given: the state and draws of
+        inserting them one by one, the draws taken as one stream."""
+        inserted, f, k = self._inserted_set, self.f, self.k
+        fresh = [x for x in dict.fromkeys(members) if x not in inserted]
+        new = [x for x in fresh if x not in f]
+        f.update(zip(new, zip(*[iter(_draws(self.rng, self.m, len(new) * k))] * k)))
+        self._ones += _fill(self.bits, self.m, chain.from_iterable(map(f.__getitem__, fresh)), False)
+        self.inserted.extend(fresh)
+        inserted.update(fresh)
+        self.ctr += len(fresh)
 
     def query(self, x) -> int:
         """1 for listed elements; otherwise k fresh uniform draws decide,
         and a hit makes the element a permanent false positive."""
         if x in self._inserted_set or x in self._fp_set:
             return 1
-        indices = self._draw()
-        if self._all_set(indices):
+        if self._all_set(_draws(self.rng, self.m, self.k)):
             self.fp_list.append(x)
             self._fp_set.add(x)
             return 1
@@ -358,10 +355,15 @@ class RepresentationPredictionAdversary(FilicAdversary):
         else:
             snapshot = _pack_snapshot(self.params.m, self.params.k, KIND_STANDARD, b"", blob)
             offline = BloomFilter.from_bytes(snapshot, self.universe)
-        members, randrange, size = self.members, self.rng.randrange, self.universe.size
+        members, query, size, rng = self.members, offline.query, self.universe.size, self.rng
+        # rng.randrange(size), drawn as Universe.sample_outside draws it; a
+        # member uses up one of the MAX_SCAN draws.
+        draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
         for _ in range(MAX_SCAN):
-            x = randrange(size)
-            if x not in members and offline.query(x):
+            x = draw(arg)
+            while x >= size:
+                x = draw(arg)
+            if x not in members and query(x):
                 ans = oracles.query(x)
                 return ans if ans in (0, 1) else 0
         return 0

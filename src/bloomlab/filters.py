@@ -38,6 +38,9 @@ at 12·n·k beyond 2**21, as the flag array outgrows the cache; 16 lies
 between. A true-random filter binds its (m, k) to the family instead; ``build``
 draws the indices of members missing from the family's memo in one stream and
 sets them through the same fill, and ``query`` draws only on a memo miss.
+Every such draw goes through ``_draws``, which the ideal-world simulator of
+:mod:`bloomlab.filic` shares: ``randrange(m)``'s stream, read straight from
+``getrandbits`` on an exact ``random.Random``.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -232,7 +235,8 @@ class HashFamily:
     ``memo`` holds the draws, so repeated derivation for the same element is
     stable. The first derivation fixes (m, k); reusing the family with other
     filter shapes is refused because the memoized draws would be meaningless.
-    Families are equal when their mode, key, memo, generator and bound shape are.
+    Families are equal when their mode, key, memo, generator state and bound
+    shape are.
     """
 
     __slots__ = ("mode", "key", "memo", "_rng", "_shape", "_states")
@@ -261,8 +265,9 @@ class HashFamily:
     def __eq__(self, other):
         if type(other) is not HashFamily:
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in ("mode", "key", "memo", "_rng", "_shape"))
+        a, b = self._rng, other._rng  # generators compare by state; None equals None
+        return (all(getattr(self, name) == getattr(other, name) for name in ("mode", "key", "memo", "_shape"))
+                and (a is b or None not in (a, b) and a.getstate() == b.getstate()))
 
     @classmethod
     def public(cls) -> "HashFamily":
@@ -303,7 +308,7 @@ class HashFamily:
             self._bind(m, k)
             got = self.memo.get(x)
             if got is None:
-                got = self.memo[x] = tuple(self._draws(m, k))
+                got = self.memo[x] = tuple(_draws(self._rng, m, k))
             return got
         words = _member_words(self.block_states(k), k, [_WORD.pack(x)])
         return tuple([w % m for w in chain.from_iterable(words)])
@@ -315,16 +320,23 @@ class HashFamily:
         elif self._shape != (m, k):
             raise ParameterError("true-random family already bound to another (m, k)")
 
-    def _draws(self, m: int, count: int) -> list[int]:
-        """``count`` draws of CPython's ``randrange(m)``: getrandbits(m.bit_length()) until below m."""
-        getrandbits, width = self._rng.getrandbits, m.bit_length()
-        draws = []
-        for _ in range(count):
+
+def _draws(rng, m: int, count: int) -> list[int]:
+    """``count`` draws of ``rng.randrange(m)``, in order. An exact
+    ``random.Random`` draws them inline by CPython's rule, getrandbits(m.bit_length())
+    redrawn while >= m; any other sampler is asked for ``randrange(m)`` each time.
+    True-random filters and the ideal-world simulator draw only through here."""
+    if type(rng) is not random.Random:
+        randrange = rng.randrange
+        return [randrange(m) for _ in range(count)]
+    getrandbits, width = rng.getrandbits, m.bit_length()
+    draws = []
+    for _ in range(count):
+        j = getrandbits(width)
+        while j >= m:
             j = getrandbits(width)
-            while j >= m:
-                j = getrandbits(width)
-            draws.append(j)
-        return draws
+        draws.append(j)
+    return draws
 
 
 def fresh_family(mode: str, rng: random.Random) -> HashFamily:
@@ -392,7 +404,7 @@ class BloomFilter:
             # One stream for the members not in the memo, cut into k-tuples.
             memo = family.memo
             fresh = [x for x in members if x not in memo]
-            memo.update(zip(fresh, zip(*[iter(family._draws(m, len(fresh) * k))] * k)))
+            memo.update(zip(fresh, zip(*[iter(_draws(family._rng, m, len(fresh) * k))] * k)))
             words = chain.from_iterable(map(memo.__getitem__, members))
         else:
             states = [state for state, _ in filt._blocks]
@@ -426,7 +438,7 @@ class BloomFilter:
             memo = self.family.memo
             got = memo.get(x)
             if got is None:
-                got = memo[x] = tuple(self.family._draws(self._m, self.params.k))
+                got = memo[x] = tuple(_draws(self.family._rng, self._m, self.params.k))
             for j in got:
                 if not bits[j >> 3] & (1 << (j & 7)):
                     return 0

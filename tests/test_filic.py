@@ -1,10 +1,13 @@
 """Real/ideal indistinguishability harness and the reveal-channel attack."""
 
 import hashlib
+import itertools
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomlab.errors import ParameterError, UnsupportedOperationError
 from bloomlab.feistel import FeistelPermutation
@@ -134,6 +137,49 @@ def test_simulator_label_permutation_replays_identically():
     plain = run(ops)
     renamed = run([(op, relabel[x]) for op, x in ops])
     assert plain == renamed
+
+
+class _RandrangeOnly(random.Random):
+    """Draws only through its own randrange, which forwards to Random's."""
+
+    def randrange(self, *args):
+        return super().randrange(*args)
+
+
+_ELEMENTS = st.integers(0, 15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    m=st.one_of(st.integers(1, 300), st.sampled_from([(1 << 20) - 3, 1 << 20, (1 << 20) + 1, 1_000_003])),
+    k=st.integers(1, 12),
+    script=st.lists(st.one_of(
+        st.tuples(st.just("build"), st.lists(_ELEMENTS, max_size=10)),
+        st.tuples(st.sampled_from(["insert", "query"]), _ELEMENTS),
+    ), max_size=12),
+)
+def test_simulator_draws_the_randrange_stream(seed, m, k, script):
+    """A simulator on an exact Random (inline draws, ``build`` in one stream)
+    agrees with one on a subclass that draws through ``randrange``, and with
+    one whose builds are replayed as inserts in order: every answer, the
+    whole state and the final generator state."""
+    sims = [SimulatorState(m, k, rng) for rng in (random.Random(seed), _RandrangeOnly(seed), random.Random(seed))]
+    answers = [[], [], []]
+    for op, arg in script:
+        for i, sim in enumerate(sims):
+            if op == "query":
+                answers[i].append(sim.query(arg))
+            elif op == "insert" or i < 2:
+                getattr(sim, op)(arg)
+            else:
+                for x in arg:
+                    sim.insert(x)
+    assert answers[0] == answers[1] == answers[2]
+    for sim in sims[1:]:
+        assert (sim.f, sim.bits, sim.inserted, sim.fp_list, sim.ctr, sim.popcount()) == (
+            sims[0].f, sims[0].bits, sims[0].inserted, sims[0].fp_list, sims[0].ctr, sims[0].popcount())
+        assert sim.rng.getstate() == sims[0].rng.getstate()
 
 
 def test_oracle_budget_refusal():
@@ -301,9 +347,10 @@ def _reference_scan(rng, members, bits, m, k, size, key):
 @pytest.mark.parametrize("m, k, n", [(64, 5, 9), (256, 4, 3), (40, 11, 6)])
 def test_representation_prediction_matches_reference_scan(expects_snapshot, world, m, k, n):
     """The adversary queries exactly the candidate a from-scratch scan of the
-    same draws picks, and draws exactly as often, on real and ideal reveals."""
-    params, u = FilterParams(m=m, k=k, n=n), Universe(4096)
-    for seed in range(6):
+    same draws picks, and draws exactly as often, on real and ideal reveals,
+    over a universe of a power of two and one whose draws are redrawn."""
+    params = FilterParams(m=m, k=k, n=n)
+    for u, seed in itertools.product((Universe(4096), Universe(5000)), range(6)):
         adv = RepresentationPredictionAdversary(params, u, n, expects_snapshot=expects_snapshot)
         adv.begin(random.Random(seed))
         members = frozenset(adv.choose_set())

@@ -28,6 +28,7 @@ from bloomlab.filters import (
     NyFilter,
     Universe,
     _DENSE,
+    _draws,
     _pack_snapshot,
     _popcount,
     estimate_fpr,
@@ -121,6 +122,44 @@ def test_true_random_same_seed_same_draw_order():
     b = HashFamily.true_random(seed=123)
     for x in (9, 2, 77, 9):
         assert a.indices(x, 16, 2) == b.indices(x, 16, 2)
+
+
+def test_same_seeded_families_compare_by_generator_state():
+    a, b = HashFamily.true_random(seed=b"x"), HashFamily.true_random(seed=b"x")
+    assert a == b and a != HashFamily.true_random(seed=b"y")
+    a.indices(1, 64, 3)
+    assert a != b  # a has drawn: other memo, other generator state
+    b.indices(1, 64, 3)
+    assert a == b
+    b.memo.clear()
+    assert a != b  # same generator state, other memo
+    assert HashFamily.public() == HashFamily.public()
+    assert HashFamily.keyed(b"k") == HashFamily.keyed(b"k") != HashFamily.keyed(b"j")
+
+
+class _RandrangeOnly(random.Random):
+    """Draws only through its own randrange, which forwards to Random's."""
+
+    def randrange(self, *args):
+        return super().randrange(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 32),
+    m=st.one_of(st.integers(1, 300), st.integers(-3, 3).map(lambda d: (1 << 20) + d)),
+    count=st.integers(0, 40),
+)
+@example(seed=0, m=1, count=5)
+def test_draws_match_randrange(seed, m, count):
+    """``_draws`` gives the draws and the final state of calling ``randrange(m)``
+    count times, on an exact Random (inline) and on a subclass (through its
+    own randrange)."""
+    reference = random.Random(seed)
+    expected = [reference.randrange(m) for _ in range(count)]
+    for rng in (random.Random(seed), _RandrangeOnly(seed)):
+        assert _draws(rng, m, count) == expected
+        assert rng.getstate() == reference.getstate()
 
 
 def _reference_round(key: bytes, i: int, r: int, half: int) -> int:
@@ -545,6 +584,7 @@ def test_true_random_build_matches_inserting_sorted_members(n, k, m):
     assert built.popcount() == one_by_one.popcount() == _popcount(built.bit_bytes())
     assert families[0].memo == families[1].memo
     assert families[0]._rng.getstate() == families[1]._rng.getstate()
+    assert families[0] == families[1]
 
 
 def test_insert_grows_membership_never_shrinks():
