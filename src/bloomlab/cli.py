@@ -211,7 +211,7 @@ def _run_filic(point, trials, seed):
     if scenario == "key-leak":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=True)
         factory = key_leaking_filter_factory(params, universe)
-        codec = snapshot_reveal_codec(params)
+        codec = snapshot_reveal_codec(params, universe)
     elif scenario == "public-collision":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=False)
         factory = filter_factory(params, universe)

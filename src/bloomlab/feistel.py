@@ -28,10 +28,10 @@ unrolled.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 from .errors import ParameterError
+from .stats import blake2b
 
 ROUNDS = 4
 _WORD = struct.Struct("<Q")
@@ -51,8 +51,8 @@ class FeistelPermutation:
             raise ParameterError("permutation domain must have size >= 1")
         if not isinstance(key, (bytes, bytearray)):
             raise ParameterError("key must be bytes")
-        if len(key) > hashlib.blake2b.MAX_KEY_SIZE:
-            raise ParameterError(f"key must be at most {hashlib.blake2b.MAX_KEY_SIZE} bytes")
+        if len(key) > blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"key must be at most {blake2b.MAX_KEY_SIZE} bytes")
         if size > 1 << 128:
             raise ParameterError("permutation domain must have size <= 2**128")
         self.key = key = bytes(key)
@@ -61,7 +61,7 @@ class FeistelPermutation:
         half = self._half_bits = (bits + 1) // 2
         mask = self._half_mask = (1 << half) - 1
         width = self._width = 1 if half <= 8 else 2 if half <= 16 else 4 if half <= 32 else 8
-        keyed = hashlib.blake2b(key=key, digest_size=64)
+        keyed = blake2b(key=key, digest_size=64)
         self._tables = self._rounds = self._field = None
         if width == 1:
             # Round i's table: digests b < ceil(2**h / 64) of <QQ>(i, b), each byte masked to h bits.

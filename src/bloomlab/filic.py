@@ -301,7 +301,7 @@ def key_leaking_filter_factory(params: FilterParams, universe: Universe):
     return make
 
 
-def snapshot_reveal_codec(params: FilterParams):
+def snapshot_reveal_codec(params: FilterParams, universe: Universe):
     """Ideal-world codec matching :class:`KeyLeakingFilter`'s reveal format.
 
     The simulator has no key, so each trial wraps M together with a freshly
@@ -313,7 +313,7 @@ def snapshot_reveal_codec(params: FilterParams):
         key = rng.randbytes(16)
 
         def codec(bits: bytes) -> bytes:
-            return _pack_snapshot(params.m, params.k, KIND_NY, key, bits)
+            return _pack_snapshot(universe.size, params.m, params.k, KIND_NY, key, bits)
 
         return codec
 
@@ -353,7 +353,8 @@ class RepresentationPredictionAdversary(FilicAdversary):
         if self.expects_snapshot:
             offline = NyFilter.from_bytes(blob, self.universe)
         else:
-            snapshot = _pack_snapshot(self.params.m, self.params.k, KIND_STANDARD, b"", blob)
+            snapshot = _pack_snapshot(self.universe.size, self.params.m, self.params.k,
+                                      KIND_STANDARD, b"", blob)
             offline = BloomFilter.from_bytes(snapshot, self.universe)
         members, query, size, rng = self.members, offline.query, self.universe.size, self.rng
         # rng.randrange(size), drawn as Universe.sample_outside draws it; a

@@ -52,18 +52,19 @@ four byte lookups.
 
 Snapshots use a versioned binary layout, little-endian throughout:
 
-    magic ``b"BFLT"`` | version u8 | m u32 | k u16 | kind u8 |
-    key-length u16 | key bytes | bit array, bit j at byte j>>3, bit 1<<(j&7)
+    magic ``b"BFLT"`` | version u8 | universe size u64 | m u32 | k u16 |
+    kind u8 | key-length u16 | key bytes | bit array, bit j at byte j>>3,
+    bit 1<<(j&7)
 
 The key field holds the PRF key (``keyed-prf``), the permutation key
-(``ny-prp-wrapped``), or is empty. The layout does not record the universe
-size, so restoring an ``ny-prp-wrapped`` snapshot requires passing the
-universe explicitly, and it must be the universe the filter was built over:
-another size gives another permutation, and the restored filter answers 0
-for nearly every member. Filters whose state the layout cannot carry
-(true-random filters, ``ny-prp-wrapped`` filters over a non-public inner
-family, and an m of 2**32 or more, or a k or key length of 2**16 or more,
-which its fields cannot hold) refuse to serialize with
+(``ny-prp-wrapped``), or is empty. A snapshot restores over the universe it
+records; a restore given a universe of another size is refused with
+:class:`ParameterError`, since under another size the permutation differs and
+an ``ny-prp-wrapped`` filter would answer 0 for nearly every member. Filters
+whose state the layout cannot carry (true-random filters, ``ny-prp-wrapped``
+filters over a non-public inner family, and a universe size of 2**64 or
+more, an m of 2**32 or more, or a k or key length of 2**16 or more, which
+its fields cannot hold) refuse to serialize with
 :class:`UnsupportedOperationError`.
 
 Older versions are refused with :class:`ParameterError` rather than restored
@@ -72,12 +73,12 @@ under the earlier one-digest-per-index rule, so their bits sit at other
 positions. Version 2 snapshots were written under the earlier Feistel round
 function, one 8-byte digest per (round, half-block), so an ``ny-prp-wrapped``
 one would permute its members elsewhere; the layout has no per-kind version,
-so every version 2 snapshot is refused.
+so every version 2 snapshot is refused. Version 3 snapshots do not record the
+universe size, so nothing could refuse a restore under the wrong one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -90,12 +91,14 @@ from itertools import chain, repeat
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .feistel import FeistelPermutation
-from .stats import mix_seed, wilson_interval
+from .stats import blake2b, mix_seed, wilson_interval
 
 MAGIC = b"BFLT"
-FORMAT_VERSION = 3
-# Offset of the key bytes inside a snapshot: magic + version + m + k + kind + key-length.
-KEY_OFFSET = 4 + 1 + 4 + 2 + 1 + 2
+FORMAT_VERSION = 4
+# The snapshot header after the magic: version, universe size, m, k, kind, key length.
+_HEAD = struct.Struct("<BQIHBH")
+# Offset of the key bytes inside a snapshot.
+KEY_OFFSET = 4 + _HEAD.size
 
 PUBLIC = "public"
 KEYED_PRF = "keyed-prf"
@@ -158,7 +161,9 @@ class Universe:
     """Dense integer universe [0, size).
 
     Immutable, equal and hashed by size. Not a container: it has no length,
-    iteration or ``in``; :meth:`contains` is the membership test.
+    iteration or ``in``; :meth:`contains` is the membership test, and
+    :meth:`require_all` checks a whole collection in one C-level pass whose
+    :class:`DomainError` names the first offender :meth:`require` would.
     """
 
     __slots__ = ("size",)
@@ -190,9 +195,16 @@ class Universe:
         return isinstance(x, int) and 0 <= x < self.size
 
     def require(self, x) -> int:
-        if not self.contains(x):
+        if not (isinstance(x, int) and 0 <= x < self.size):
             raise DomainError(f"element {x!r} outside universe [0, {self.size})")
         return x
+
+    def require_all(self, xs):
+        """``xs`` itself, a collection, once :meth:`require` passes each element."""
+        if xs and not (all(map(isinstance, xs, repeat(int))) and min(xs) >= 0 and max(xs) < self.size):
+            for x in xs:
+                self.require(x)
+        return xs
 
     def sample(self, rng: random.Random, n: int) -> list[int]:
         """``rng.sample(range(size), n)``: the same list, and ``rng`` left in the
@@ -250,8 +262,8 @@ class HashFamily:
         if mode == PUBLIC and key:
             # Snapshots write no key for a public family, so a keyed one would restore wrong.
             raise ParameterError("a public hash family takes no key")
-        if mode == KEYED_PRF and len(key) > hashlib.blake2b.MAX_KEY_SIZE:
-            raise ParameterError(f"a keyed-prf key must be at most {hashlib.blake2b.MAX_KEY_SIZE} bytes")
+        if mode == KEYED_PRF and len(key) > blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"a keyed-prf key must be at most {blake2b.MAX_KEY_SIZE} bytes")
         self.mode = mode
         self.key = key
         self.memo = {} if memo is None else memo
@@ -294,7 +306,7 @@ class HashFamily:
         blocks = (k + 7) >> 3
         states = self._states
         if len(states) < blocks:
-            states.extend(hashlib.blake2b(_WORD.pack(b), key=self.key, digest_size=64)
+            states.extend(blake2b(_WORD.pack(b), key=self.key, digest_size=64)
                           for b in range(len(states), blocks))
         return tuple(states[:blocks])
 
@@ -395,9 +407,7 @@ class BloomFilter:
         (key, members, params) always yield bit-identical filters, including
         in true-random mode where derivation order matters. All members are
         checked first, so a refused build leaves the family untouched."""
-        members = sorted(set(members))
-        for x in members:
-            universe.require(x)
+        members = universe.require_all(sorted(set(members)))
         filt = cls(params, family, universe)
         m, k = params.m, params.k
         if filt._blocks is None:
@@ -432,7 +442,8 @@ class BloomFilter:
         hashed. True-random queries read the family's memo and draw all k
         indices of an element they miss.
         """
-        self.universe.require(x)
+        if not (isinstance(x, int) and 0 <= x < self.universe.size):
+            self.universe.require(x)
         bits, blocks = self._bits, self._blocks
         if blocks is None:
             memo = self.family.memo
@@ -482,22 +493,23 @@ class BloomFilter:
         if self.family.mode == TRUE_RANDOM:
             raise UnsupportedOperationError("true-random filters cannot be serialized")
         key = self.family.key if self.family.mode == KEYED_PRF else b""
-        return _pack_snapshot(self.params.m, self.params.k, self.kind, key, bytes(self._bits))
+        return _pack_snapshot(self.universe.size, self.params.m, self.params.k, self.kind, key,
+                              bytes(self._bits))
 
     @classmethod
     def from_bytes(cls, blob: bytes, universe: Universe | None = None) -> "BloomFilter":
-        """Restore a snapshot.
+        """Restore a snapshot over the universe it records; a ``universe`` of
+        another size is refused.
 
-        ``ny-prp-wrapped`` snapshots must go through :meth:`NyFilter.from_bytes`
-        because the permutation needs the universe size.
+        ``ny-prp-wrapped`` snapshots must go through :meth:`NyFilter.from_bytes`.
         """
-        m, k, kind, key, bits = _unpack_snapshot(blob)
+        universe, m, k, kind, key, bits = _unpack_snapshot(blob, universe)
         if kind == KIND_NY:
-            raise ParameterError("ny-prp-wrapped snapshot: use NyFilter.from_bytes with a universe")
+            raise ParameterError("ny-prp-wrapped snapshot: use NyFilter.from_bytes")
         # The key field decides the hash: an insertable (standard) filter may be keyed.
         family = HashFamily.keyed(key) if key else HashFamily.public()
         params = FilterParams(m=m, k=k, n=0)
-        filt = cls(params, family, universe if universe is not None else Universe(1 << 62), kind=kind)
+        filt = cls(params, family, universe, kind=kind)
         filt._bits = bytearray(bits)
         filt._ones = _popcount(bits)
         return filt
@@ -507,6 +519,7 @@ class BloomFilter:
         return json.dumps(
             {
                 "format_version": FORMAT_VERSION,
+                "universe": self.universe.size,
                 "kind": self.kind,
                 "mode": self.family.mode,
                 "m": self.params.m,
@@ -569,28 +582,38 @@ def _popcount(bits: bytes) -> int:
     return int.from_bytes(bits, "little").bit_count()
 
 
-def _pack_snapshot(m: int, k: int, kind: str, key: bytes, bits: bytes) -> bytes:
-    for field, value, width in (("m", m, 32), ("k", k, 16), ("key length", len(key), 16)):
+def _pack_snapshot(size: int, m: int, k: int, kind: str, key: bytes, bits: bytes) -> bytes:
+    """The snapshot of a filter over a universe of ``size`` elements."""
+    for field, value, width in (("universe size", size, 64), ("m", m, 32), ("k", k, 16),
+                                ("key length", len(key), 16)):
         if value >> width:
             raise UnsupportedOperationError(
                 f"{field} = {value} does not fit the snapshot's u{width} {field} field")
-    head = MAGIC + struct.pack("<BIHBH", FORMAT_VERSION, m, k, _KIND_CODES[kind], len(key))
-    return head + key + bits
+    return MAGIC + _HEAD.pack(FORMAT_VERSION, size, m, k, _KIND_CODES[kind], len(key)) + key + bits
 
 
-def _unpack_snapshot(blob: bytes):
-    if len(blob) < KEY_OFFSET or blob[:4] != MAGIC:
+def _unpack_snapshot(blob: bytes, universe: Universe | None):
+    """(universe, m, k, kind, key, bits) of a snapshot: the universe it
+    records, or ``universe`` when that has the recorded size."""
+    if len(blob) < 5 or blob[:4] != MAGIC:
         raise ParameterError("not a filter snapshot (bad magic)")
-    version, m, k, kind_code, key_len = struct.unpack("<BIHBH", blob[4:KEY_OFFSET])
-    if version != FORMAT_VERSION:
-        raise ParameterError(f"unsupported snapshot version {version}")
+    if blob[4] != FORMAT_VERSION:
+        raise ParameterError(f"unsupported snapshot version {blob[4]}")
+    if len(blob) < KEY_OFFSET:
+        raise ParameterError("snapshot header is truncated")
+    _, size, m, k, kind_code, key_len = _HEAD.unpack_from(blob, 4)
     if kind_code not in _KIND_NAMES:
         raise ParameterError(f"unknown filter kind code {kind_code}")
     key = bytes(blob[KEY_OFFSET:KEY_OFFSET + key_len])
     bits = bytes(blob[KEY_OFFSET + key_len:])
     if len(bits) != (m + 7) // 8:
         raise ParameterError("snapshot bit array has the wrong length")
-    return m, k, _KIND_NAMES[kind_code], key, bits
+    if universe is None:
+        universe = Universe(size)
+    elif universe.size != size:
+        # Under another size a permutation-wrapped filter drops its members.
+        raise ParameterError(f"snapshot records a universe of {size} elements, not {universe.size}")
+    return universe, m, k, _KIND_NAMES[kind_code], key, bits
 
 
 class NyFilter:
@@ -614,7 +637,7 @@ class NyFilter:
     def build(cls, members, params: FilterParams, prp_key: bytes, universe: Universe,
               family: HashFamily | None = None) -> "NyFilter":
         prp = FeistelPermutation(prp_key, universe.size)
-        permuted = {prp.encrypt(universe.require(x)) for x in set(members)}
+        permuted = set(map(prp.encrypt, universe.require_all(set(members))))
         inner = BloomFilter.build(permuted, params, family or HashFamily.public(), universe)
         return cls(inner, prp, universe)
 
@@ -623,7 +646,8 @@ class NyFilter:
         return self.inner.params
 
     def query(self, x: int) -> int:
-        self.universe.require(x)
+        if not (isinstance(x, int) and 0 <= x < self.universe.size):
+            self.universe.require(x)
         return self.inner.query(self.prp.encrypt(x))
 
     def insert(self, x: int) -> None:
@@ -646,16 +670,15 @@ class NyFilter:
             raise UnsupportedOperationError(
                 f"ny-prp-wrapped filters with a {self.inner.family.mode} inner family cannot be serialized"
             )
-        return _pack_snapshot(
-            self.inner.params.m, self.inner.params.k, KIND_NY, self.prp.key, self.inner.bit_bytes()
-        )
+        return _pack_snapshot(self.universe.size, self.inner.params.m, self.inner.params.k, KIND_NY,
+                              self.prp.key, self.inner.bit_bytes())
 
     @classmethod
-    def from_bytes(cls, blob: bytes, universe: Universe) -> "NyFilter":
-        """Restore a snapshot over ``universe``, which must be the universe the
-        filter was built over: the layout does not record its size, and under
-        another size the permutation differs and members answer 0."""
-        m, k, kind, key, bits = _unpack_snapshot(blob)
+    def from_bytes(cls, blob: bytes, universe: Universe | None = None) -> "NyFilter":
+        """Restore a snapshot over the universe it records. A ``universe`` of
+        another size is refused: under it the permutation would differ and
+        members would answer 0."""
+        universe, m, k, kind, key, bits = _unpack_snapshot(blob, universe)
         if kind != KIND_NY:
             raise ParameterError(f"snapshot holds a {kind} filter, not ny-prp-wrapped")
         params = FilterParams(m=m, k=k, n=0)

@@ -124,9 +124,7 @@ def choose_members(adversary: Adversary, cfg: GameConfig) -> frozenset[int]:
     members = frozenset(adversary.choose_set())
     if len(members) != cfg.n:
         raise ParameterError(f"adversary chose {len(members)} members, expected {cfg.n}")
-    for x in members:
-        cfg.universe.require(x)
-    return members
+    return cfg.universe.require_all(members)
 
 
 def _forfeit(transcript: GameTranscript, reason: str) -> None:

@@ -54,7 +54,7 @@ def make_training_set(members, universe: Universe, negatives_count: int, seed: i
     Negatives are sampled without replacement from the complement; asking
     for more negatives than the complement holds is an error.
     """
-    members = sorted({universe.require(x) for x in set(members)})
+    members = sorted(universe.require_all(set(members)))
     complement_size = universe.size - len(members)
     if negatives_count < 0 or negatives_count > complement_size:
         raise ParameterError(
@@ -204,7 +204,7 @@ class LearnedFilter:
 def learned_build(members, universe: Universe, fparams: FilterParams,
                   model: LearningModel, family: HashFamily | None = None) -> LearnedFilter:
     """Compose ``model`` with a backup filter over its false negatives."""
-    members = {universe.require(x) for x in set(members)}
+    members = universe.require_all(set(members))
     missed = {x for x in members if model.score(x) < model.tau}
     backup = BloomFilter.build(missed, fparams, family or HashFamily.public(), universe)
     return LearnedFilter(model=model, backup=backup, universe=universe,
@@ -223,7 +223,7 @@ def private_learned_build(members, universe: Universe, fparams: FilterParams,
     The perturbation, negative sampling and training use seeds derived from
     ``seed``, so the whole pipeline is reproducible from one integer.
     """
-    members = {universe.require(x) for x in set(members)}
+    members = universe.require_all(set(members))
     perturbed = perturb(members, universe, privacy, mix_seed(seed, "learned-perturb", 0))
     encoded = set(perturbed.members)
     if negatives_count is None:

@@ -171,7 +171,7 @@ def _check_cap(universe: Universe) -> None:
 def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -> PerturbedSet:
     PrivacyParams(mode, p)
     _check_cap(universe)
-    return PerturbedSet._undrawn({universe.require(x) for x in set(members)}, universe.size, mode, p, seed)
+    return PerturbedSet._undrawn(universe.require_all(set(members)), universe.size, mode, p, seed)
 
 
 def mangat_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:
@@ -303,7 +303,7 @@ def audit_perturbation(params: PrivacyParams, members, universe: Universe, x: in
     mode the claimed bound is then e^epsilon_prime, for warner it stays at
     the symmetric e^epsilon.
     """
-    members = frozenset(universe.require(v) for v in members)
+    members = frozenset(universe.require_all(list(members)))
     if x not in members:
         raise ParameterError("audited element must belong to the member set")
     budget = privacy_budget(params)
@@ -333,7 +333,7 @@ def measure_member_negative_rate(members, universe: Universe, fparams: FilterPar
     standard error is computed over per-trial means, which absorbs the weak
     within-filter correlation between members.
     """
-    members = sorted({universe.require(x) for x in members})
+    members = sorted(set(universe.require_all(list(members))))
     if not members:
         raise ParameterError("need at least one member")
     per_trial = []
@@ -362,7 +362,7 @@ def measure_fpr_excluding_injected(members, universe: Universe, fparams: FilterP
     injected elements excluded from the sample, leaving the residual hash
     false-positive rate of the filter built over the perturbed set.
     """
-    members = {universe.require(x) for x in members}
+    members = set(universe.require_all(list(members)))
     hits = 0
     total = 0
     sizes = []

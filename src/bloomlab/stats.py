@@ -9,9 +9,13 @@ master seed and tag once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
+
+try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Shared by filters, feistel.
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 # Two-sided 99% normal quantile, used for every confidence interval here.
 Z99 = 2.5758293035489004
@@ -27,7 +31,7 @@ def seed_stream(master_seed: int, tag: str):
     holds a blake2b state that has already absorbed the first two, so each
     seed costs a copy of it and the index alone.
     """
-    absorbed = hashlib.blake2b(_WORD.pack(master_seed & _MASK) + tag.encode("utf-8"), digest_size=8)
+    absorbed = blake2b(_WORD.pack(master_seed & _MASK) + tag.encode("utf-8"), digest_size=8)
     pack, from_bytes = _WORD.pack, int.from_bytes
 
     def seed(index: int) -> int:

@@ -215,7 +215,7 @@ def test_7_reveal_reduction_harness():
     u = Universe(4096)
     budget = OracleBudget(inserts=0, queries=4, reveals=1)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
-    codec = snapshot_reveal_codec(params)
+    codec = snapshot_reveal_codec(params, u)
     trials = 1000
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
                                 identity_distinguisher, budget, trials=trials, seed=777,

@@ -221,7 +221,7 @@ def test_worlds_are_deterministic_per_seed():
     real = [run_real(adv, key_leaking_filter_factory(params, u), identity_distinguisher, budget, seed=5)
             for _ in range(3)]
     ideal = [run_ideal(adv, params, identity_distinguisher, budget, seed=5,
-                       reveal_codec=snapshot_reveal_codec(params)) for _ in range(3)]
+                       reveal_codec=snapshot_reveal_codec(params, u)) for _ in range(3)]
     assert len(set(real)) == 1 and len(set(ideal)) == 1
 
 
@@ -273,7 +273,7 @@ def test_key_leak_distinguisher_has_large_advantage():
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
                                 identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
-                                trials=300, seed=11, reveal_codec=snapshot_reveal_codec(params))
+                                trials=300, seed=11, reveal_codec=snapshot_reveal_codec(params, u))
     assert report.p_real > 0.95
     assert report.p_ideal < 0.25
     assert report.advantage > 0.6
@@ -289,7 +289,7 @@ def test_key_leak_advantage_on_both_permutation_paths(size):
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
                                 identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
-                                trials=200, seed=17, reveal_codec=snapshot_reveal_codec(params))
+                                trials=200, seed=17, reveal_codec=snapshot_reveal_codec(params, u))
     assert report.advantage >= 0.9
 
 
@@ -363,7 +363,7 @@ def test_representation_prediction_matches_reference_scan(expects_snapshot, worl
             sim.build(sorted(members))
             blob = sim.reveal()
             if expects_snapshot:
-                blob = snapshot_reveal_codec(params)(world_rng)(blob)
+                blob = snapshot_reveal_codec(params, u)(world_rng)(blob)
         bits = blob[len(blob) - (m + 7) // 8:]
         key = blob[KEY_OFFSET:len(blob) - len(bits)] if expects_snapshot else None
         ref = random.Random()
@@ -398,7 +398,7 @@ def test_representation_prediction_gives_up_after_max_scan_on_empty_bits(expects
     adv.choose_set()
     calls = adv.rng.calls
     bits = bytes(8)
-    oracles = _RecordingOracles(_pack_snapshot(64, 5, KIND_NY, b"k" * 16, bits) if expects_snapshot else bits)
+    oracles = _RecordingOracles(_pack_snapshot(u.size, 64, 5, KIND_NY, b"k" * 16, bits) if expects_snapshot else bits)
     assert adv.interact(oracles) == 0
     assert adv.rng.calls - calls == MAX_SCAN
     assert oracles.queried == []

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -683,6 +684,7 @@ def test_snapshot_roundtrip_standard_and_keyed():
         assert back.bit_bytes() == filt.bit_bytes()
         assert back.kind == filt.kind
         assert all(back.query(x) == filt.query(x) for x in range(512))
+        assert BloomFilter.from_bytes(blob).universe == u
 
 
 def test_snapshot_rejects_garbage_and_wrong_kind():
@@ -709,6 +711,12 @@ V1_KEYED_SNAPSHOT = bytes.fromhex(
 )
 
 
+def _relabel(blob: bytes, universe: Universe) -> bytes:
+    """An older snapshot relabelled as the current version: the universe
+    size field inserted after the version byte."""
+    return blob[:4] + bytes([FORMAT_VERSION]) + universe.size.to_bytes(8, "little") + blob[5:]
+
+
 def test_version_1_snapshot_is_refused():
     u = Universe(512)
     members = range(0, 200, 10)
@@ -716,9 +724,7 @@ def test_version_1_snapshot_is_refused():
     with pytest.raises(ParameterError):
         BloomFilter.from_bytes(V1_KEYED_SNAPSHOT, u)
     # Read under the current bit positions, the old bits drop members.
-    relabeled = BloomFilter.from_bytes(
-        V1_KEYED_SNAPSHOT[:4] + bytes([FORMAT_VERSION]) + V1_KEYED_SNAPSHOT[5:], u
-    )
+    relabeled = BloomFilter.from_bytes(_relabel(V1_KEYED_SNAPSHOT, u), u)
     assert any(relabeled.query(x) == 0 for x in members)
 
 
@@ -738,10 +744,51 @@ def test_version_2_snapshot_is_refused():
     with pytest.raises(ParameterError):
         NyFilter.from_bytes(V2_NY_SNAPSHOT, u)
     # Read under the current permutation rounds, the old bits drop members.
-    relabeled = NyFilter.from_bytes(
-        V2_NY_SNAPSHOT[:4] + bytes([FORMAT_VERSION]) + V2_NY_SNAPSHOT[5:], u
-    )
+    relabeled = NyFilter.from_bytes(_relabel(V2_NY_SNAPSHOT, u), u)
     assert any(relabeled.query(x) == 0 for x in members)
+
+
+# Format version 3 snapshot, which records no universe size, of the same
+# ny-prp-wrapped filter under the current permutation rounds: permutation key
+# b"v3-snapshot-key", members 0, 10, ..., 190 of Universe(512), m=128, k=4.
+V3_NY_SNAPSHOT = bytes.fromhex(
+    "42464c5403800000000400020f0076332d736e617073686f742d6b6579"
+    "2c689234d54a053ab430eee9bc1ce541"
+)
+
+
+def test_version_3_snapshot_is_refused():
+    u = Universe(512)
+    members = range(0, 200, 10)
+    assert V3_NY_SNAPSHOT[4] == 3
+    with pytest.raises(ParameterError):
+        NyFilter.from_bytes(V3_NY_SNAPSHOT, u)
+    # Its bits are sound under the right universe, but nothing in it says
+    # which universe that is: relabelled under another size, members drop.
+    assert all(NyFilter.from_bytes(_relabel(V3_NY_SNAPSHOT, u)).query(x) == 1 for x in members)
+    relabeled = NyFilter.from_bytes(_relabel(V3_NY_SNAPSHOT, Universe(600)))
+    assert any(relabeled.query(x) == 0 for x in members)
+
+
+def test_restore_under_another_universe_is_refused():
+    """Fifty 9-member filters over 4096 elements: restored over 5000, as the
+    version 3 layout allowed, they answered 0 for 433 of their 450 members."""
+    u, other, params = Universe(4096), Universe(5000), FilterParams(m=64, k=5, n=9)
+    rng = random.Random(3)
+    dropped = 0
+    for _ in range(50):
+        members, key = rng.sample(range(u.size), 9), rng.randbytes(16)
+        blob = NyFilter.build(members, params, key, u).to_bytes()
+        with pytest.raises(ParameterError, match="universe of 4096 elements, not 5000"):
+            NyFilter.from_bytes(blob, other)
+        for back in (NyFilter.from_bytes(blob), NyFilter.from_bytes(blob, u)):
+            assert back.universe == u and all(back.query(x) == 1 for x in members)
+        # The restore version 3 allowed: the same bits, permuted over 5000.
+        bits = back.inner.bit_bytes()
+        inner = BloomFilter.from_bytes(_pack_snapshot(other.size, 64, 5, KIND_STANDARD, b"", bits))
+        wrong = NyFilter(inner, FeistelPermutation(key, other.size), other)
+        dropped += sum(wrong.query(x) == 0 for x in members)
+    assert dropped == 433
 
 
 @settings(max_examples=150, deadline=None)
@@ -753,9 +800,11 @@ def test_version_2_snapshot_is_refused():
     probes=st.lists(st.integers(0, 511), max_size=60),
     m=st.integers(1, 300),
     k=st.integers(1, 12),
+    size=st.one_of(st.just(512), st.integers(512, 1 << 17)),
+    other=st.integers(1, 1 << 17),
 )
-def test_snapshot_round_trips_or_refuses(kind, mode, key, members, probes, m, k):
-    u = Universe(512)
+def test_snapshot_round_trips_or_refuses(kind, mode, key, members, probes, m, k, size, other):
+    u = Universe(size)
     params = FilterParams(m=m, k=k, n=len(members))
     if kind == KIND_NY:
         filt = NyFilter.build(members, params, key, u, family=_family(mode, key))
@@ -771,10 +820,14 @@ def test_snapshot_round_trips_or_refuses(kind, mode, key, members, probes, m, k)
         with pytest.raises(UnsupportedOperationError):
             filt.to_bytes()
         return
-    back = restore(filt.to_bytes(), u)
-    assert back.kind == filt.kind
-    assert all(back.query(x) == 1 for x in members)
-    assert all(back.query(x) == filt.query(x) for x in probes)
+    blob = filt.to_bytes()
+    for back in (restore(blob, u), restore(blob)):
+        assert back.kind == filt.kind and back.universe == u
+        assert all(back.query(x) == 1 for x in members)
+        assert all(back.query(x) == filt.query(x) for x in probes)
+    if other != size:
+        with pytest.raises(ParameterError):
+            restore(blob, Universe(other))
 
 
 def test_true_random_snapshot_is_refused():
@@ -816,10 +869,13 @@ def test_snapshot_refuses_fields_its_header_cannot_hold():
     # key, and an m of 2**32 would be a 512 MiB bit array: both go to the
     # snapshot writer directly.
     with pytest.raises(UnsupportedOperationError, match="u16 key length field"):
-        _pack_snapshot(64, 1, KIND_PRF, bytes(1 << 16), bytes(8))
+        _pack_snapshot(512, 64, 1, KIND_PRF, bytes(1 << 16), bytes(8))
     with pytest.raises(UnsupportedOperationError, match="u32 m field"):
-        _pack_snapshot(1 << 32, 1, KIND_STANDARD, b"", b"")
-    blob = _pack_snapshot((1 << 32) - 1, (1 << 16) - 1, KIND_PRF, bytes((1 << 16) - 1), b"")
+        _pack_snapshot(512, 1 << 32, 1, KIND_STANDARD, b"", b"")
+    wide = BloomFilter.build({1}, FilterParams(m=64, k=1, n=1), HashFamily.keyed(b"wide"), Universe(1 << 64))
+    with pytest.raises(UnsupportedOperationError, match="u64 universe size field"):
+        wide.to_bytes()
+    blob = _pack_snapshot((1 << 64) - 1, (1 << 32) - 1, (1 << 16) - 1, KIND_PRF, bytes((1 << 16) - 1), b"")
     assert len(blob) == KEY_OFFSET + (1 << 16) - 1
 
 
@@ -911,6 +967,69 @@ def test_query_domain_error():
                     query(bad)
             with pytest.raises(DomainError):
                 BloomFilter.build([bad], params, _family(mode, b"key"), u)
+
+
+# Elements a member collection may hold against Universe(64): in range, just
+# outside it on either side, bools, huge ints and values of other types.
+_ELEMENTS = st.one_of(st.integers(0, 63), st.integers(-3, -1), st.integers(64, 67), st.booleans(),
+                      st.integers(1 << 64, 1 << 70), st.floats(), st.none(), st.text(max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(xs=st.one_of(st.lists(st.integers(0, 63), max_size=12), st.sets(st.integers(0, 63), max_size=12),
+                    st.lists(_ELEMENTS, max_size=12), st.sets(_ELEMENTS, max_size=12)))
+@example(xs=[])
+@example(xs=set())
+@example(xs=[True, 0, 63, False])
+@example(xs=[5, 64, -1])
+@example(xs=[5, 3.0, "3"])
+def test_require_all_passes_and_refuses_as_require_does_element_by_element(xs):
+    u = Universe(64)
+    try:
+        for x in xs:
+            u.require(x)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            u.require_all(xs)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        assert u.require_all(xs) is xs
+
+
+@pytest.mark.parametrize("bad", [-1, 32, 1 << 70, 2.0, "7", None])
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+def test_builds_refuse_a_bad_member_by_name_and_leave_the_family_unchanged(bad, mode):
+    u, params = Universe(32), FilterParams(m=64, k=3, n=3)
+    family = _family(mode, b"key")
+    state = family._rng.getstate() if mode == TRUE_RANDOM else None
+    message = re.escape(f"element {bad!r} outside universe [0, 32)")
+    # build sorts its members, which mixed types cannot be.
+    members = [1, 5, bad] if isinstance(bad, (int, float)) else [bad]
+    with pytest.raises(DomainError, match=message):
+        BloomFilter.build(members, params, family, u)
+    with pytest.raises(DomainError, match=message):
+        NyFilter.build([1, 5, bad], params, b"prp", u, family=family)
+    assert family.memo == {} and family._shape is None
+    assert state is None or family._rng.getstate() == state
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.integers(-2, 33), st.integers(-(1 << 70), 1 << 70), st.booleans(), st.floats(),
+                   st.none(), st.text(max_size=3)))
+@example(x=True)
+@example(x=False)
+@example(x=32)
+@example(x=3.0)
+def test_queries_refuse_exactly_what_the_universe_does_not_contain(x):
+    u, params = Universe(32), FilterParams(m=64, k=9, n=1)
+    for mode in (PUBLIC, KEYED_PRF, TRUE_RANDOM):
+        for filt in (BloomFilter.build({1}, params, _family(mode, b"key"), u),
+                     NyFilter.build({1}, params, b"prp", u, family=_family(mode, b"key"))):
+            if u.contains(x):
+                assert filt.query(x) == filt.query(int(x))  # True is the member 1
+            else:
+                with pytest.raises(DomainError, match=re.escape(f"element {x!r} outside universe [0, 32)")):
+                    filt.query(x)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from bloomlab.games import (
     run_ab_test,
     run_bp_experiment,
     run_bp_test,
+    choose_members,
     saturation_frequency,
     saturation_probability,
 )
@@ -229,6 +231,15 @@ def test_out_of_universe_raises_in_every_harness(queries, target):
         run_real(wrapper, filter_factory(params, u), dist, budget, seed=0)
     with pytest.raises(DomainError):
         run_ideal(wrapper, params, dist, budget, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, 256, 1 << 70, 2.0, "7", None])
+def test_choose_members_refuses_a_bad_member_by_name(bad):
+    u = Universe(256)
+    cfg = GameConfig(universe=u, n=3, t=0, threshold=0.5)
+    adv = _Scripted(members={1, 5, bad}, target=50)
+    with pytest.raises(DomainError, match=re.escape(f"element {bad!r} outside universe [0, 256)")):
+        choose_members(adv, cfg)
 
 
 def test_wrong_set_size_rejected():

@@ -1,10 +1,11 @@
 """Threshold-model training, backup filter composition, private pipeline."""
 
 import math
+import re
 
 import pytest
 
-from bloomlab.errors import ParameterError
+from bloomlab.errors import DomainError, ParameterError
 from bloomlab.filters import FilterParams, Universe, expected_fpr
 from bloomlab.learned import (
     TrainingDataset,
@@ -19,6 +20,19 @@ from bloomlab.privacy import MANGAT, WARNER, PrivacyParams, dp_audit, perturb
 
 def _dataset(members, universe_size, negatives, seed=0):
     return make_training_set(members, Universe(universe_size), negatives, seed)
+
+
+@pytest.mark.parametrize("bad", [-1, 64, 1 << 70, 2.0, "7", None])
+def test_learned_builds_refuse_a_bad_member_by_name(bad):
+    u, fparams = Universe(64), FilterParams(m=64, k=3, n=3)
+    model = train_threshold_model(_dataset({1, 5}, 64, 4), noise=0.0, seed=1)
+    message = re.escape(f"element {bad!r} outside universe [0, 64)")
+    with pytest.raises(DomainError, match=message):
+        learned_build([1, 5, bad], u, fparams, model)
+    with pytest.raises(DomainError, match=message):
+        make_training_set([1, 5, bad], u, 4, seed=1)
+    with pytest.raises(DomainError, match=message):
+        private_learned_build([1, 5, bad], u, fparams, PrivacyParams(MANGAT, 0.5), seed=1)
 
 
 def test_training_set_shape():

@@ -20,7 +20,7 @@ import bloomlab
 _PROBE = """
 import io, json, sys
 
-HEAVY = ("dataclasses", "fractions", "decimal")
+HEAVY = ("dataclasses", "fractions", "decimal", "hashlib")
 preloaded = {m for m in HEAVY if m in sys.modules}
 import bloomlab.cli as cli
 

@@ -3,12 +3,13 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab.errors import ParameterError, UnsupportedOperationError
+from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
 from bloomlab.privacy import (
     ENUMERATION_CAP,
@@ -52,6 +53,27 @@ def test_enumeration_cap():
     with pytest.raises(UnsupportedOperationError):
         perturb({0}, Universe(ENUMERATION_CAP + 1), params, seed=0)
     perturb({0}, Universe(64), params, seed=0)
+
+
+@pytest.mark.parametrize("bad", [-1, 64, 1 << 70, 2.0, "7", None])
+def test_member_sets_refuse_a_bad_member_by_name(bad):
+    u, fparams, mangat = Universe(64), FilterParams(m=64, k=3, n=3), PrivacyParams(MANGAT, 0.5)
+    calls = [
+        lambda ms: mangat_perturb(ms, u, 0.5, 1),
+        lambda ms: warner_perturb(ms, u, 0.75, 1),
+        lambda ms: audit_perturbation(mangat, ms, u, 1, trials=1, seed=1),
+        lambda ms: measure_member_negative_rate(ms, u, fparams, mangat, trials=1, seed=1),
+        lambda ms: measure_fpr_excluding_injected(ms, u, fparams, mangat, trials=1, queries_per_trial=1, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=re.escape(f"element {bad!r} outside universe [0, 64)")):
+            call([1, 5, bad])
+    # The audit and the two measurements check the caller's collection in its
+    # own order, before any set could absorb 3.0 into 3.
+    for members, named in (([1, 70, -1], 70), ([1, 3, 3.0], 3.0)):
+        for call in calls[2:]:
+            with pytest.raises(DomainError, match=re.escape(f"element {named!r} outside")):
+                call(members)
 
 
 def test_jaccard_distance_examples():
