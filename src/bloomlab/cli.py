@@ -29,10 +29,9 @@ from pathlib import Path
 
 # Each runner imports its experiment's modules when it is called, so a run
 # from the shell loads and compiles only what that experiment uses.
+from . import __version__
 from .errors import ParameterError, UnsupportedOperationError
 from .stats import mix_seed
-
-_VERSION = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -52,7 +51,7 @@ def build_identifier() -> str:
     that is when it sits at ``src/bloomlab`` of the enclosing git work tree;
     a copy inside some other repository gets the bare version.
     """
-    base = f"bloomlab-{_VERSION}"
+    base = f"bloomlab-{__version__}"
     package = Path(__file__).resolve().parent
     try:
         rev = subprocess.run(

@@ -22,8 +22,10 @@ from one copy of the keyed state fed ``<QQ>(i, b)``, the same bytes as
 A domain of 4096 costs four digests per permutation in all. Wider
 half-blocks read one field per round per call, from a copy of the round's
 state, which is already keyed and has absorbed ``<Q>(i)``: one digest per
-round and call. The encrypt block, the hot path, runs its four rounds
-unrolled.
+round and call. Only the tabulated encrypt block, the hot path, runs its
+four rounds unrolled: 520 against 640 ns a block looped. The per-call rounds
+loop, as decrypt's do: unrolled, an encrypt at 2**20 took 6.35 against 6.37 us
+(medians of 31 interleaved rounds, 2-core x86-64 VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -96,23 +98,11 @@ class FeistelPermutation:
             right ^= t3[left]
             return (left << half_bits) | right
         width, pack, field = self._width, _WORD.pack, self._field
-        r0, r1, r2, r3 = self._rounds
-        at = right * width  # byte offset of field `right` in the round's keystream
-        h = r0.copy()
-        h.update(pack(at >> 6))
-        left ^= field(h.digest(), at & 63)[0] & mask
-        at = left * width
-        h = r1.copy()
-        h.update(pack(at >> 6))
-        right ^= field(h.digest(), at & 63)[0] & mask
-        at = right * width
-        h = r2.copy()
-        h.update(pack(at >> 6))
-        left ^= field(h.digest(), at & 63)[0] & mask
-        at = left * width
-        h = r3.copy()
-        h.update(pack(at >> 6))
-        right ^= field(h.digest(), at & 63)[0] & mask
+        for state in self._rounds:
+            at = right * width  # byte offset of field `right` in the round's keystream
+            h = state.copy()
+            h.update(pack(at >> 6))
+            left, right = right, left ^ (field(h.digest(), at & 63)[0] & mask)
         return (left << half_bits) | right
 
     def _decrypt_block(self, value: int) -> int:

@@ -42,10 +42,12 @@ from .filters import (
     KIND_STANDARD,
     BloomFilter,
     FilterParams,
+    HashFamily,
     NyFilter,
     Universe,
     _draws,
     _fill,
+    _memo_fill,
     _pack_snapshot,
 )
 from .stats import mix_seed, seed_stream, wilson_interval
@@ -118,8 +120,9 @@ class SimulatorState:
     ``_draws``: an exact ``random.Random`` reads it straight from
     ``getrandbits`` by CPython's rule, any other sampler (a subclass, or an
     object with only ``randrange``) is asked for ``randrange(m)``. ``build``
-    draws the indices of all its first-time members as one stream, the
-    draws their inserts one by one would make.
+    fills f through the filters' ``_memo_fill``, the memo fill of true-random
+    filters: the indices of all its first-time members are drawn as one
+    stream, the draws their inserts one by one would make.
     """
 
     __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list", "ctr",
@@ -140,9 +143,6 @@ class SimulatorState:
         self._fp_set: set[int] = set()
         self._ones = 0
 
-    def _all_set(self, indices) -> bool:
-        return all(self.bits[j >> 3] & (1 << (j & 7)) for j in indices)
-
     def insert(self, x) -> None:
         """First-time inserts set the bits of f(x); repeats do nothing."""
         self.build((x,))
@@ -150,11 +150,10 @@ class SimulatorState:
     def build(self, members) -> None:
         """Insert the initial members in the order given: the state and draws of
         inserting them one by one, the draws taken as one stream."""
-        inserted, f, k = self._inserted_set, self.f, self.k
+        inserted = self._inserted_set
         fresh = [x for x in dict.fromkeys(members) if x not in inserted]
-        new = [x for x in fresh if x not in f]
-        f.update(zip(new, zip(*[iter(_draws(self.rng, self.m, len(new) * k))] * k)))
-        self._ones += _fill(self.bits, self.m, chain.from_iterable(map(f.__getitem__, fresh)), False)
+        indices = _memo_fill(self.f, self.rng, self.m, self.k, fresh)
+        self._ones += _fill(self.bits, self.m, chain.from_iterable(indices), False)
         self.inserted.extend(fresh)
         inserted.update(fresh)
         self.ctr += len(fresh)
@@ -164,7 +163,7 @@ class SimulatorState:
         and a hit makes the element a permanent false positive."""
         if x in self._inserted_set or x in self._fp_set:
             return 1
-        if self._all_set(_draws(self.rng, self.m, self.k)):
+        if all(self.bits[j >> 3] & (1 << (j & 7)) for j in _draws(self.rng, self.m, self.k)):
             self.fp_list.append(x)
             self._fp_set.add(x)
             return 1
@@ -353,9 +352,8 @@ class RepresentationPredictionAdversary(FilicAdversary):
         if self.expects_snapshot:
             offline = NyFilter.from_bytes(blob, self.universe)
         else:
-            snapshot = _pack_snapshot(self.universe.size, self.params.m, self.params.k,
-                                      KIND_STANDARD, b"", blob)
-            offline = BloomFilter.from_bytes(snapshot, self.universe)
+            offline = BloomFilter._over_bits(self.params.m, self.params.k, HashFamily.public(),
+                                             self.universe, KIND_STANDARD, blob)
         members, query, size, rng = self.members, offline.query, self.universe.size, self.rng
         # rng.randrange(size), drawn as Universe.sample_outside draws it; a
         # member uses up one of the MAX_SCAN draws.

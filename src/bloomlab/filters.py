@@ -35,12 +35,13 @@ sparse one sets them in the packed array, where a flag array would cost O(m)
 for few indices. The byte-per-bit fill was measured (x86-64, keyed, k = 7)
 to break even at m = 32·n·k while m <= 2**18, at 24·n·k near m = 2**20 and
 at 12·n·k beyond 2**21, as the flag array outgrows the cache; 16 lies
-between. A true-random filter binds its (m, k) to the family instead; ``build``
-draws the indices of members missing from the family's memo in one stream and
-sets them through the same fill, and ``query`` draws only on a memo miss.
-Every such draw goes through ``_draws``, which the ideal-world simulator of
-:mod:`bloomlab.filic` shares: ``randrange(m)``'s stream, read straight from
-``getrandbits`` on an exact ``random.Random``.
+between. A true-random filter binds its (m, k) to the family instead. One
+memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
+as one stream: ``build`` and ``HashFamily.indices`` fill the family's memo
+through it, and the ideal-world simulator of :mod:`bloomlab.filic` its f.
+``build`` sets the indices through the same fill, and ``query`` draws only
+on a memo miss. Every draw goes through ``_draws``: ``randrange(m)``'s
+stream, read straight from ``getrandbits`` on an exact ``random.Random``.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -253,9 +254,7 @@ class HashFamily:
 
     __slots__ = ("mode", "key", "memo", "_rng", "_shape", "_states")
 
-    def __init__(self, mode: str, key: bytes = b"", memo: dict[int, tuple[int, ...]] | None = None,
-                 _rng: random.Random | None = None, _shape: tuple[int, int] | None = None,
-                 _states: list | None = None):
+    def __init__(self, mode: str, key: bytes = b""):
         if mode not in _MODES:
             raise ParameterError(f"unknown hash mode {mode!r}")
         key = bytes(key)
@@ -266,13 +265,11 @@ class HashFamily:
             raise ParameterError(f"a keyed-prf key must be at most {blake2b.MAX_KEY_SIZE} bytes")
         self.mode = mode
         self.key = key
-        self.memo = {} if memo is None else memo
-        if mode == TRUE_RANDOM and _rng is None:
-            _rng = random.Random(key)
-        self._rng = _rng
-        self._shape = _shape
+        self.memo: dict[int, tuple[int, ...]] = {}
+        self._rng = random.Random(key) if mode == TRUE_RANDOM else None
+        self._shape = None
         # blake2b state for block b, keyed and fed <Q>(b); grown on demand to ceil(k/8).
-        self._states = [] if _states is None else _states
+        self._states = []
 
     def __eq__(self, other):
         if type(other) is not HashFamily:
@@ -286,9 +283,9 @@ class HashFamily:
         return cls(mode=PUBLIC, key=b"")
 
     @classmethod
-    def keyed(cls, key: bytes | None = None, rng: random.Random | None = None) -> "HashFamily":
+    def keyed(cls, key: bytes | None = None) -> "HashFamily":
         if key is None:
-            key = rng.randbytes(16) if rng is not None else random.SystemRandom().randbytes(16)
+            key = random.SystemRandom().randbytes(16)
         return cls(mode=KEYED_PRF, key=key)
 
     @classmethod
@@ -318,10 +315,7 @@ class HashFamily:
         """
         if self.mode == TRUE_RANDOM:
             self._bind(m, k)
-            got = self.memo.get(x)
-            if got is None:
-                got = self.memo[x] = tuple(_draws(self._rng, m, k))
-            return got
+            return next(_memo_fill(self.memo, self._rng, m, k, (x,)))
         words = _member_words(self.block_states(k), k, [_WORD.pack(x)])
         return tuple([w % m for w in chain.from_iterable(words)])
 
@@ -338,28 +332,29 @@ def _draws(rng, m: int, count: int) -> list[int]:
     ``random.Random`` draws them inline by CPython's rule, getrandbits(m.bit_length())
     redrawn while >= m; any other sampler is asked for ``randrange(m)`` each time.
     True-random filters and the ideal-world simulator draw only through here."""
-    if type(rng) is not random.Random:
-        randrange = rng.randrange
-        return [randrange(m) for _ in range(count)]
-    getrandbits, width = rng.getrandbits, m.bit_length()
+    draw, arg = (rng.getrandbits, m.bit_length()) if type(rng) is random.Random else (rng.randrange, m)
     draws = []
     for _ in range(count):
-        j = getrandbits(width)
+        j = draw(arg)
         while j >= m:
-            j = getrandbits(width)
+            j = draw(arg)
         draws.append(j)
     return draws
 
 
+def _memo_fill(memo: dict, rng, m: int, k: int, elements) -> Iterator:
+    """The memoized k indices of each element, in order. Those the memo lacks
+    are drawn first, as one ``_draws`` stream in the order given: the draws of
+    memoizing them one by one. Only ``BloomFilter.query`` fills a memo inline."""
+    fresh = [x for x in elements if x not in memo]
+    memo.update(zip(fresh, zip(*[iter(_draws(rng, m, len(fresh) * k))] * k)))
+    return map(memo.__getitem__, elements)
+
+
 def fresh_family(mode: str, rng: random.Random) -> HashFamily:
-    """New family of the given mode with key material drawn from ``rng``."""
-    if mode == PUBLIC:
-        return HashFamily.public()
-    if mode == KEYED_PRF:
-        return HashFamily.keyed(rng=rng)
-    if mode == TRUE_RANDOM:
-        return HashFamily.true_random(rng=rng)
-    raise ParameterError(f"unknown hash mode {mode!r}")
+    """New family of the given mode with key material drawn from ``rng``:
+    16 bytes for a keyed or true-random family, none for a public one."""
+    return HashFamily(mode, rng.randbytes(16) if mode in (KEYED_PRF, TRUE_RANDOM) else b"")
 
 
 def filter_factory(params: FilterParams, universe: Universe, mode: str = PUBLIC):
@@ -406,16 +401,13 @@ class BloomFilter:
         Members are processed in sorted order so that identical
         (key, members, params) always yield bit-identical filters, including
         in true-random mode where derivation order matters. All members are
-        checked first, so a refused build leaves the family untouched."""
-        members = universe.require_all(sorted(set(members)))
+        checked first, in the order given, so a refused build names the first
+        bad member and leaves the family untouched."""
+        members = sorted(set(universe.require_all(list(members))))
         filt = cls(params, family, universe)
         m, k = params.m, params.k
         if filt._blocks is None:
-            # One stream for the members not in the memo, cut into k-tuples.
-            memo = family.memo
-            fresh = [x for x in members if x not in memo]
-            memo.update(zip(fresh, zip(*[iter(_draws(family._rng, m, len(fresh) * k))] * k)))
-            words = chain.from_iterable(map(memo.__getitem__, members))
+            words = chain.from_iterable(_memo_fill(family.memo, family._rng, m, k, members))
         else:
             states = [state for state, _ in filt._blocks]
             words = chain.from_iterable(_member_words(states, k, list(map(_WORD.pack, members))))
@@ -427,12 +419,7 @@ class BloomFilter:
         if self.kind != KIND_STANDARD:
             raise UnsupportedOperationError(f"{self.kind} filters are static; insert is not supported")
         self.universe.require(x)
-        if self._blocks is None:
-            words = self.family.indices(x, self._m, self.params.k)
-        else:
-            states = [state for state, _ in self._blocks]
-            words = chain.from_iterable(_member_words(states, self.params.k, [_WORD.pack(x)]))
-        self._ones += _fill(self._bits, self._m, words, False)
+        self._ones += _fill(self._bits, self._m, self.family.indices(x, self._m, self.params.k), False)
 
     def query(self, x: int) -> int:
         """1 if every derived bit is set, else 0. Never mutates the bits.
@@ -508,8 +495,16 @@ class BloomFilter:
             raise ParameterError("ny-prp-wrapped snapshot: use NyFilter.from_bytes")
         # The key field decides the hash: an insertable (standard) filter may be keyed.
         family = HashFamily.keyed(key) if key else HashFamily.public()
-        params = FilterParams(m=m, k=k, n=0)
-        filt = cls(params, family, universe, kind=kind)
+        return cls._over_bits(m, k, family, universe, kind, bits)
+
+    @classmethod
+    def _over_bits(cls, m: int, k: int, family: HashFamily, universe: Universe, kind: str,
+                   bits: bytes) -> "BloomFilter":
+        """The filter whose bit array is ``bits``, packed as in a snapshot. It
+        must be the (m + 7) // 8 bytes of m bits; any other length is refused."""
+        if len(bits) != (m + 7) // 8:
+            raise ParameterError(f"bit array has the wrong length for m = {m}")
+        filt = cls(FilterParams(m=m, k=k, n=0), family, universe, kind=kind)
         filt._bits = bytearray(bits)
         filt._ones = _popcount(bits)
         return filt
@@ -594,7 +589,8 @@ def _pack_snapshot(size: int, m: int, k: int, kind: str, key: bytes, bits: bytes
 
 def _unpack_snapshot(blob: bytes, universe: Universe | None):
     """(universe, m, k, kind, key, bits) of a snapshot: the universe it
-    records, or ``universe`` when that has the recorded size."""
+    records, or ``universe`` when that has the recorded size. The restore,
+    ``BloomFilter._over_bits``, checks the length of the bits."""
     if len(blob) < 5 or blob[:4] != MAGIC:
         raise ParameterError("not a filter snapshot (bad magic)")
     if blob[4] != FORMAT_VERSION:
@@ -606,8 +602,6 @@ def _unpack_snapshot(blob: bytes, universe: Universe | None):
         raise ParameterError(f"unknown filter kind code {kind_code}")
     key = bytes(blob[KEY_OFFSET:KEY_OFFSET + key_len])
     bits = bytes(blob[KEY_OFFSET + key_len:])
-    if len(bits) != (m + 7) // 8:
-        raise ParameterError("snapshot bit array has the wrong length")
     if universe is None:
         universe = Universe(size)
     elif universe.size != size:
@@ -681,10 +675,7 @@ class NyFilter:
         universe, m, k, kind, key, bits = _unpack_snapshot(blob, universe)
         if kind != KIND_NY:
             raise ParameterError(f"snapshot holds a {kind} filter, not ny-prp-wrapped")
-        params = FilterParams(m=m, k=k, n=0)
-        inner = BloomFilter(params, HashFamily.public(), universe, kind=KIND_STANDARD)
-        inner._bits = bytearray(bits)
-        inner._ones = _popcount(bits)
+        inner = BloomFilter._over_bits(m, k, HashFamily.public(), universe, KIND_STANDARD, bits)
         return cls(inner, FeistelPermutation(key, universe.size), universe)
 
 

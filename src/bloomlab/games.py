@@ -84,14 +84,12 @@ class GameTranscript:
 
     __slots__ = ("members", "queries", "answers", "forfeited", "forfeit_reason")
 
-    def __init__(self, members: frozenset[int], queries: list[int] | None = None,
-                 answers: list[int] | None = None, forfeited: bool = False,
-                 forfeit_reason: str = ""):
+    def __init__(self, members: frozenset[int]):
         self.members = members
-        self.queries = [] if queries is None else queries
-        self.answers = [] if answers is None else answers
-        self.forfeited = forfeited
-        self.forfeit_reason = forfeit_reason
+        self.queries: list[int] = []
+        self.answers: list[int] = []
+        self.forfeited = False
+        self.forfeit_reason = ""
 
     def __eq__(self, other):
         if type(other) is not GameTranscript:
@@ -228,13 +226,11 @@ class UniformAdversary(Adversary):
 
     def begin(self, cfg: GameConfig, rng: random.Random) -> None:
         super().begin(cfg, rng)
-        self._members: set[int] = set()
         self._used: set[int] = set()
 
     def choose_set(self) -> set[int]:
-        self._members = set(self.cfg.universe.sample(self.rng, self.cfg.n))
-        self._used = set(self._members)
-        return set(self._members)
+        self._used = set(self.cfg.universe.sample(self.rng, self.cfg.n))
+        return set(self._used)
 
     def next_query(self, history) -> int | None:
         x = self.cfg.universe.sample_outside(self.rng, self._used)

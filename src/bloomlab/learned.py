@@ -213,12 +213,9 @@ def learned_build(members, universe: Universe, fparams: FilterParams,
 
 def private_learned_build(members, universe: Universe, fparams: FilterParams,
                           privacy: PrivacyParams, seed: int, *,
-                          negatives_count: int | None = None,
-                          noise: float = 0.0, tau: float = 0.5,
-                          member_noise: float | None = None,
-                          negative_noise: float | None = None,
-                          family: HashFamily | None = None) -> LearnedFilter:
-    """Run the full pipeline on a perturbed member set.
+                          noise: float = 0.0, tau: float = 0.5) -> LearnedFilter:
+    """Run the full pipeline on a perturbed member set, with as many
+    negatives as encoded members (at least one) and a public backup filter.
 
     The perturbation, negative sampling and training use seeds derived from
     ``seed``, so the whole pipeline is reproducible from one integer.
@@ -226,11 +223,9 @@ def private_learned_build(members, universe: Universe, fparams: FilterParams,
     members = universe.require_all(set(members))
     perturbed = perturb(members, universe, privacy, mix_seed(seed, "learned-perturb", 0))
     encoded = set(perturbed.members)
-    if negatives_count is None:
-        negatives_count = min(universe.size - len(encoded), max(len(encoded), 1))
+    negatives_count = min(universe.size - len(encoded), max(len(encoded), 1))
     data = make_training_set(encoded, universe, negatives_count,
                              mix_seed(seed, "learned-dataset", 0))
     model = train_threshold_model(data, noise, mix_seed(seed, "learned-train", 0),
-                                  tau=tau, member_noise=member_noise,
-                                  negative_noise=negative_noise)
-    return learned_build(encoded, universe, fparams, model, family=family)
+                                  tau=tau)
+    return learned_build(encoded, universe, fparams, model)

@@ -51,13 +51,13 @@ def mix_seed(master_seed: int, tag: str, index: int) -> int:
     return seed_stream(master_seed, tag)(index)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at z = ``Z99``."""
     if trials < 0 or successes < 0 or successes > trials:
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)
-    phat = successes / trials
+    phat, z = successes / trials, Z99
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
@@ -66,14 +66,14 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
     return (min(max(0.0, center - half), phat), max(min(1.0, center + half), phat))
 
 
-def mean_confidence_interval(values: list[float], z: float = Z99) -> tuple[float, float, float]:
-    """Return (mean, lo, hi) using compensated summation and a normal CI."""
+def mean_confidence_interval(values: list[float]) -> tuple[float, float, float]:
+    """Return (mean, lo, hi) using compensated summation and a normal CI at z = ``Z99``."""
     n = len(values)
     if n == 0:
         raise ValueError("need at least one value")
     mean = math.fsum(values) / n
     se = standard_error(values)
-    return (mean, mean - z * se, mean + z * se)
+    return (mean, mean - Z99 * se, mean + Z99 * se)
 
 
 def standard_error(values: list[float]) -> float:

@@ -388,6 +388,18 @@ def test_representation_prediction_refused_reveal_draws_nothing(expects_snapshot
     assert oracles.remaining_queries == 4
 
 
+def test_public_collision_adversary_refuses_a_raw_reveal_one_byte_short():
+    """m = 60 bits pack into 8 bytes: 7 are refused, 8 are read."""
+    params, u = FilterParams(m=60, k=5, n=9), Universe(5000)
+    adv = RepresentationPredictionAdversary(params, u, 9, expects_snapshot=False)
+    adv.begin(random.Random(1))
+    adv.choose_set()
+    budget = OracleBudget(inserts=0, queries=4, reveals=1)
+    with pytest.raises(ParameterError, match="wrong length"):
+        adv.interact(OracleSet(lambda x: 1, lambda x: None, lambda: bytes(7), budget))
+    assert adv.interact(OracleSet(lambda x: 1, lambda x: None, lambda: b"\xff" * 8, budget)) == 1
+
+
 @pytest.mark.parametrize("expects_snapshot", [True, False])
 def test_representation_prediction_gives_up_after_max_scan_on_empty_bits(expects_snapshot):
     """An all-zero bit array has no positive: the scan draws MAX_SCAN times,

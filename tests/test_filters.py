@@ -400,6 +400,22 @@ def test_fpr_monte_carlo_matches_closed_form():
     assert est.ci_lo <= est.rate <= est.ci_hi
 
 
+def test_fresh_family_refuses_an_unknown_mode_before_drawing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ParameterError, match="unknown hash mode 'no-such-mode'"):
+        fresh_family("no-such-mode", rng)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+def test_fresh_family_keys_with_sixteen_drawn_bytes_except_public(mode):
+    rng, twin = random.Random(9), random.Random(9)
+    family = fresh_family(mode, rng)
+    assert family == HashFamily(mode, b"" if mode == PUBLIC else twin.randbytes(16))
+    assert rng.getstate() == twin.getstate()
+
+
 class _RecordingRandom(random.Random):
     """The plain ``Random`` stream; while ``log`` is a list it records every
     ``getrandbits`` result."""
@@ -847,6 +863,18 @@ def test_ny_snapshot_with_non_public_inner_family_is_refused(inner):
         ny.to_bytes()
 
 
+@pytest.mark.parametrize("cut", ["one byte short", "one byte long"])
+def test_restores_refuse_a_bit_array_of_the_wrong_length(cut):
+    u, params = Universe(512), FilterParams(m=60, k=3, n=2)
+    for blob, restore in ((BloomFilter.build({1, 2}, params, HashFamily.keyed(b"k"), u).to_bytes(),
+                           BloomFilter.from_bytes),
+                          (NyFilter.build({1, 2}, params, b"pk", u).to_bytes(), NyFilter.from_bytes)):
+        bad = blob[:-1] if cut == "one byte short" else blob + b"\0"
+        for universe in (None, u):
+            with pytest.raises(ParameterError, match="wrong length"):
+                restore(bad, universe)
+
+
 def test_ny_snapshot_roundtrip_and_key_offset():
     u = Universe(300)
     params = FilterParams(m=64, k=2, n=4)
@@ -1003,10 +1031,8 @@ def test_builds_refuse_a_bad_member_by_name_and_leave_the_family_unchanged(bad, 
     family = _family(mode, b"key")
     state = family._rng.getstate() if mode == TRUE_RANDOM else None
     message = re.escape(f"element {bad!r} outside universe [0, 32)")
-    # build sorts its members, which mixed types cannot be.
-    members = [1, 5, bad] if isinstance(bad, (int, float)) else [bad]
     with pytest.raises(DomainError, match=message):
-        BloomFilter.build(members, params, family, u)
+        BloomFilter.build([1, 5, bad], params, family, u)
     with pytest.raises(DomainError, match=message):
         NyFilter.build([1, 5, bad], params, b"prp", u, family=family)
     assert family.memo == {} and family._shape is None

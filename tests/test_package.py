@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,15 @@ def test_readme_names_the_current_snapshot_version():
     stated = [line for line in readme.splitlines() if line.startswith("The current version is ")]
     assert len(stated) == 1
     assert stated[0].split()[4].rstrip(".,") == str(FORMAT_VERSION)
+
+
+def test_the_version_is_stated_once_and_prefixes_the_build_identifier():
+    from bloomlab import cli
+
+    pyproject = (Path(bloomlab.__file__).resolve().parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    # A regex rather than tomllib, which Python 3.10 lacks.
+    assert re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE) == [bloomlab.__version__]
+    assert re.fullmatch(rf"bloomlab-{re.escape(bloomlab.__version__)}(\+g[0-9a-f]+)?", cli.build_identifier())
 
 
 def test_every_export_is_its_submodules_object():
