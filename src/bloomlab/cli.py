@@ -207,16 +207,15 @@ def _run_filic(point, trials, seed):
     budget = OracleBudget(inserts=point["q_u"], queries=point["q_t"], reveals=point["q_v"])
     scenario = point["scenario"]
     codec = None
+    factory = filter_factory(params, universe)
     if scenario == "key-leak":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=True)
         factory = key_leaking_filter_factory(params, universe)
         codec = snapshot_reveal_codec(params, universe)
     elif scenario == "public-collision":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=False)
-        factory = filter_factory(params, universe)
     else:
         adversary = NullAdversary(universe, point["n"])
-        factory = filter_factory(params, universe)
     report = estimate_advantage(adversary, factory, params, identity_distinguisher,
                                 budget, trials, seed, reveal_codec=codec)
     return {

@@ -647,9 +647,6 @@ class NyFilter:
     def insert(self, x: int) -> None:
         raise UnsupportedOperationError("ny-prp-wrapped filters are static; insert is not supported")
 
-    def fill_ratio(self) -> float:
-        return self.inner.fill_ratio()
-
     def is_saturated(self) -> bool:
         return self.inner.is_saturated()
 

@@ -19,13 +19,17 @@ A perturbed set draws its members on first use, one draw per element of
 the universe, so every perturbation is capped at 2**20 elements
 (``ENUMERATION_CAP``), checked when ``perturb`` is called. Until then,
 ``x in s`` costs one draw plus a skip over the earlier draws in C, which is
-all the audit asks of each trial.
+all the audit asks of each trial. The draws come from the state of
+``random.Random(seed)``; for an ``int`` seed, the usual case, they are read
+straight from CPython's C Mersenne Twister (``_random.Random``), which holds
+that same state, so a world costs about one seeding of it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from _random import Random as _Random  # the C generator random.Random extends; see PerturbedSet
 from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
@@ -64,19 +68,31 @@ class PrivacyBudget(namedtuple("PrivacyBudget", "epsilon epsilon_prime delta sym
     __slots__ = ()
 
 
+def _generator(seed):
+    """A generator in the state of ``random.Random(seed)``: the C one for an
+    ``int`` seed (a bool is not one), ``random.Random`` for any other."""
+    return _Random(seed) if type(seed) is int else random.Random(seed)
+
+
 class PerturbedSet:
     """Output of a perturbation run: a container of the perturbed members.
 
     Immutable, equal and hashed by its four fields; ``len`` and ``in`` refer
     to ``members``. A set returned by :func:`perturb` keeps the run's input
     set, universe size and seed, and draws ``members`` on first use: one
-    ``random()`` of ``random.Random(seed)`` per element in universe order,
-    under the rule of :meth:`_kept`. Until then, ``x in s`` for an ``int`` x
-    in the universe reads x's own draw: the stream skips the draws of the
-    elements below x with one ``getrandbits`` call (``random()`` reads two
-    32-bit words, so ``getrandbits(64 * j)`` passes exactly j draws). Any
-    other probe, and equality, hashing, ``repr``, ``len`` and pickling, draw
-    ``members`` first, so every answer is the drawn set's.
+    ``random()`` of :func:`_generator` (the state of ``random.Random(seed)``)
+    per element in universe order, under the keep rule: a mangat member is
+    kept and takes no draw; any other element is kept when its draw is below
+    p (a warner member) or 1 - p (a non-member). Until then, ``x in s`` for
+    an ``int`` x in the universe applies the same rule to x's own draw: the
+    stream skips the draws of the elements below x with one ``getrandbits``
+    call (``random()`` reads two 32-bit words, so ``getrandbits(64 * j)``
+    passes exactly j draws). For an ``int`` seed that stream is CPython's C
+    Mersenne Twister, ``_random.Random(seed)``, which seeds from the same
+    abs(seed) as ``random.Random`` without its Python frames; any other seed
+    keeps ``random.Random``, since it hashes str and bytes seeds into another
+    stream. Any other probe, and equality, hashing, ``repr``, ``len`` and
+    pickling, draw ``members`` first, so every answer is the drawn set's.
     """
 
     __slots__ = ("_members", "mode", "p", "original_size", "_run")
@@ -90,28 +106,29 @@ class PerturbedSet:
         set_field(self, "_run", None)
 
     @classmethod
-    def _undrawn(cls, inputs: set[int], size: int, mode: str, p: float, seed: int) -> "PerturbedSet":
+    def _undrawn(cls, inputs: frozenset[int], size: int, mode: str, p: float, seed: int) -> "PerturbedSet":
         """The output of perturbing ``inputs`` over [0, size) with ``seed``, not drawn yet."""
-        out = cls(None, mode, p, len(inputs))
-        object.__setattr__(out, "_run", (inputs, size, seed))
+        out = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(out, "_members", None)
+        set_field(out, "mode", mode)
+        set_field(out, "p", p)
+        set_field(out, "original_size", len(inputs))
+        set_field(out, "_run", (inputs, size, seed))
         return out
-
-    def _kept(self, elements, inputs, draw) -> list[int]:
-        """The per-element rule: the elements kept, in order, where ``draw``
-        returns the draw of the next element that takes one. A mangat member
-        is kept with no draw; any other element is kept when its draw is
-        below p (a warner member) or 1 - p (a non-member)."""
-        p, q = self.p, 1.0 - self.p
-        if self.mode == MANGAT:
-            return [x for x in elements if x in inputs or draw() < q]
-        return [x for x in elements if draw() < (p if x in inputs else q)]
 
     @property
     def members(self) -> frozenset[int]:
         members = self._members
         if members is None:
             inputs, size, seed = self._run
-            members = frozenset(self._kept(range(size), inputs, random.Random(seed).random))
+            p, q = self.p, 1.0 - self.p
+            draw = _generator(seed).random
+            if self.mode == MANGAT:
+                kept = [x for x in range(size) if x in inputs or draw() < q]
+            else:
+                kept = [x for x in range(size) if draw() < (p if x in inputs else q)]
+            members = frozenset(kept)
             object.__setattr__(self, "_members", members)
         return members
 
@@ -141,15 +158,17 @@ class PerturbedSet:
         if self._members is not None or type(x) is not int or not 0 <= x < self._run[1]:
             return x in self.members
         inputs, _, seed = self._run
-
-        def draw():
-            # Every element below x draws once, except the members under mangat.
-            j = x - sum(v < x for v in inputs) if self.mode == MANGAT else x
-            rng = random.Random(seed)
+        member = x in inputs
+        if self.mode == MANGAT:
+            if member:
+                return True
+            j = x - sum(map(x.__gt__, inputs))  # the members below x take no draw
+        else:
+            j = x
+        rng = _generator(seed)
+        if j:
             rng.getrandbits(64 * j)
-            return rng.random()
-
-        return bool(self._kept((x,), inputs, draw))
+        return rng.random() < (self.p if member else 1.0 - self.p)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -171,7 +190,7 @@ def _check_cap(universe: Universe) -> None:
 def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -> PerturbedSet:
     PrivacyParams(mode, p)
     _check_cap(universe)
-    return PerturbedSet._undrawn(universe.require_all(set(members)), universe.size, mode, p, seed)
+    return PerturbedSet._undrawn(universe.require_all(frozenset(members)), universe.size, mode, p, seed)
 
 
 def mangat_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:

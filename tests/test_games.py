@@ -361,6 +361,31 @@ def test_saturation_probability_matches_integer_reference_across_cutoffs(m):
         assert saturation_probability(m, throws, 1).exact == float(_exact_saturation(m, throws)), throws
 
 
+def _union_bound_cutoff(m):
+    """The first T with m * miss < 2**-56, where the union-bound rule decides."""
+    return math.ceil((56 * math.log(2) + math.log(m)) / -math.log1p(-1 / m))
+
+
+@pytest.mark.parametrize("m", [64, 256, 512])
+def test_saturation_probability_early_stop_matches_the_whole_sum(m):
+    """The sum stops at the first two consecutive partial sums that round to
+    the same float; across the band the rules leave to it, from T = m up to
+    the union-bound cut-off, that float is the whole sum's."""
+    cutoff = _union_bound_cutoff(m)
+    for throws in sorted({m + 1, *range(m, cutoff, (cutoff - m) // 4), cutoff - 1}):
+        assert saturation_probability(m, throws, 1).exact == float(_exact_saturation(m, throws)), throws
+
+
+@pytest.mark.parametrize("m,throws", [(256, 400), (512, 900), (1024, 1500), (791, 797)])
+def test_saturation_probability_early_stop_in_the_deep_left_tail(m, throws):
+    """Far left of the mean the terms cancel heavily and the sum runs long
+    before its brackets agree; the value still is the whole sum's. At
+    (791, 797) P rounds to 0.0 and the brackets agree as -0.0 and 0.0, so
+    the sign is checked too."""
+    got = saturation_probability(m, throws, 1).exact
+    assert got == float(_exact_saturation(m, throws)) and math.copysign(1.0, got) == 1.0
+
+
 def test_saturation_probability_negative_association_cutoff():
     """The negative-association rule, m * log1p(-miss) < -746, decides 0.0
     only for m above about 1627 (miss is at most 1/e once T >= m). At

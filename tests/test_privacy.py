@@ -224,6 +224,22 @@ def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
     assert len(perturb(members, universe, params, seed)) == len(drawn)
 
 
+@pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
+@pytest.mark.parametrize("seed", [-1, -(1 << 70) - 3, 1 << 64, (1 << 64) + 12345, 1 << 200,
+                                  True, False, b"bytes seed", "str seed"])
+def test_probe_matches_the_drawn_set_for_any_seed(mode, p, seed):
+    """An int seed probes through the C generator, which seeds from abs(seed)
+    as random.Random does; a bool, bytes or str seed keeps random.Random,
+    whose str and bytes seeding differs. Either way the probe, the drawn
+    members and the plain loop over random.Random(seed) agree."""
+    members, universe, params = {0, 3, 17, 40}, Universe(48), PrivacyParams(mode, p)
+    drawn = _loop_perturb(mode, members, universe.size, p, seed)
+    assert perturb(members, universe, params, seed).members == drawn
+    assert all((x in perturb(members, universe, params, seed)) == (x in drawn)
+               for x in range(universe.size))
+    assert perturb(frozenset(members), universe, params, seed).members == drawn
+
+
 def test_budget_closed_forms():
     p = 0.5
     b = privacy_budget(PrivacyParams(MANGAT, p))
