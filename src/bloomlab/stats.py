@@ -46,9 +46,11 @@ def mix_seed(master_seed: int, tag: str, index: int) -> int:
     """Derive a 64-bit trial seed from (master_seed, tag, index).
 
     A fixed, documented function (see :func:`seed_stream`): the same triple
-    always yields the same seed.
+    always yields the same seed. One digest of the whole payload, the bytes
+    ``seed_stream`` feeds in two parts.
     """
-    return seed_stream(master_seed, tag)(index)
+    payload = _WORD.pack(master_seed & _MASK) + tag.encode("utf-8") + _WORD.pack(index & _MASK)
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "little")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

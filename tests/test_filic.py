@@ -397,7 +397,24 @@ def test_public_collision_adversary_refuses_a_raw_reveal_one_byte_short():
     budget = OracleBudget(inserts=0, queries=4, reveals=1)
     with pytest.raises(ParameterError, match="wrong length"):
         adv.interact(OracleSet(lambda x: 1, lambda x: None, lambda: bytes(7), budget))
-    assert adv.interact(OracleSet(lambda x: 1, lambda x: None, lambda: b"\xff" * 8, budget)) == 1
+    assert adv.interact(OracleSet(lambda x: 1, lambda x: None, lambda: b"\xff" * 7 + b"\x0f", budget)) == 1
+
+
+@pytest.mark.parametrize("last, accepted", [(0x0F, True), (0x10, False)])
+def test_public_collision_adversary_refuses_a_raw_reveal_setting_bits_past_m(last, accepted):
+    """m = 60 uses the low four bits of the last byte; a reveal setting a
+    higher one is refused, as a snapshot restore refuses it."""
+    params, u = FilterParams(m=60, k=5, n=9), Universe(5000)
+    adv = RepresentationPredictionAdversary(params, u, 9, expects_snapshot=False)
+    adv.begin(random.Random(1))
+    adv.choose_set()
+    oracles = OracleSet(lambda x: 1, lambda x: None, lambda: b"\xff" * 7 + bytes([last]),
+                        OracleBudget(inserts=0, queries=4, reveals=1))
+    if accepted:
+        assert adv.interact(oracles) == 1
+    else:
+        with pytest.raises(ParameterError, match="positions >= m"):
+            adv.interact(oracles)
 
 
 @pytest.mark.parametrize("expects_snapshot", [True, False])

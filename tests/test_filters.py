@@ -29,6 +29,8 @@ from bloomlab.filters import (
     NyFilter,
     Universe,
     _DENSE,
+    _PUBLIC_INDICES,
+    _TABLE_CAP,
     _draws,
     _pack_snapshot,
     _popcount,
@@ -210,6 +212,53 @@ def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, 
     assert filt.query(x) == all(filt._bits[j >> 3] & (1 << (j & 7)) for j in expected)
     filt._bits[:] = b"\xff" * len(filt._bits)
     assert filt.query(x) == 1
+
+    # A public query over a universe of u*k <= 2**15 reads all k indices from
+    # its shape's process-wide table: cold, then warm, for this shape and for
+    # one of three blocks that shares the element. A miss hashes every block.
+    if key is None:
+        u = Universe(_TABLE_CAP // 20)
+        y = x % u.size
+        for shape in ((m, k), (m + 1, 20)):
+            expected = _reference_indices(b"", y, *shape)
+            _PUBLIC_INDICES.get(shape, {}).pop(y, None)  # cold whatever ran before
+            filt = BloomFilter(FilterParams(m=shape[0], k=shape[1], n=0), family, u)
+            for _ in ("cold", "warm"):
+                filt._bits[:] = bytes(len(filt._bits))
+                for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=shape[1],
+                                                              max_size=shape[1]))):
+                    if on:
+                        filt._bits[j >> 3] |= 1 << (j & 7)
+                assert filt.query(y) == all(filt._bits[j >> 3] & (1 << (j & 7)) for j in expected)
+            assert _PUBLIC_INDICES[shape][y] == expected
+
+
+def _tables():
+    return {shape: dict(table) for shape, table in _PUBLIC_INDICES.items()}
+
+
+def test_public_table_fills_only_under_the_gate_and_holds_at_most_u_entries():
+    """Public queries over every element of a universe at u*k = 2**15 leave
+    at most u entries, 2**15 indices, in their shape's table. One element
+    past the gate, or with a keyed or true-random family, they leave every
+    table as it was."""
+    m, k = 61, 8
+    u = Universe(_TABLE_CAP // k)
+    filt = BloomFilter.build(range(0, u.size, 7), FilterParams(m=m, k=k, n=0), HashFamily.public(), u)
+    answers = [filt.query(x) for x in range(u.size)]
+    table = _PUBLIC_INDICES[(m, k)]
+    assert len(table) == u.size and sum(map(len, table.values())) == _TABLE_CAP
+    assert answers == [filt.query(x) for x in range(u.size)]
+
+    before = _tables()
+    past = Universe(u.size + 1)
+    for family in (HashFamily.public(), HashFamily.keyed(b"k"), HashFamily.true_random(seed=1)):
+        for universe in (past, Universe(64)) if family.mode != PUBLIC else (past,):
+            filt = BloomFilter.build(range(0, 64, 7), FilterParams(m=m, k=k, n=0), family, universe)
+            expected = [all(filt._bits[j >> 3] & (1 << (j & 7)) for j in family.indices(x, m, k))
+                        for x in range(universe.size)]
+            assert [filt.query(x) for x in range(universe.size)] == expected
+    assert _tables() == before
 
 
 def test_true_random_indices_ignore_bits():
@@ -873,6 +922,24 @@ def test_restores_refuse_a_bit_array_of_the_wrong_length(cut):
         for universe in (None, u):
             with pytest.raises(ParameterError, match="wrong length"):
                 restore(bad, universe)
+
+
+@pytest.mark.parametrize("last, accepted", [(0x0F, True), (0x10, False), (0xFF, False)])
+def test_restores_refuse_set_bits_past_m(last, accepted):
+    """m = 60 uses the low four bits of the last byte: a snapshot setting a
+    higher one is refused rather than restored with a popcount above m."""
+    u, params = Universe(512), FilterParams(m=60, k=3, n=2)
+    bits = b"\xff" * 7 + bytes([last])
+    for blob, restore in ((BloomFilter.build({1, 2}, params, HashFamily.keyed(b"k"), u).to_bytes(),
+                           BloomFilter.from_bytes),
+                          (NyFilter.build({1, 2}, params, b"pk", u).to_bytes(), NyFilter.from_bytes)):
+        blob = blob[:-8] + bits
+        if accepted:
+            back = restore(blob, u)
+            assert back.is_saturated() and getattr(back, "inner", back).popcount() == 60
+        else:
+            with pytest.raises(ParameterError, match="positions >= m"):
+                restore(blob, u)
 
 
 def test_ny_snapshot_roundtrip_and_key_offset():
