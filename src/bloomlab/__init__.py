@@ -23,7 +23,7 @@ _EXPORTS = {
         "run_ab_test", "run_bp_test", "saturation_probability",
     ), "games"),
     **dict.fromkeys((
-        "REFUSED", "FilicAdversary", "KeyLeakingFilter", "OracleBudget", "SimulatorState",
+        "REFUSED", "FilicAdversary", "OracleBudget", "SimulatorState",
         "ab_to_filic_adversary", "estimate_advantage", "run_ideal", "run_real",
     ), "filic"),
     **dict.fromkeys((

@@ -196,7 +196,6 @@ def _run_filic(point, trials, seed):
         OracleBudget,
         RepresentationPredictionAdversary,
         estimate_advantage,
-        identity_distinguisher,
         key_leaking_filter_factory,
         snapshot_reveal_codec,
     )
@@ -207,17 +206,15 @@ def _run_filic(point, trials, seed):
     budget = OracleBudget(inserts=point["q_u"], queries=point["q_t"], reveals=point["q_v"])
     scenario = point["scenario"]
     codec = None
-    factory = filter_factory(params, universe)
+    factory = (key_leaking_filter_factory if scenario == "key-leak" else filter_factory)(params, universe)
     if scenario == "key-leak":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=True)
-        factory = key_leaking_filter_factory(params, universe)
         codec = snapshot_reveal_codec(params, universe)
     elif scenario == "public-collision":
         adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=False)
     else:
         adversary = NullAdversary(universe, point["n"])
-    report = estimate_advantage(adversary, factory, params, identity_distinguisher,
-                                budget, trials, seed, reveal_codec=codec)
+    report = estimate_advantage(adversary, factory, params, budget, trials, seed, reveal_codec=codec)
     return {
         "p_real": report.p_real, "p_ideal": report.p_ideal,
         "advantage": report.advantage, "ci_lo": report.ci_lo, "ci_hi": report.ci_hi,
@@ -450,6 +447,8 @@ def _config_int(config: dict, key: str, default: int) -> int:
 def _resolve(experiment: Experiment, args, config: dict) -> dict:
     known = {p.name for p in experiment.params}
     file_params = config.get("parameters", {})
+    if not isinstance(file_params, dict):
+        raise ConfigError("config 'parameters' must be a JSON object")
     unknown = set(file_params) - known
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")

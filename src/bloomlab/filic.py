@@ -9,14 +9,15 @@ element itself; if all sampled bits are set the element joins the
 false-positive list. A reveal simply returns M.
 
 The real world runs the same adversary against an actual insertable filter
-whose reveal returns its internal representation. The distinguisher sees
-only the adversary's output; the advantage is the gap between its
-acceptance rates in the two worlds.
+whose reveal returns its internal representation. The adversary's output
+bit is what the two worlds compare: a trial scores 1 exactly when the
+output equals 1, and the advantage is the gap between the two worlds'
+rates of 1. A distinguisher that sees only that output gains nothing over
+reading it as is.
 
 Oracle budgets cover inserts, membership queries and reveals separately.
 An over-budget call gets the ``REFUSED`` sentinel instead of an answer, and
-any violation replaces the adversary's output by ``REFUSED`` before it
-reaches the distinguisher.
+any violation replaces the adversary's output by ``REFUSED``, which scores 0.
 
 The package's key-leaking construction, :class:`KeyLeakingFilter`, is a
 :class:`~bloomlab.filters.NyFilter` subclass that accepts inserts and whose
@@ -192,15 +193,10 @@ class FilicAdversary:
         raise NotImplementedError
 
 
-def identity_distinguisher(out) -> int:
-    """Pass the adversary's bit through; anything else counts as 0."""
-    return 1 if out == 1 else 0
-
-
-def _run_world(adversary: FilicAdversary, make_world, distinguisher, budget: OracleBudget, seed: int) -> int:
+def _run_world(adversary: FilicAdversary, make_world, budget: OracleBudget, seed: int) -> int:
     """The protocol of both worlds: ``make_world(members, rng)`` returns the
-    world's (query, insert, reveal); a violation turns the adversary's output
-    into ``REFUSED`` before the distinguisher sees it."""
+    world's (query, insert, reveal). The trial scores 1 when the adversary
+    outputs 1 without a violation, and 0 for any other output."""
     adversary.begin(random.Random(mix_seed(seed, "filic-adv", 0)))
     members = frozenset(adversary.choose_set())
     world = make_world(members, random.Random(mix_seed(seed, "filic-world", 0)))
@@ -208,21 +204,21 @@ def _run_world(adversary: FilicAdversary, make_world, distinguisher, budget: Ora
     out = adversary.interact(oracles)
     if oracles.violated:
         out = REFUSED
-    return 1 if distinguisher(out) == 1 else 0
+    return 1 if out == 1 else 0
 
 
-def run_real(adversary: FilicAdversary, filter_factory, distinguisher, budget: OracleBudget, seed: int) -> int:
-    """One real-world experiment; returns the distinguisher's bit."""
+def run_real(adversary: FilicAdversary, filter_factory, budget: OracleBudget, seed: int) -> int:
+    """One real-world experiment; returns its score."""
 
     def world(members, rng):
         filt = filter_factory(members, rng)
         return filt.query, filt.insert, filt.reveal
 
-    return _run_world(adversary, world, distinguisher, budget, seed)
+    return _run_world(adversary, world, budget, seed)
 
 
-def run_ideal(adversary: FilicAdversary, params: FilterParams, distinguisher,
-              budget: OracleBudget, seed: int, reveal_codec=None, state_probe=None) -> int:
+def run_ideal(adversary: FilicAdversary, params: FilterParams, budget: OracleBudget, seed: int,
+              reveal_codec=None, state_probe=None) -> int:
     """One ideal-world experiment against the simulator.
 
     ``reveal_codec``, if given, is a factory taking the world generator and
@@ -242,7 +238,7 @@ def run_ideal(adversary: FilicAdversary, params: FilterParams, distinguisher,
         codec = reveal_codec(rng)
         return sim.query, sim.insert, lambda: codec(sim.reveal())
 
-    return _run_world(adversary, world, distinguisher, budget, seed)
+    return _run_world(adversary, world, budget, seed)
 
 
 class AdvantageReport(namedtuple("AdvantageReport", "trials p_real p_ideal advantage ci_lo ci_hi")):
@@ -253,7 +249,7 @@ class AdvantageReport(namedtuple("AdvantageReport", "trials p_real p_ideal advan
 
 
 def estimate_advantage(adversary: FilicAdversary, filter_factory, params: FilterParams,
-                       distinguisher, budget: OracleBudget, trials: int, seed: int,
+                       budget: OracleBudget, trials: int, seed: int,
                        reveal_codec=None) -> AdvantageReport:
     """Monte Carlo advantage over independent real and ideal trials."""
     if trials < 1:
@@ -261,9 +257,8 @@ def estimate_advantage(adversary: FilicAdversary, filter_factory, params: Filter
     real_hits = ideal_hits = 0
     real_seed, ideal_seed = seed_stream(seed, "filic-real"), seed_stream(seed, "filic-ideal")
     for i in range(trials):
-        real_hits += run_real(adversary, filter_factory, distinguisher, budget, real_seed(i))
-        ideal_hits += run_ideal(adversary, params, distinguisher, budget, ideal_seed(i),
-                                reveal_codec=reveal_codec)
+        real_hits += run_real(adversary, filter_factory, budget, real_seed(i))
+        ideal_hits += run_ideal(adversary, params, budget, ideal_seed(i), reveal_codec=reveal_codec)
     p_real = real_hits / trials
     p_ideal = ideal_hits / trials
     lr, ur = wilson_interval(real_hits, trials)
@@ -419,10 +414,10 @@ def ab_to_filic_adversary(ab_adversary: Adversary, cfg: GameConfig):
 
     The wrapper relays the at most cfg.t adaptive probes through
     :func:`bloomlab.games.referee`, spends one final query on the
-    adversary's target and outputs that bit; the matching distinguisher is
-    the identity. Forfeits under the betting rules and budget refusals force
-    output 0, and out-of-universe probes or targets raise
-    :class:`DomainError` in both worlds. Budgets must allow cfg.t + 1
-    queries for a faithful embedding.
+    adversary's target and outputs that bit, which is the trial's score.
+    Forfeits under the betting rules and budget refusals force output 0,
+    and out-of-universe probes or targets raise :class:`DomainError` in
+    both worlds. Budgets must allow cfg.t + 1 queries for a faithful
+    embedding.
     """
-    return _WrappedAbAdversary(ab_adversary, cfg), identity_distinguisher
+    return _WrappedAbAdversary(ab_adversary, cfg)

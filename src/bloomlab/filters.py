@@ -94,7 +94,6 @@ universe size, so nothing could refuse a restore under the wrong one.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import struct
@@ -142,21 +141,19 @@ _PUBLIC_INDICES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _TABLE_CAP = 1 << 15
 
 
-class FilterParams(namedtuple("FilterParams", "m k n epsilon", defaults=(None,))):
+class FilterParams(namedtuple("FilterParams", "m k n")):
     """Size parameters: m bits, k hash functions, n expected insertions."""
 
     __slots__ = ()
 
-    def __new__(cls, m: int, k: int, n: int, epsilon: float | None = None):
+    def __new__(cls, m: int, k: int, n: int):
         if m < 1:
             raise ParameterError("m must be >= 1")
         if k < 1:
             raise ParameterError("k must be >= 1")
         if n < 0:
             raise ParameterError("n must be >= 0")
-        if epsilon is not None and not 0.0 < epsilon < 1.0:
-            raise ParameterError("epsilon must lie in (0, 1)")
-        return super().__new__(cls, m, k, n, epsilon)
+        return super().__new__(cls, m, k, n)
 
     @classmethod
     def from_target(cls, n: int, epsilon: float) -> "FilterParams":
@@ -166,7 +163,7 @@ class FilterParams(namedtuple("FilterParams", "m k n epsilon", defaults=(None,))
         if not 0.0 < epsilon < 1.0:
             raise ParameterError("epsilon must lie in (0, 1)")
         m = math.ceil(-n * math.log(epsilon) / (_LN2 * _LN2))
-        return cls(m=m, k=optimal_k(m, n), n=n, epsilon=epsilon)
+        return cls(m=m, k=optimal_k(m, n), n=n)
 
 
 def optimal_k(m: int, n: int) -> int:
@@ -546,25 +543,6 @@ class BloomFilter:
         filt._bits = bytearray(bits)
         filt._ones = _popcount(bits)
         return filt
-
-    def to_debug_json(self) -> str:
-        """Human-readable JSON dump of the snapshot fields."""
-        return json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "universe": self.universe.size,
-                "kind": self.kind,
-                "mode": self.family.mode,
-                "m": self.params.m,
-                "k": self.params.k,
-                "n": self.params.n,
-                "popcount": self._ones,
-                "fill_ratio": self.fill_ratio(),
-                "key_hex": (self.family.key.hex() if self.family.mode == KEYED_PRF else ""),
-                "bits_hex": bytes(self._bits).hex(),
-            },
-            sort_keys=True,
-        )
 
 
 def _member_words(states, k: int, tails: list) -> Iterator:

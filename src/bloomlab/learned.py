@@ -1,11 +1,12 @@
 """Learned filters: a trained membership scorer plus a backup filter.
 
-The scorer here is a memorizing threshold model, the simplest model with
-controllable error rates: training members score at 1, trained negatives at
-0, each flipped to the wrong side of the threshold independently with a
-configurable noise probability, and anything never seen in training scores
-0. The backup filter is built over exactly the members the model scores
-below the threshold, which restores completeness of the composed filter.
+The scorer here is a memorizing model, the simplest model with controllable
+error rates: training members score 1, trained negatives 0, each flipped to
+the other score independently with a configurable noise probability, and
+anything never seen in training scores 0. The model predicts membership for
+exactly the elements that score 1. The backup filter is built over exactly
+the members the model misses, which restores completeness of the composed
+filter.
 
 ``private_learned_build`` runs the same pipeline on a perturbed member set,
 so the model, backup and every downstream answer are a post-processing of
@@ -78,24 +79,18 @@ def make_training_set(members, universe: Universe, negatives_count: int, seed: i
 
 
 class LearningModel:
-    """Memorizing threshold scorer with measured error rates.
+    """Memorizing scorer with measured error rates.
 
-    ``eps_p`` bounds the probability a trained negative scores at or above
-    the threshold, ``eps_n`` the probability a training member scores below
-    it; both are the measured training rates plus a three-sigma binomial
-    slack. Elements never seen in training score 0. Equal by value.
+    Every score is exactly 0.0 or 1.0, and ``predict`` answers 1 for the
+    elements that score 1.0. ``eps_p`` bounds the probability a trained
+    negative is predicted a member, ``eps_n`` the probability a training
+    member is not; both are the measured training rates plus a three-sigma
+    binomial slack. Elements never seen in training score 0. Equal by value.
     """
 
-    __slots__ = ("tau", "noise", "member_noise", "negative_noise", "seed", "eps_p", "eps_n",
-                 "scores")
+    __slots__ = ("eps_p", "eps_n", "scores")
 
-    def __init__(self, tau: float, noise: float, member_noise: float, negative_noise: float,
-                 seed: int, eps_p: float, eps_n: float, scores: dict[int, float]):
-        self.tau = tau
-        self.noise = noise
-        self.member_noise = member_noise
-        self.negative_noise = negative_noise
-        self.seed = seed
+    def __init__(self, eps_p: float, eps_n: float, scores: dict[int, float]):
         self.eps_p = eps_p
         self.eps_n = eps_n
         self.scores = scores
@@ -109,20 +104,7 @@ class LearningModel:
         return self.scores.get(x, 0.0)
 
     def predict(self, x: int) -> int:
-        return 1 if self.score(x) >= self.tau else 0
-
-    def to_snapshot(self) -> dict:
-        """Scores are omitted: retraining on the same dataset with these
-        fields reproduces them exactly."""
-        return {
-            "tau": self.tau,
-            "noise": self.noise,
-            "member_noise": self.member_noise,
-            "negative_noise": self.negative_noise,
-            "seed": self.seed,
-            "eps_p": self.eps_p,
-            "eps_n": self.eps_n,
-        }
+        return 1 if self.score(x) == 1.0 else 0
 
 
 def _rate_plus_slack(errors: int, count: int) -> float:
@@ -132,45 +114,28 @@ def _rate_plus_slack(errors: int, count: int) -> float:
     return min(1.0, rate + 3.0 * math.sqrt(max(rate * (1.0 - rate), 1.0 / count) / count))
 
 
-def train_threshold_model(data: TrainingDataset, noise: float, seed: int, *,
-                          tau: float = 0.5,
-                          member_noise: float | None = None,
-                          negative_noise: float | None = None) -> LearningModel:
-    """Fit the memorizing model; ``noise`` is the default flip rate per side."""
-    if not 0.0 < tau <= 1.0:
-        raise ParameterError("tau must lie in (0, 1]")
-    mn = noise if member_noise is None else member_noise
-    nn = noise if negative_noise is None else negative_noise
-    for rate in (noise, mn, nn):
-        if not 0.0 <= rate < 1.0:
-            raise ParameterError("noise rates must lie in [0, 1)")
+def train_threshold_model(data: TrainingDataset, noise: float, seed: int) -> LearningModel:
+    """Fit the memorizing model; ``noise`` is the flip rate of either label."""
+    if not 0.0 <= noise < 1.0:
+        raise ParameterError("noise must lie in [0, 1)")
     rng = random.Random(seed)
     scores: dict[int, float] = {}
     pos_flips = pos_count = neg_flips = neg_count = 0
     for x, label in data.pairs:
         if label == 1:
             pos_count += 1
-            flipped = rng.random() < mn
+            flipped = rng.random() < noise
             scores[x] = 0.0 if flipped else 1.0
             pos_flips += flipped
         else:
             neg_count += 1
-            flipped = rng.random() < nn
+            flipped = rng.random() < noise
             scores[x] = 1.0 if flipped else 0.0
             neg_flips += flipped
     return LearningModel(
-        tau=tau, noise=noise, member_noise=mn, negative_noise=nn, seed=seed,
         eps_p=_rate_plus_slack(neg_flips, neg_count),
         eps_n=_rate_plus_slack(pos_flips, pos_count),
         scores=scores,
-    )
-
-
-def rebuild_model(snapshot: dict, data: TrainingDataset) -> LearningModel:
-    """Retrain from a snapshot; the scores come back deterministically."""
-    return train_threshold_model(
-        data, snapshot["noise"], snapshot["seed"], tau=snapshot["tau"],
-        member_noise=snapshot["member_noise"], negative_noise=snapshot["negative_noise"],
     )
 
 
@@ -196,16 +161,14 @@ class LearnedFilter:
 
     def query(self, x: int) -> int:
         self.universe.require(x)
-        if self.model.score(x) >= self.model.tau:
-            return 1
-        return self.backup.query(x)
+        return self.model.predict(x) or self.backup.query(x)
 
 
 def learned_build(members, universe: Universe, fparams: FilterParams,
                   model: LearningModel, family: HashFamily | None = None) -> LearnedFilter:
     """Compose ``model`` with a backup filter over its false negatives."""
     members = universe.require_all(set(members))
-    missed = {x for x in members if model.score(x) < model.tau}
+    missed = {x for x in members if not model.predict(x)}
     backup = BloomFilter.build(missed, fparams, family or HashFamily.public(), universe)
     return LearnedFilter(model=model, backup=backup, universe=universe,
                          encoded=frozenset(members))
@@ -213,7 +176,7 @@ def learned_build(members, universe: Universe, fparams: FilterParams,
 
 def private_learned_build(members, universe: Universe, fparams: FilterParams,
                           privacy: PrivacyParams, seed: int, *,
-                          noise: float = 0.0, tau: float = 0.5) -> LearnedFilter:
+                          noise: float = 0.0) -> LearnedFilter:
     """Run the full pipeline on a perturbed member set, with as many
     negatives as encoded members (at least one) and a public backup filter.
 
@@ -226,6 +189,5 @@ def private_learned_build(members, universe: Universe, fparams: FilterParams,
     negatives_count = min(universe.size - len(encoded), max(len(encoded), 1))
     data = make_training_set(encoded, universe, negatives_count,
                              mix_seed(seed, "learned-dataset", 0))
-    model = train_threshold_model(data, noise, mix_seed(seed, "learned-train", 0),
-                                  tau=tau)
+    model = train_threshold_model(data, noise, mix_seed(seed, "learned-train", 0))
     return learned_build(encoded, universe, fparams, model)

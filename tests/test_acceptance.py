@@ -16,7 +16,6 @@ from bloomlab.filic import (
     SimulatorState,
     ab_to_filic_adversary,
     estimate_advantage,
-    identity_distinguisher,
     key_leaking_filter_factory,
     run_ideal,
     run_real,
@@ -218,8 +217,7 @@ def test_7_reveal_reduction_harness():
     codec = snapshot_reveal_codec(params, u)
     trials = 1000
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                identity_distinguisher, budget, trials=trials, seed=777,
-                                reveal_codec=codec)
+                                budget, trials=trials, seed=777, reveal_codec=codec)
 
     densities = []
 
@@ -227,7 +225,7 @@ def test_7_reveal_reduction_harness():
         densities.append(sim.fill_ratio() ** params.k)
 
     ideal_hits = sum(
-        run_ideal(adv, params, identity_distinguisher, budget, mix_seed(777, "filic-ideal", i),
+        run_ideal(adv, params, budget, mix_seed(777, "filic-ideal", i),
                   reveal_codec=codec, state_probe=probe)
         for i in range(trials)
     )
@@ -241,10 +239,10 @@ def test_7_reveal_reduction_harness():
     n_ab = 1500
     ab = run_ab_experiment(filter_factory(ab_params, ab_u), UniformAdversary(),
                            cfg, trials=n_ab, seed=778)
-    wrapper, dist = ab_to_filic_adversary(UniformAdversary(), cfg)
+    wrapper = ab_to_filic_adversary(UniformAdversary(), cfg)
     wrap_budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
     wrap_hits = sum(
-        run_real(wrapper, filter_factory(ab_params, ab_u), dist, wrap_budget,
+        run_real(wrapper, filter_factory(ab_params, ab_u), wrap_budget,
                  mix_seed(779, "wrap", i))
         for i in range(n_ab)
     )

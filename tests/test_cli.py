@@ -194,7 +194,8 @@ def test_config_rejections(tmp_path):
     # Integer settings follow the flags' rule: no strings that are not
     # integers, no truncated floats, no booleans read as 0 or 1.
     for key, value in (("trials", "abc"), ("seed", "x"), ("trials", 2.7), ("trials", True),
-                       ("seed", 1.5), ("seed", None), ("output", 5)):
+                       ("seed", 1.5), ("seed", None), ("output", 5), ("parameters", ["m"]),
+                       ("parameters", "m")):
         wrong = tmp_path / f"wrong-{key}.json"
         wrong.write_text(json.dumps({key: value}))
         code, _, err = _run(["saturation-scan", "--config", str(wrong)])

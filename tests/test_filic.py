@@ -22,7 +22,6 @@ from bloomlab.filic import (
     SimulatorState,
     ab_to_filic_adversary,
     estimate_advantage,
-    identity_distinguisher,
     key_leaking_filter_factory,
     run_ideal,
     run_real,
@@ -205,12 +204,26 @@ def test_violation_replaces_adversary_output():
 
     params = FilterParams(m=16, k=2, n=1)
     u = Universe(64)
-    bit = run_real(Greedy(), filter_factory(params, u), identity_distinguisher,
-                   OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
+    bit = run_real(Greedy(), filter_factory(params, u), OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
     assert bit == 0
-    bit = run_ideal(Greedy(), params, identity_distinguisher,
-                    OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
+    bit = run_ideal(Greedy(), params, OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
     assert bit == 0
+
+
+@pytest.mark.parametrize("out, score", [(0, 0), (2, 0), (None, 0), ("1", 0), (1, 1), (True, 1)])
+def test_trial_scores_one_only_for_an_output_equal_to_one(out, score):
+    class Fixed(FilicAdversary):
+        def choose_set(self):
+            return {1}
+
+        def interact(self, oracles):
+            assert oracles.query(2) in (0, 1)  # within budget: no violation
+            return out
+
+    params = FilterParams(m=16, k=2, n=1)
+    budget = OracleBudget(inserts=0, queries=1, reveals=0)
+    assert run_real(Fixed(), filter_factory(params, Universe(64)), budget, seed=3) == score
+    assert run_ideal(Fixed(), params, budget, seed=3) == score
 
 
 def test_worlds_are_deterministic_per_seed():
@@ -218,10 +231,10 @@ def test_worlds_are_deterministic_per_seed():
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
     budget = OracleBudget(inserts=0, queries=4, reveals=1)
-    real = [run_real(adv, key_leaking_filter_factory(params, u), identity_distinguisher, budget, seed=5)
+    real = [run_real(adv, key_leaking_filter_factory(params, u), budget, seed=5)
             for _ in range(3)]
-    ideal = [run_ideal(adv, params, identity_distinguisher, budget, seed=5,
-                       reveal_codec=snapshot_reveal_codec(params, u)) for _ in range(3)]
+    ideal = [run_ideal(adv, params, budget, seed=5, reveal_codec=snapshot_reveal_codec(params, u))
+             for _ in range(3)]
     assert len(set(real)) == 1 and len(set(ideal)) == 1
 
 
@@ -229,8 +242,7 @@ def test_null_adversary_has_no_advantage():
     params = FilterParams(m=32, k=3, n=4)
     u = Universe(1024)
     report = estimate_advantage(NullAdversary(u, 4), filter_factory(params, u),
-                                params, identity_distinguisher,
-                                OracleBudget(inserts=2, queries=2, reveals=1), trials=200, seed=7)
+                                params, OracleBudget(inserts=2, queries=2, reveals=1), trials=200, seed=7)
     assert report.p_real == 0.0 and report.p_ideal == 0.0
     assert report.advantage == 0.0
 
@@ -272,7 +284,7 @@ def test_key_leak_distinguisher_has_large_advantage():
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
+                                OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=300, seed=11, reveal_codec=snapshot_reveal_codec(params, u))
     assert report.p_real > 0.95
     assert report.p_ideal < 0.25
@@ -288,7 +300,7 @@ def test_key_leak_advantage_on_both_permutation_paths(size):
     u = Universe(size)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
     report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
+                                OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=200, seed=17, reveal_codec=snapshot_reveal_codec(params, u))
     assert report.advantage >= 0.9
 
@@ -298,7 +310,7 @@ def test_public_hash_reveal_distinguishes_without_any_key():
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=False)
     report = estimate_advantage(adv, filter_factory(params, u), params,
-                                identity_distinguisher, OracleBudget(inserts=0, queries=4, reveals=1),
+                                OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=300, seed=13)
     assert report.advantage > 0.5
 
@@ -437,9 +449,9 @@ def test_wrapped_saturation_attack_wins_real_world():
     u = Universe(65536)
     params = FilterParams(m=4, k=3, n=20)
     cfg = GameConfig(universe=u, n=20, t=4, threshold=0.5)
-    wrapper, dist = ab_to_filic_adversary(SaturationAdversary(), cfg)
+    wrapper = ab_to_filic_adversary(SaturationAdversary(), cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
-    hits = sum(run_real(wrapper, filter_factory(params, u), dist, budget,
+    hits = sum(run_real(wrapper, filter_factory(params, u), budget,
                         seed=mix_seed(101, "wrap", i)) for i in range(100))
     assert hits >= 95
 
@@ -451,9 +463,9 @@ def test_wrapped_uniform_adversary_matches_ab_harness():
     trials = 800
     ab = run_ab_experiment(lambda members, rng: filter_factory(params, u)(members, rng),
                            UniformAdversary(), cfg, trials, seed=17)
-    wrapper, dist = ab_to_filic_adversary(UniformAdversary(), cfg)
+    wrapper = ab_to_filic_adversary(UniformAdversary(), cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
-    hits = sum(run_real(wrapper, filter_factory(params, u), dist, budget,
+    hits = sum(run_real(wrapper, filter_factory(params, u), budget,
                         seed=mix_seed(19, "wrap", i)) for i in range(trials))
     lo, hi = wilson_interval(hits, trials)
     assert lo <= ab.win_rate <= hi  # both harnesses estimate the same rate
@@ -463,7 +475,7 @@ def test_wrapped_adversary_insufficient_budget_outputs_zero():
     u = Universe(65536)
     params = FilterParams(m=4, k=3, n=20)
     cfg = GameConfig(universe=u, n=20, t=4, threshold=0.5)
-    wrapper, dist = ab_to_filic_adversary(SaturationAdversary(), cfg)
-    bit = run_real(wrapper, filter_factory(params, u), dist,
+    wrapper = ab_to_filic_adversary(SaturationAdversary(), cfg)
+    bit = run_real(wrapper, filter_factory(params, u),
                    OracleBudget(inserts=0, queries=1, reveals=0), seed=23)
     assert bit == 0

@@ -50,7 +50,7 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         FilterParams(m=8, k=1, n=-1)
     with pytest.raises(ParameterError):
-        FilterParams(m=8, k=1, n=1, epsilon=1.5)
+        FilterParams.from_target(n=1, epsilon=1.5)
     FilterParams(m=1, k=1, n=0)
 
 
@@ -972,18 +972,6 @@ def test_snapshot_refuses_fields_its_header_cannot_hold():
         wide.to_bytes()
     blob = _pack_snapshot((1 << 64) - 1, (1 << 32) - 1, (1 << 16) - 1, KIND_PRF, bytes((1 << 16) - 1), b"")
     assert len(blob) == KEY_OFFSET + (1 << 16) - 1
-
-
-def test_debug_json_fields():
-    import json
-
-    u = Universe(64)
-    filt = BloomFilter.build({1, 2}, FilterParams(m=16, k=2, n=2), HashFamily.keyed(b"dbg"), u)
-    dump = json.loads(filt.to_debug_json())
-    assert dump["m"] == 16 and dump["k"] == 2 and dump["kind"] == "prf-backed"
-    assert dump["popcount"] == filt.popcount()
-    assert bytes.fromhex(dump["bits_hex"]) == filt.bit_bytes()
-    assert bytes.fromhex(dump["key_hex"]) == b"dbg"
 
 
 def test_ny_build_matches_inner_on_permuted_elements():

@@ -152,9 +152,9 @@ def test_forfeit_on_stale_target():
 
 def _wrapped_bit(factory, adversary, cfg, seed, queries=None):
     """The reveal-oracle embedding's output bit in the real world."""
-    wrapper, dist = ab_to_filic_adversary(adversary, cfg)
+    wrapper = ab_to_filic_adversary(adversary, cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1 if queries is None else queries, reveals=0)
-    return run_real(wrapper, factory, dist, budget, seed)
+    return run_real(wrapper, factory, budget, seed)
 
 
 @pytest.mark.parametrize(
@@ -225,12 +225,12 @@ def test_out_of_universe_raises_in_every_harness(queries, target):
     cfg = GameConfig(universe=u, n=20, t=3, threshold=0.5)
     with pytest.raises(DomainError):
         run_ab_test(filter_factory(params, u), _Scripted(members, queries, target=target), cfg, seed=0)
-    wrapper, dist = ab_to_filic_adversary(_Scripted(members, queries, target=target), cfg)
+    wrapper = ab_to_filic_adversary(_Scripted(members, queries, target=target), cfg)
     budget = OracleBudget(inserts=0, queries=cfg.t + 1, reveals=0)
     with pytest.raises(DomainError):
-        run_real(wrapper, filter_factory(params, u), dist, budget, seed=0)
+        run_real(wrapper, filter_factory(params, u), budget, seed=0)
     with pytest.raises(DomainError):
-        run_ideal(wrapper, params, dist, budget, seed=0)
+        run_ideal(wrapper, params, budget, seed=0)
 
 
 @pytest.mark.parametrize("bad", [-1, 256, 1 << 70, 2.0, "7", None])

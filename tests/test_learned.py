@@ -12,7 +12,6 @@ from bloomlab.learned import (
     learned_build,
     make_training_set,
     private_learned_build,
-    rebuild_model,
     train_threshold_model,
 )
 from bloomlab.privacy import MANGAT, WARNER, PrivacyParams, dp_audit, perturb
@@ -75,21 +74,12 @@ def test_noisy_training_flip_rates():
     members = set(range(50))
     data = _dataset(members, 30_000, 10_000, seed=3)
     model = train_threshold_model(data, noise=0.1, seed=4)
-    flipped_neg = sum(model.score(x) >= model.tau for x in data.negatives) / 10_000
+    assert set(model.scores.values()) == {0.0, 1.0}
+    flipped_neg = sum(model.predict(x) for x in data.negatives) / 10_000
     se = math.sqrt(0.1 * 0.9 / 10_000)
     assert abs(flipped_neg - 0.1) < 3 * se
     assert model.eps_p >= flipped_neg  # measured rate plus slack
-    assert model.eps_n >= sum(model.score(x) < model.tau for x in members) / 50
-
-
-def test_split_noise_knobs():
-    members = set(range(40))
-    data = _dataset(members, 2000, 400, seed=5)
-    model = train_threshold_model(data, noise=0.2, seed=6, member_noise=0.0)
-    assert all(model.score(x) == 1.0 for x in members)
-    assert any(model.score(x) >= model.tau for x in data.negatives)
-    model2 = train_threshold_model(data, noise=0.2, seed=6, negative_noise=0.0)
-    assert all(model2.score(x) == 0.0 for x in data.negatives)
+    assert model.eps_n >= sum(not model.predict(x) for x in members) / 50
 
 
 def test_model_parameter_validation():
@@ -98,16 +88,6 @@ def test_model_parameter_validation():
         train_threshold_model(data, noise=-0.1, seed=0)
     with pytest.raises(ParameterError):
         train_threshold_model(data, noise=1.1, seed=0)
-    with pytest.raises(ParameterError):
-        train_threshold_model(data, noise=0.0, seed=0, tau=0.0)
-
-
-def test_snapshot_rebuild_reproduces_scores():
-    data = _dataset(set(range(30)), 4000, 300, seed=7)
-    model = train_threshold_model(data, noise=0.15, seed=8)
-    clone = rebuild_model(model.to_snapshot(), data)
-    assert clone.scores == model.scores
-    assert clone.eps_p == model.eps_p and clone.eps_n == model.eps_n
 
 
 def test_learned_build_is_complete():
@@ -126,8 +106,8 @@ def test_backup_holds_only_missed_members():
     u = Universe(2048)
     members = set(range(100))
     data = make_training_set(members, u, 200, seed=9)
-    model = train_threshold_model(data, noise=0.3, seed=10, negative_noise=0.0)
-    missed = {x for x in members if model.score(x) < model.tau}
+    model = train_threshold_model(data, noise=0.3, seed=10)
+    missed = {x for x in members if not model.predict(x)}
     fparams = FilterParams(m=512, k=3, n=len(members))
     filt = learned_build(members, u, fparams, model)
     rebuilt = learned_build(members, u, fparams, model)
@@ -141,8 +121,10 @@ def test_perfect_model_means_empty_backup():
     u = Universe(1024)
     members = set(range(64))
     data = make_training_set(members, u, 256, seed=11)
-    model = train_threshold_model(data, noise=0.1, seed=12, member_noise=0.0)
-    filt = learned_build(members, u, fparams := FilterParams(m=256, k=3, n=64), model)
+    model = train_threshold_model(data, noise=0.1, seed=12)
+    kept = {x for x in members if model.predict(x)}  # the model is perfect on these
+    assert kept and kept != members
+    filt = learned_build(kept, u, FilterParams(m=256, k=3, n=64), model)
     assert filt.backup.popcount() == 0
     unseen = [x for x in range(64, 1024) if x not in set(data.negatives)]
     assert all(filt.query(x) == 0 for x in unseen)
@@ -158,7 +140,7 @@ def test_false_positive_rate_union_bound():
     model = train_threshold_model(data, noise=0.1, seed=14)
     fparams = FilterParams(m=2048, k=3, n=200)
     filt = learned_build(members, u, fparams, model)
-    missed = sum(model.score(x) < model.tau for x in members)
+    missed = sum(not model.predict(x) for x in members)
     backup_fpr = expected_fpr(fparams, n_effective=missed)
     rate = sum(filt.query(x) for x in data.negatives) / len(data.negatives)
     slack = 3 * math.sqrt(0.1 * 0.9 / len(data.negatives))

@@ -159,8 +159,8 @@ def test_records_keep_their_keyword_and_positional_forms():
     from bloomlab import cli
     from bloomlab.filters import FilterParams, Universe
 
-    assert FilterParams(m=8, k=3, n=2) == FilterParams(8, 3, 2, None)
-    assert FilterParams(8, 3, 2).epsilon is None
+    assert FilterParams(m=8, k=3, n=2) == FilterParams(8, 3, 2)
+    assert FilterParams._fields == ("m", "k", "n")
     assert cli.Param("m", "int", 8).choices is None
     experiment = cli.Experiment("x", (), 1, len)
     assert (experiment.name, experiment.params, experiment.default_trials, experiment.runner) == (
