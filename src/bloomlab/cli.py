@@ -86,12 +86,12 @@ def _parse_value(param: Param, raw):
             return _int(raw)
         if param.kind == "float":
             return float(raw)
-        if param.kind == "ints":
+        if param.kind in ("ints", "floats"):
             items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-            return [_int(v) for v in items]
-        if param.kind == "floats":
-            items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-            return [float(v) for v in items]
+            if not items:
+                raise ValueError("empty list")
+            convert = _int if param.kind == "ints" else float
+            return [convert(v) for v in items]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"parameter {param.name!r}: {exc}") from exc
     value = str(raw)

@@ -22,7 +22,10 @@ the universe, so every perturbation is capped at 2**20 elements
 all the audit asks of each trial. The draws come from the state of
 ``random.Random(seed)``; for an ``int`` seed, the usual case, they are read
 straight from CPython's C Mersenne Twister (``_random.Random``), which holds
-that same state, so a world costs about one seeding of it.
+that same state. The inputs of a perturbation (the params, the cap and the
+member set) are checked once per distinct (member frozenset, universe size,
+mode, p), and the lazy set keeps its state in one slot, so an audit world
+costs about one seeding of that generator.
 """
 
 from __future__ import annotations
@@ -93,43 +96,55 @@ class PerturbedSet:
     keeps ``random.Random``, since it hashes str and bytes seeds into another
     stream. Any other probe, and equality, hashing, ``repr``, ``len`` and
     pickling, draw ``members`` first, so every answer is the drawn set's.
+
+    All of it lives in one slot, ``(members or None, mode, p, original_size,
+    inputs, size, seed)``: written once when the set is made and once more
+    when ``members`` is drawn. ``mode``, ``p`` and ``original_size`` are
+    read-only properties over it.
     """
 
-    __slots__ = ("_members", "mode", "p", "original_size", "_run")
+    __slots__ = ("_state",)
 
     def __init__(self, members: frozenset[int], mode: str, p: float, original_size: int):
-        set_field = object.__setattr__
-        set_field(self, "_members", members)
-        set_field(self, "mode", mode)
-        set_field(self, "p", p)
-        set_field(self, "original_size", original_size)
-        set_field(self, "_run", None)
+        _set_state(self, (members, mode, p, original_size, None, None, None))
 
     @classmethod
     def _undrawn(cls, inputs: frozenset[int], size: int, mode: str, p: float, seed: int) -> "PerturbedSet":
         """The output of perturbing ``inputs`` over [0, size) with ``seed``, not drawn yet."""
         out = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(out, "_members", None)
-        set_field(out, "mode", mode)
-        set_field(out, "p", p)
-        set_field(out, "original_size", len(inputs))
-        set_field(out, "_run", (inputs, size, seed))
+        _set_state(out, (None, mode, p, len(inputs), inputs, size, seed))
         return out
 
     @property
+    def _members(self) -> frozenset[int] | None:
+        return self._state[0]
+
+    @property
+    def mode(self) -> str:
+        return self._state[1]
+
+    @property
+    def p(self) -> float:
+        return self._state[2]
+
+    @property
+    def original_size(self) -> int:
+        return self._state[3]
+
+    @property
     def members(self) -> frozenset[int]:
-        members = self._members
+        state = self._state
+        members = state[0]
         if members is None:
-            inputs, size, seed = self._run
-            p, q = self.p, 1.0 - self.p
+            _, mode, p, _, inputs, size, seed = state
+            q = 1.0 - p
             draw = _generator(seed).random
-            if self.mode == MANGAT:
+            if mode == MANGAT:
                 kept = [x for x in range(size) if x in inputs or draw() < q]
             else:
                 kept = [x for x in range(size) if draw() < (p if x in inputs else q)]
             members = frozenset(kept)
-            object.__setattr__(self, "_members", members)
+            _set_state(self, (members, *state[1:]))
         return members
 
     def __setattr__(self, name, value):
@@ -139,7 +154,7 @@ class PerturbedSet:
         raise AttributeError(f"cannot delete field {name!r} of an immutable PerturbedSet")
 
     def _key(self) -> tuple:
-        return self.members, self.mode, self.p, self.original_size
+        return self.members, *self._state[1:4]
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is PerturbedSet else NotImplemented
@@ -155,11 +170,12 @@ class PerturbedSet:
         return PerturbedSet, self._key()
 
     def __contains__(self, x) -> bool:
-        if self._members is not None or type(x) is not int or not 0 <= x < self._run[1]:
+        state = self._state
+        if state[0] is not None or type(x) is not int or not 0 <= x < state[5]:
             return x in self.members
-        inputs, _, seed = self._run
+        _, mode, p, _, inputs, _, seed = state
         member = x in inputs
-        if self.mode == MANGAT:
+        if mode == MANGAT:
             if member:
                 return True
             j = x - sum(map(x.__gt__, inputs))  # the members below x take no draw
@@ -168,10 +184,13 @@ class PerturbedSet:
         rng = _generator(seed)
         if j:
             rng.getrandbits(64 * j)
-        return rng.random() < (self.p if member else 1.0 - self.p)
+        return rng.random() < (p if member else 1.0 - p)
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+_set_state = PerturbedSet._state.__set__  # the slot's own setter: PerturbedSet.__setattr__ refuses
 
 
 def jaccard_distance(a, b) -> int:
@@ -187,10 +206,30 @@ def _check_cap(universe: Universe) -> None:
         )
 
 
+_CHECKED: dict[tuple, frozenset] = {}  # (members, size, mode, p) -> the frozenset that passed with them
+_CHECKED_MAX = 8  # an audit uses two entries
+
+
 def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -> PerturbedSet:
+    """The undrawn output, once the inputs pass. A frozenset that passed with
+    the same universe size, mode and p is not checked again; anything else,
+    an equal but other frozenset too, is checked and raises as it would."""
+    key = None
+    if type(members) is frozenset:
+        try:
+            key = (members, universe.size, mode, p)
+            if _CHECKED.get(key) is members:
+                return PerturbedSet._undrawn(members, key[1], mode, p, seed)
+        except (AttributeError, TypeError):  # no universe, or an unhashable p: checked below
+            key = None
     PrivacyParams(mode, p)
     _check_cap(universe)
-    return PerturbedSet._undrawn(universe.require_all(frozenset(members)), universe.size, mode, p, seed)
+    checked = universe.require_all(frozenset(members))
+    if key is not None:
+        if len(_CHECKED) >= _CHECKED_MAX:
+            _CHECKED.clear()
+        _CHECKED[key] = checked
+    return PerturbedSet._undrawn(checked, universe.size, mode, p, seed)
 
 
 def mangat_perturb(members, universe: Universe, p: float, seed: int) -> PerturbedSet:

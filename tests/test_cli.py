@@ -203,6 +203,11 @@ def test_config_rejections(tmp_path):
     wrong = tmp_path / "wrong-param.json"
     wrong.write_text(json.dumps({"parameters": {"m": [4.5], "n": [True]}}))
     assert _run(["saturation-scan", "--config", str(wrong)])[0] == 1
+    # An empty list would be an empty grid: no record, and no error to say why.
+    empty = tmp_path / "empty-list.json"
+    empty.write_text(json.dumps({"parameters": {"m": []}}))
+    code, _, err = _run(["saturation-scan", "--config", str(empty)])
+    assert code == 1 and "'m'" in err, err
     digits = tmp_path / "digits.json"
     digits.write_text(json.dumps({"trials": "2", "seed": "5", "format": "json"}))
     code, out, _ = _run(["saturation-scan", "--config", str(digits)])

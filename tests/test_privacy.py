@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloomlab import privacy
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
 from bloomlab.privacy import (
@@ -74,6 +75,48 @@ def test_member_sets_refuse_a_bad_member_by_name(bad):
         for call in calls[2:]:
             with pytest.raises(DomainError, match=re.escape(f"element {named!r} outside")):
                 call(members)
+
+
+def test_checked_inputs_are_remembered_only_for_themselves():
+    """An accepted (set, universe size, mode, p) is not checked again, and
+    nothing else rides on it: the same set under another universe, p or
+    mode, an equal set that is another object, and a fresh bad set all
+    raise as they would on a first call."""
+    members = frozenset(range(8))
+    assert 3 in mangat_perturb(members, Universe(64), 0.5, 7).members
+    first = next(x for x in members if x >= 5)  # the offender require_all names first
+    with pytest.raises(DomainError, match=re.escape(f"element {first!r} outside universe [0, 5)")):
+        mangat_perturb(members, Universe(5), 0.5, 7)
+    with pytest.raises(ParameterError):
+        mangat_perturb(members, Universe(64), 1.5, 7)
+    with pytest.raises(ParameterError):
+        warner_perturb(members, Universe(64), 0.5, 7)
+    with pytest.raises(UnsupportedOperationError):
+        mangat_perturb(members, Universe(ENUMERATION_CAP + 1), 0.5, 7)
+    lookalike = frozenset([0.0, *range(1, 8)])
+    assert lookalike == members and lookalike is not members
+    with pytest.raises(DomainError, match=re.escape("element 0.0 outside")):
+        mangat_perturb(lookalike, Universe(64), 0.5, 7)
+    with pytest.raises(DomainError, match=re.escape("element 70 outside universe [0, 64)")):
+        mangat_perturb(frozenset({3, 70}), Universe(64), 0.5, 7)
+    assert mangat_perturb(members, Universe(64), 0.5, 7) == mangat_perturb(set(members), Universe(64), 0.5, 7)
+
+
+@pytest.mark.parametrize("direction", ["removal", "reverse"])
+@pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
+def test_audit_perturbs_through_the_module_once_per_world(monkeypatch, mode, p, direction):
+    """The benchmark's tracer wraps the module's mangat_perturb and
+    warner_perturb and expects 2 calls per audit trial: one per neighbour."""
+    calls = {MANGAT: 0, WARNER: 0}
+    for name, fn in ((MANGAT, privacy.mangat_perturb), (WARNER, privacy.warner_perturb)):
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(privacy, f"{name}_perturb", counted)
+    trials = 37
+    audit_perturbation(PrivacyParams(mode, p), set(range(8)), Universe(64), x=0,
+                       trials=trials, seed=5, direction=direction)
+    assert calls == {mode: 2 * trials, (WARNER if mode == MANGAT else MANGAT): 0}
 
 
 def test_jaccard_distance_examples():
