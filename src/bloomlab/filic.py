@@ -51,7 +51,7 @@ from .filters import (
     _memo_fill,
     _pack_snapshot,
 )
-from .stats import mix_seed, seed_stream, wilson_interval
+from .stats import mix_seed, run_trials, wilson_interval
 
 if TYPE_CHECKING:
     from .games import Adversary, GameConfig
@@ -252,13 +252,10 @@ def estimate_advantage(adversary: FilicAdversary, filter_factory, params: Filter
                        budget: OracleBudget, trials: int, seed: int,
                        reveal_codec=None) -> AdvantageReport:
     """Monte Carlo advantage over independent real and ideal trials."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    real_hits = ideal_hits = 0
-    real_seed, ideal_seed = seed_stream(seed, "filic-real"), seed_stream(seed, "filic-ideal")
-    for i in range(trials):
-        real_hits += run_real(adversary, filter_factory, budget, real_seed(i))
-        ideal_hits += run_ideal(adversary, params, budget, ideal_seed(i), reveal_codec=reveal_codec)
+    real = lambda s: run_real(adversary, filter_factory, budget, s)
+    ideal = lambda s: run_ideal(adversary, params, budget, s, reveal_codec=reveal_codec)
+    real_hits = sum(run_trials(real, seed, "filic-real", trials))
+    ideal_hits = sum(run_trials(ideal, seed, "filic-ideal", trials))
     p_real = real_hits / trials
     p_ideal = ideal_hits / trials
     lr, ur = wilson_interval(real_hits, trials)

@@ -105,7 +105,7 @@ from itertools import chain, repeat
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError
 from .feistel import FeistelPermutation
-from .stats import blake2b, mix_seed, wilson_interval
+from .stats import blake2b, run_trials, wilson_interval
 
 MAGIC = b"BFLT"
 FORMAT_VERSION = 4
@@ -185,6 +185,8 @@ class Universe:
     __slots__ = ("size",)
 
     def __init__(self, size: int):
+        if type(size) is not int:  # a bool is not one
+            raise ParameterError(f"universe size must be an int, not {type(size).__name__}")
         if size < 1:
             raise ParameterError("universe size must be >= 1")
         object.__setattr__(self, "size", size)
@@ -714,27 +716,32 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
     build's realized rate fluctuates with its fill; the closed form is an
     expectation over builds.
     """
-    if builds < 1 or queries < builds:
-        raise ParameterError("need builds >= 1 and queries >= builds")
+    if queries < builds:
+        raise ParameterError("need queries >= builds")
     if params.n + 1 > universe.size:
         raise ParameterError("universe too small for n members plus a non-member")
-    per_build = queries // builds
+    make = filter_factory(params, universe, mode)
     size = universe.size
     width = size.bit_length()
-    hits = 0
-    total = 0
-    for b in range(builds):
-        rng = random.Random(mix_seed(seed, "fpr-build", b))
+
+    def build_hits(s: int) -> int:
+        rng = random.Random(s)
         members = set(universe.sample(rng, params.n))
-        query = BloomFilter.build(members, params, fresh_family(mode, rng), universe).query
+        query = make(members, rng).query
         # Universe.sample_outside, drawn inline as it draws for a plain Random.
         getrandbits = rng.getrandbits
+        hits = 0
         for _ in range(per_build):
             x = getrandbits(width)
             while x >= size or x in members:
                 x = getrandbits(width)
             hits += query(x)
-        total += per_build
+        return hits
+
+    build_results = run_trials(build_hits, seed, "fpr-build", builds)  # refuses builds < 1
+    per_build = queries // builds  # read by build_hits, which runs only in the sum
+    hits = sum(build_results)
+    total = per_build * builds
     lo, hi = wilson_interval(hits, total)
     return FprEstimate(
         rate=hits / total, ci_lo=lo, ci_hi=hi,

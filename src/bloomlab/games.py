@@ -45,15 +45,8 @@ from abc import ABC, abstractmethod
 from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
-from .filters import (
-    TRUE_RANDOM,
-    BloomFilter,
-    FilterParams,
-    Universe,
-    fresh_family,
-    optimal_k,
-)
-from .stats import mean_confidence_interval, mix_seed, seed_stream, wilson_interval
+from .filters import TRUE_RANDOM, FilterParams, Universe, filter_factory, optimal_k
+from .stats import mean_confidence_interval, run_trials, wilson_interval
 
 # Largest m*n*k for which saturation_probability runs its exact sum.
 SATURATION_CAP = 1 << 24
@@ -384,12 +377,9 @@ class AbExperiment(namedtuple("AbExperiment", "trials wins forfeits win_rate ci_
 def run_ab_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
                       trials: int, seed: int) -> AbExperiment:
     """Always-bet win rate over independent trials with derived seeds."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     wins = forfeits = 0
-    trial_seed = seed_stream(seed, "ab-trial")
-    for i in range(trials):
-        outcome = run_ab_test(filter_factory, adversary, cfg, trial_seed(i))
+    trial = lambda s: run_ab_test(filter_factory, adversary, cfg, s)
+    for outcome in run_trials(trial, seed, "ab-trial", trials):
         wins += outcome.win
         forfeits += outcome.transcript.forfeited
     lo, hi = wilson_interval(wins, trials)
@@ -413,16 +403,13 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     which estimates the unsaturated false-positive probability entering the
     closed-form expected profit.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     profits: list[float] = []
     bets = wins = forfeits = 0
     saturated_trials = 0
     saturation_known = 0
     probe_hits = probe_total = 0
-    trial_seed = seed_stream(seed, "bp-trial")
-    for i in range(trials):
-        run = run_bp_test(filter_factory, adversary, cfg, trial_seed(i))
+    trial = lambda s: run_bp_test(filter_factory, adversary, cfg, s)
+    for run in run_trials(trial, seed, "bp-trial", trials):
         profits.append(run.outcome.profit)
         bets += run.outcome.bet
         wins += run.outcome.profit > 0
@@ -451,16 +438,14 @@ class SaturationFrequency(namedtuple("SaturationFrequency", "rate se trials")):
 
 def saturation_frequency(m: int, k: int, n: int, trials: int, seed: int) -> SaturationFrequency:
     """Monte Carlo saturation rate of truly-random-hash builds."""
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    params = FilterParams(m=m, k=k, n=n)
     universe = Universe(max(4 * n, 16))
-    hits = 0
-    for i in range(trials):
-        rng = random.Random(mix_seed(seed, "saturation", i))
-        members = set(universe.sample(rng, n))
-        filt = BloomFilter.build(members, params, fresh_family(TRUE_RANDOM, rng), universe)
-        hits += filt.is_saturated()
+    make = filter_factory(FilterParams(m=m, k=k, n=n), universe, TRUE_RANDOM)
+
+    def saturated(s: int) -> bool:
+        rng = random.Random(s)
+        return make(set(universe.sample(rng, n)), rng).is_saturated()
+
+    hits = sum(run_trials(saturated, seed, "saturation", trials))
     rate = hits / trials
     se = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
     return SaturationFrequency(rate=rate, se=se, trials=trials)

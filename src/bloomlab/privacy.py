@@ -37,7 +37,7 @@ from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
 from .filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
-from .stats import mix_seed, seed_stream, standard_error, wilson_interval
+from .stats import run_trials, standard_error, wilson_interval
 
 MANGAT = "mangat"
 WARNER = "warner"
@@ -317,18 +317,10 @@ def dp_audit(mechanism, set_with, set_without, x: int, trials: int,
     only when the conservative ratio, Wilson-lower numerator over
     Wilson-upper denominator at 99%, still exceeds e^epsilon_claimed.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     set_with = frozenset(set_with)
     set_without = frozenset(set_without)
-    hits_with = 0
-    hits_without = 0
-    seed_with, seed_without = seed_stream(seed, "audit-with"), seed_stream(seed, "audit-without")
-    for t in range(trials):
-        if x in mechanism(set_with, seed_with(t)):
-            hits_with += 1
-        if x in mechanism(set_without, seed_without(t)):
-            hits_without += 1
+    hits_with = sum(run_trials(lambda s: x in mechanism(set_with, s), seed, "audit-with", trials))
+    hits_without = sum(run_trials(lambda s: x in mechanism(set_without, s), seed, "audit-without", trials))
     prob_with = hits_with / trials
     prob_without = hits_without / trials
     lo_num, hi_num = wilson_interval(hits_with, trials)
@@ -394,12 +386,12 @@ def measure_member_negative_rate(members, universe: Universe, fparams: FilterPar
     members = sorted(set(universe.require_all(list(members))))
     if not members:
         raise ParameterError("need at least one member")
-    per_trial = []
-    for t in range(trials):
-        filt = build_private_filter(members, universe, fparams, privacy,
-                                    mix_seed(seed, "fnr", t))
-        misses = sum(1 - filt.query(x) for x in members)
-        per_trial.append(misses / len(members))
+
+    def miss_rate(s: int) -> float:
+        filt = build_private_filter(members, universe, fparams, privacy, s)
+        return sum(1 - filt.query(x) for x in members) / len(members)
+
+    per_trial = list(run_trials(miss_rate, seed, "fnr", trials))
     rate = math.fsum(per_trial) / trials
     return FnrEstimate(rate=rate, se=standard_error(per_trial), trials=trials)
 
@@ -421,14 +413,15 @@ def measure_fpr_excluding_injected(members, universe: Universe, fparams: FilterP
     false-positive rate of the filter built over the perturbed set.
     """
     members = set(universe.require_all(list(members)))
+    if queries_per_trial < 1:
+        raise ParameterError("queries_per_trial must be >= 1")
     hits = 0
     total = 0
     sizes = []
-    for t in range(trials):
-        trial_seed = mix_seed(seed, "private-fpr", t)
-        perturbed = perturb(members, universe, privacy, trial_seed)
+    perturbed_sets = run_trials(lambda s: perturb(members, universe, privacy, s), seed, "private-fpr", trials)
+    query_rngs = run_trials(random.Random, seed, "private-fpr-queries", trials)
+    for perturbed, rng in zip(perturbed_sets, query_rngs):
         filt = BloomFilter.build(perturbed.members, fparams, HashFamily.public(), universe)
-        rng = random.Random(mix_seed(seed, "private-fpr-queries", t))
         excluded = set(perturbed.members) | members
         sizes.append(len(perturbed))
         if len(excluded) >= universe.size:

@@ -3,14 +3,16 @@
 Per-trial seeds are derived from a 64-bit master seed, an experiment tag and
 the trial index with ``mix_seed``, so trials are reproducible individually
 and could be executed out of order or in parallel without changing results.
-A loop over trials derives them with ``seed_stream``, which absorbs the
-master seed and tag once.
+Every Monte Carlo estimator runs its trials through ``run_trials``, which
+derives them with ``seed_stream``: the master seed and tag are absorbed once.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+
+from .errors import ParameterError
 
 try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Shared by filters, feistel.
     from _blake2 import blake2b
@@ -51,6 +53,14 @@ def mix_seed(master_seed: int, tag: str, index: int) -> int:
     """
     payload = _WORD.pack(master_seed & _MASK) + tag.encode("utf-8") + _WORD.pack(index & _MASK)
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "little")
+
+
+def run_trials(trial, master_seed: int, tag: str, trials: int):
+    """``trial(mix_seed(master_seed, tag, i))`` for i in ``range(trials)``,
+    lazily and in order. A count below 1 is refused here, before any trial."""
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    return map(trial, map(seed_stream(master_seed, tag), range(trials)))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -289,3 +289,18 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("experiment,")
     assert "ms" in proc.stderr
+
+
+def test_refusals_of_a_choice_and_of_config_contents(tmp_path):
+    code, out, err = _run(["fpr-estimate", "--mode", "bogus"])
+    assert (code, out) == (1, "")
+    assert err == "error: parameter 'mode' must be one of ('public', 'keyed-prf', 'true-random')\n"
+
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text(json.dumps([{"trials": 2}]))
+    assert _run(["saturation-scan", "--config", str(not_an_object)]) == (
+        1, "", "error: config file must hold a JSON object\n")
+
+    xml = tmp_path / "xml.json"
+    xml.write_text(json.dumps({"format": "xml"}))
+    assert _run(["saturation-scan", "--config", str(xml)]) == (1, "", "error: format must be csv or json\n")

@@ -479,3 +479,9 @@ def test_wrapped_adversary_insufficient_budget_outputs_zero():
     bit = run_real(wrapper, filter_factory(params, u),
                    OracleBudget(inserts=0, queries=1, reveals=0), seed=23)
     assert bit == 0
+
+
+@pytest.mark.parametrize("budget", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_oracle_budget_refuses_a_negative_count(budget):
+    with pytest.raises(ParameterError, match=r"^budgets must be >= 0$"):
+        OracleBudget(*budget)

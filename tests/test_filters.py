@@ -1149,3 +1149,31 @@ def test_feistel_round_matches_reference_formula(key, size, value):
         y = block(y)
     assert perm.encrypt(x) == y
     assert perm.decrypt(y) == x
+
+
+@pytest.mark.parametrize("size, kind", [(64.0, "float"), (True, "bool"), (False, "bool"), ("x", "str"),
+                                        ("64", "str"), (None, "NoneType")])
+def test_universe_refuses_a_size_that_is_not_an_int(size, kind):
+    with pytest.raises(ParameterError, match=rf"^universe size must be an int, not {kind}$"):
+        Universe(size)
+
+
+def test_refusals_of_the_sizing_helpers():
+    with pytest.raises(ParameterError, match=r"^n must be >= 1$"):
+        FilterParams.from_target(0, 0.01)
+    with pytest.raises(ParameterError, match=r"^m and n must be >= 1$"):
+        optimal_k(0, 10)
+    with pytest.raises(ParameterError, match=r"^effective cardinality must be >= 0$"):
+        expected_fpr(FilterParams(m=64, k=3, n=4), n_effective=-0.5)
+    with pytest.raises(ParameterError, match=r"^universe too small for n members plus a non-member$"):
+        estimate_fpr(FilterParams(m=64, k=3, n=10), Universe(10), PUBLIC, builds=1, queries=10, seed=1)
+
+
+@pytest.mark.parametrize("key, size, message", [
+    (b"k", 0, r"^permutation domain must have size >= 1$"),
+    (b"k", -5, r"^permutation domain must have size >= 1$"),
+    ("key", 16, r"^key must be bytes$"),
+])
+def test_feistel_refuses_an_empty_domain_and_a_str_key(key, size, message):
+    with pytest.raises(ParameterError, match=message):
+        FeistelPermutation(key, size)

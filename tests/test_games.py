@@ -518,3 +518,19 @@ def test_bp_experiment_reports_unsaturated_probe_rate():
     assert abs(exp.saturation_rate - exact) < 0.01
     assert 0.0 <= exp.probe_fp_rate_unsaturated < 1.0
     assert exp.mean_profit > profit_lower_bound(exact, 0.5) - 3 * (exp.ci_hi - exp.ci_lo)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: expected_profit_formula(0.5, 0.1, -1, 0.5), r"^t must be >= 0$"),
+    (lambda: expected_profit_formula(0.5, 0.1, 4, 0.0), r"^delta must lie in \(0, 1\)$"),
+    (lambda: expected_profit_formula(0.5, 0.1, 4, 1.0), r"^delta must lie in \(0, 1\)$"),
+    (lambda: profit_lower_bound(1.5, 0.5), r"^p_s must lie in \[0, 1\]$"),
+    (lambda: profit_lower_bound(-0.1, 0.5), r"^p_s must lie in \[0, 1\]$"),
+    (lambda: profit_lower_bound(0.5, 1.0), r"^delta must lie in \(0, 1\)$"),
+    (lambda: resilience_threshold_with_optimal_k(64, 8, 0.0), r"^delta must lie in \(0, 1\)$"),
+    (lambda: resilience_threshold_with_optimal_k(0, 8, 0.5), r"^need m >= 1 and n >= 0$"),
+    (lambda: resilience_threshold_with_optimal_k(64, -1, 0.5), r"^need m >= 1 and n >= 0$"),
+])
+def test_profit_closed_forms_refuse_bad_arguments(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()

@@ -14,6 +14,8 @@ from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationErr
 from bloomlab.filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
 from bloomlab.privacy import (
     ENUMERATION_CAP,
+    FnrEstimate,
+    FprWithInjected,
     MANGAT,
     WARNER,
     PerturbedSet,
@@ -31,6 +33,7 @@ from bloomlab.privacy import (
     privacy_budget,
     warner_perturb,
 )
+from bloomlab.stats import mix_seed, standard_error
 
 
 def test_params_validation():
@@ -441,3 +444,71 @@ def test_fpr_excluding_injected_elements():
     assert out.expected == pytest.approx(expected_fpr(fparams, n_effective=out.mean_perturbed_size))
     assert abs(out.rate - out.expected) < 0.05
     assert out.queries == 400 * 50
+
+
+def _reference_member_negative_rate(members, universe, fparams, params, trials, seed):
+    """The per-trial loop written out, with its seeds derived inline."""
+    members = sorted(set(members))
+    per_trial = []
+    for t in range(trials):
+        filt = build_private_filter(members, universe, fparams, params, mix_seed(seed, "fnr", t))
+        per_trial.append(sum(1 - filt.query(x) for x in members) / len(members))
+    return FnrEstimate(math.fsum(per_trial) / trials, standard_error(per_trial), trials)
+
+
+def _reference_fpr_excluding_injected(members, universe, fparams, params, trials, queries_per_trial, seed):
+    """The per-trial loop written out, with both of its seeds derived inline."""
+    members = set(members)
+    hits = total = 0
+    sizes = []
+    for t in range(trials):
+        perturbed = perturb(members, universe, params, mix_seed(seed, "private-fpr", t))
+        filt = BloomFilter.build(perturbed.members, fparams, HashFamily.public(), universe)
+        rng = random.Random(mix_seed(seed, "private-fpr-queries", t))
+        excluded = set(perturbed.members) | members
+        sizes.append(len(perturbed))
+        if len(excluded) >= universe.size:
+            continue
+        for _ in range(queries_per_trial):
+            hits += filt.query(universe.sample_outside(rng, excluded))
+            total += 1
+    mean_size = math.fsum(sizes) / len(sizes)
+    return FprWithInjected(hits / total, expected_fpr(fparams, mean_size), mean_size, total)
+
+
+@pytest.mark.parametrize("mode,p", [(MANGAT, 0.9), (MANGAT, 0.2), (WARNER, 0.75), (WARNER, 0.55)])
+@pytest.mark.parametrize("seed", [0, 7, 31337])
+def test_private_filter_estimates_match_their_written_out_loops(mode, p, seed):
+    """Pins both library estimators, which no golden digest covers: a moved
+    seed tag or trial index changes the numbers. At mangat p=0.2 some trials
+    inject every non-member of the small universe and are skipped."""
+    params = PrivacyParams(mode, p)
+    fparams = FilterParams(m=48, k=3, n=6)
+    for universe, members in ((Universe(12), range(6)), (Universe(96), range(0, 30, 5))):
+        assert measure_member_negative_rate(members, universe, fparams, params, 25, seed) == \
+            _reference_member_negative_rate(members, universe, fparams, params, 25, seed)
+        assert measure_fpr_excluding_injected(members, universe, fparams, params, 25, 7, seed) == \
+            _reference_fpr_excluding_injected(members, universe, fparams, params, 25, 7, seed)
+
+
+def test_private_filter_estimates_refuse_bad_counts():
+    u, members, fparams = Universe(64), {1, 2, 3}, FilterParams(m=64, k=3, n=3)
+    params = PrivacyParams(MANGAT, 0.5)
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+        measure_member_negative_rate(members, u, fparams, params, trials=0, seed=1)
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+        measure_fpr_excluding_injected(members, u, fparams, params, trials=0, queries_per_trial=5, seed=1)
+    for queries in (0, -2):
+        with pytest.raises(ParameterError, match=r"^queries_per_trial must be >= 1$"):
+            measure_fpr_excluding_injected(members, u, fparams, params, trials=3,
+                                           queries_per_trial=queries, seed=1)
+
+
+def test_refusals_of_the_closed_forms_and_the_audit():
+    with pytest.raises(ParameterError, match=r"^need 0 <= set size <= universe size$"):
+        expected_cardinality(MANGAT, 65, 64, 0.5)
+    with pytest.raises(ParameterError, match=r"^need 0 <= set size <= universe size$"):
+        expected_cardinality(WARNER, -1, 64, 0.75)
+    with pytest.raises(ParameterError, match=r"^unknown audit direction 'sideways'$"):
+        audit_perturbation(PrivacyParams(MANGAT, 0.5), {0, 1}, Universe(16), 0, trials=10, seed=1,
+                           direction="sideways")

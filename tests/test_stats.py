@@ -7,10 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bloomlab import filic, filters, games, privacy
+from bloomlab.errors import ParameterError
+from bloomlab.filic import NullAdversary, OracleBudget, estimate_advantage
+from bloomlab.filters import PUBLIC, FilterParams, Universe, estimate_fpr, filter_factory
+from bloomlab.games import (
+    GameConfig,
+    SaturationAdversary,
+    UniformAdversary,
+    run_ab_experiment,
+    run_bp_experiment,
+    saturation_frequency,
+)
+from bloomlab.privacy import (
+    MANGAT,
+    PrivacyParams,
+    dp_audit,
+    measure_fpr_excluding_injected,
+    measure_member_negative_rate,
+)
 from bloomlab.stats import (
     Z99,
     mean_confidence_interval,
     mix_seed,
+    run_trials,
     seed_stream,
     standard_error,
     wilson_interval,
@@ -97,3 +117,70 @@ def test_mean_confidence_interval():
 def test_one_value_interval_degenerates():
     mean, lo, hi = mean_confidence_interval([3.5])
     assert mean == 3.5 and lo == 3.5 and hi == 3.5
+
+
+def test_run_trials_feeds_each_trial_its_mixed_seed_in_order():
+    for master_seed, tag, trials in ((0, "", 1), (42, "ab-trial", 6), (-3, "Prüfung", 4)):
+        seeds = [mix_seed(master_seed, tag, i) for i in range(trials)]
+        assert list(run_trials(lambda s: s, master_seed, tag, trials)) == seeds
+        assert list(run_trials(lambda s: s % 1000, master_seed, tag, trials)) == [s % 1000 for s in seeds]
+
+
+def test_run_trials_calls_nothing_until_iterated():
+    calls = []
+    results = run_trials(lambda s: calls.append(s) or len(calls), 9, "lazy", 3)
+    assert calls == []
+    assert next(results) == 1 and calls == [mix_seed(9, "lazy", 0)]
+    assert list(results) == [2, 3]
+    assert calls == [mix_seed(9, "lazy", i) for i in range(3)]
+
+
+@pytest.mark.parametrize("trials", [0, -1, -(1 << 70)])
+def test_run_trials_refuses_a_bad_count_when_called(trials):
+    calls = []
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+        run_trials(calls.append, 1, "eager", trials)  # never iterated: the refusal is eager
+    assert calls == []
+
+
+def _estimator_at_zero_trials(name):
+    """A call of the named estimator with every argument valid but ``trials=0``."""
+    universe = Universe(64)
+    params = FilterParams(m=64, k=3, n=4)
+    cfg = GameConfig(universe=universe, n=4, t=2, threshold=0.5)
+    factory = filter_factory(params, universe, PUBLIC)
+    audit_params = PrivacyParams(MANGAT, 0.5)
+    members = frozenset(range(4))
+    return {
+        "run_ab_experiment": lambda: run_ab_experiment(factory, UniformAdversary(), cfg, 0, 1),
+        "run_bp_experiment": lambda: run_bp_experiment(factory, SaturationAdversary(), cfg, 0, 1),
+        "saturation_frequency": lambda: saturation_frequency(64, 3, 4, 0, 1),
+        "estimate_fpr": lambda: estimate_fpr(params, universe, PUBLIC, 0, 100, 1),
+        "dp_audit": lambda: dp_audit(lambda s, sd: privacy.perturb(s, universe, audit_params, sd),
+                                     members, members - {0}, 0, 0, 1.0, 1),
+        "measure_member_negative_rate": lambda: measure_member_negative_rate(
+            members, universe, params, audit_params, 0, 1),
+        "measure_fpr_excluding_injected": lambda: measure_fpr_excluding_injected(
+            members, universe, params, audit_params, 0, 10, 1),
+        "estimate_advantage": lambda: estimate_advantage(
+            NullAdversary(universe, 4), factory, params, OracleBudget(1, 1, 1), 0, 1),
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "run_ab_experiment", "run_bp_experiment", "saturation_frequency", "estimate_fpr",
+    "dp_audit", "measure_member_negative_rate", "measure_fpr_excluding_injected",
+    "estimate_advantage",
+])
+def test_every_estimator_refuses_zero_trials_before_any_trial(monkeypatch, name):
+    """Each Monte Carlo estimator runs through ``run_trials``: at ``trials=0``
+    it raises its refusal and none of the per-trial entry points runs."""
+    calls = []
+    for module, attr in ((games, "run_ab_test"), (games, "run_bp_test"), (filic, "run_real"),
+                         (filic, "run_ideal"), (privacy, "mangat_perturb"), (privacy, "warner_perturb"),
+                         (filters.BloomFilter, "build")):
+        monkeypatch.setattr(module, attr, lambda *args, _attr=attr, **kwargs: calls.append(_attr))
+    estimator = _estimator_at_zero_trials(name)
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+        estimator()
+    assert calls == []
