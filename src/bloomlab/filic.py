@@ -50,6 +50,7 @@ from .filters import (
     _fill,
     _memo_fill,
     _pack_snapshot,
+    _require_ints,
 )
 from .stats import mix_seed, run_trials, wilson_interval
 
@@ -68,6 +69,7 @@ class OracleBudget(namedtuple("OracleBudget", "inserts queries reveals")):
     __slots__ = ()
 
     def __new__(cls, inserts: int, queries: int, reveals: int):
+        _require_ints(inserts=inserts, queries=queries, reveals=reveals)
         if min(inserts, queries, reveals) < 0:
             raise ParameterError("budgets must be >= 0")
         return super().__new__(cls, inserts, queries, reveals)
@@ -311,7 +313,21 @@ def snapshot_reveal_codec(params: FilterParams, universe: Universe):
     return factory
 
 
-class RepresentationPredictionAdversary(FilicAdversary):
+class _UniformMembers(FilicAdversary):
+    """Chooses n uniform distinct members of the universe."""
+
+    def __init__(self, universe: Universe, n: int):
+        if not 0 < n < universe.size:
+            raise ParameterError("need 0 < n < universe size")
+        self.universe = universe
+        self.n = n
+
+    def choose_set(self) -> set[int]:
+        self.members = set(self.universe.sample(self.rng, self.n))
+        return set(self.members)
+
+
+class RepresentationPredictionAdversary(_UniformMembers):
     """Reads the revealed representation, predicts a positive offline and
     spends one query confirming it.
 
@@ -326,16 +342,9 @@ class RepresentationPredictionAdversary(FilicAdversary):
 
     def __init__(self, params: FilterParams, universe: Universe, n: int,
                  expects_snapshot: bool):
-        if not 0 < n < universe.size:
-            raise ParameterError("need 0 < n < universe size")
+        super().__init__(universe, n)
         self.params = params
-        self.universe = universe
-        self.n = n
         self.expects_snapshot = expects_snapshot
-
-    def choose_set(self) -> set[int]:
-        self.members = set(self.universe.sample(self.rng, self.n))
-        return set(self.members)
 
     def interact(self, oracles: OracleSet):
         blob = oracles.reveal()
@@ -360,17 +369,8 @@ class RepresentationPredictionAdversary(FilicAdversary):
         return 0
 
 
-class NullAdversary(FilicAdversary):
+class NullAdversary(_UniformMembers):
     """Ignores its oracles and outputs 0; its advantage is zero."""
-
-    def __init__(self, universe: Universe, n: int):
-        if not 0 < n < universe.size:
-            raise ParameterError("need 0 < n < universe size")
-        self.universe = universe
-        self.n = n
-
-    def choose_set(self) -> set[int]:
-        return set(self.universe.sample(self.rng, self.n))
 
     def interact(self, oracles: OracleSet):
         return 0

@@ -141,12 +141,20 @@ _PUBLIC_INDICES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _TABLE_CAP = 1 << 15
 
 
+def _require_ints(**counts) -> None:
+    """Refuse a count that is not an int, naming it; a bool is not one."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
+
+
 class FilterParams(namedtuple("FilterParams", "m k n")):
     """Size parameters: m bits, k hash functions, n expected insertions."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, k: int, n: int):
+        _require_ints(m=m, k=k, n=n)
         if m < 1:
             raise ParameterError("m must be >= 1")
         if k < 1:
@@ -185,8 +193,7 @@ class Universe:
     __slots__ = ("size",)
 
     def __init__(self, size: int):
-        if type(size) is not int:  # a bool is not one
-            raise ParameterError(f"universe size must be an int, not {type(size).__name__}")
+        _require_ints(**{"universe size": size})
         if size < 1:
             raise ParameterError("universe size must be >= 1")
         object.__setattr__(self, "size", size)
@@ -246,9 +253,11 @@ class Universe:
 
     def sample_outside(self, rng: random.Random, excluded) -> int:
         """Uniform element not in ``excluded``: ``rng.randrange(size)``, redrawn
-        while excluded. An exact ``random.Random`` draws it inline, as above."""
+        while excluded. An exact ``random.Random`` draws it inline, as above.
+        Refused when ``excluded`` holds every element of the universe; elements
+        outside it do not count."""
         size = self.size
-        if len(excluded) >= size:
+        if len(excluded) >= size and all(map(excluded.__contains__, range(size))):
             raise ParameterError("excluded set covers the whole universe")
         plain = type(rng) is random.Random
         draw, arg = (rng.getrandbits, size.bit_length()) if plain else (rng.randrange, size)
@@ -300,15 +309,11 @@ class HashFamily:
         return cls(mode=PUBLIC, key=b"")
 
     @classmethod
-    def keyed(cls, key: bytes | None = None) -> "HashFamily":
-        if key is None:
-            key = random.SystemRandom().randbytes(16)
+    def keyed(cls, key: bytes) -> "HashFamily":
         return cls(mode=KEYED_PRF, key=key)
 
     @classmethod
-    def true_random(cls, seed: bytes | int | None = None, rng: random.Random | None = None) -> "HashFamily":
-        if seed is None:
-            seed = rng.randbytes(16) if rng is not None else random.SystemRandom().randbytes(16)
+    def true_random(cls, seed: bytes | int) -> "HashFamily":
         if isinstance(seed, int):
             seed = seed.to_bytes(8, "little", signed=False)
         return cls(mode=TRUE_RANDOM, key=bytes(seed))
@@ -499,9 +504,8 @@ class BloomFilter:
         """The packed bit array alone, the filter's in-memory state."""
         return bytes(self._bits)
 
-    def reveal(self) -> bytes:
-        """Internal representation exposed to a reveal oracle: the bit array."""
-        return self.bit_bytes()
+    # Internal representation exposed to a reveal oracle: the bit array.
+    reveal = bit_bytes
 
     def to_bytes(self) -> bytes:
         """Snapshot of a public or keyed filter.

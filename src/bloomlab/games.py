@@ -45,7 +45,7 @@ from abc import ABC, abstractmethod
 from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError
-from .filters import TRUE_RANDOM, FilterParams, Universe, filter_factory, optimal_k
+from .filters import TRUE_RANDOM, FilterParams, Universe, _require_ints, filter_factory, optimal_k
 from .stats import mean_confidence_interval, run_trials, wilson_interval
 
 # Largest m*n*k for which saturation_probability runs its exact sum.
@@ -62,6 +62,7 @@ class GameConfig(namedtuple("GameConfig", "universe n t threshold")):
     __slots__ = ()
 
     def __new__(cls, universe: Universe, n: int, t: int, threshold: float):
+        _require_ints(n=n, t=t)
         if n < 1:
             raise ParameterError("n must be >= 1")
         if t < 0:
@@ -192,16 +193,17 @@ class ProfitOutcome(namedtuple("ProfitOutcome", "bet false_positive profit")):
 
 
 class BpRun(namedtuple("BpRun", "outcome transcript saturated")):
-    """Result of one profit-game trial; ``saturated`` is None for a filter
-    that cannot tell."""
+    """Result of one profit-game trial; ``saturated`` is whether every bit of
+    the built filter was set."""
 
     __slots__ = ()
 
 
 def run_bp_test(filter_factory, adversary: Adversary, cfg: GameConfig, seed: int) -> BpRun:
-    """Profit game at threshold cfg.threshold; forfeits and passes pay 0."""
+    """Profit game at threshold cfg.threshold; forfeits and passes pay 0.
+    The factory's filters report ``is_saturated()``."""
     filt, transcript, play = _play(filter_factory, adversary, cfg, seed)
-    saturated = filt.is_saturated() if hasattr(filt, "is_saturated") else None
+    saturated = filt.is_saturated()
     if play is None:
         return BpRun(ProfitOutcome(0, 0, 0.0), transcript, saturated)
     bet, target = play
@@ -290,6 +292,7 @@ def saturation_probability(m: int, n: int, k: int) -> SaturationProbability:
 
     ``lower_bound`` is the union bound 1 - m e^{-nk/m}, clamped at 0.
     """
+    _require_ints(m=m, n=n, k=k)
     if m < 1:
         raise ParameterError("m must be >= 1")
     if n < 0 or k < 1:
@@ -406,7 +409,6 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     profits: list[float] = []
     bets = wins = forfeits = 0
     saturated_trials = 0
-    saturation_known = 0
     probe_hits = probe_total = 0
     trial = lambda s: run_bp_test(filter_factory, adversary, cfg, s)
     for run in run_trials(trial, seed, "bp-trial", trials):
@@ -414,17 +416,15 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
         bets += run.outcome.bet
         wins += run.outcome.profit > 0
         forfeits += run.transcript.forfeited
-        if run.saturated is not None:
-            saturation_known += 1
-            saturated_trials += run.saturated
-            if not run.saturated:
-                probe_hits += sum(run.transcript.answers)
-                probe_total += len(run.transcript.answers)
+        saturated_trials += run.saturated
+        if not run.saturated:
+            probe_hits += sum(run.transcript.answers)
+            probe_total += len(run.transcript.answers)
     mean, lo, hi = mean_confidence_interval(profits)
     return BpExperiment(
         trials=trials, mean_profit=mean, ci_lo=lo, ci_hi=hi,
         bet_rate=bets / trials, win_rate=wins / trials,
-        saturation_rate=(saturated_trials / saturation_known) if saturation_known else math.nan,
+        saturation_rate=saturated_trials / trials,
         probe_fp_rate_unsaturated=(probe_hits / probe_total) if probe_total else 0.0,
         forfeits=forfeits,
     )

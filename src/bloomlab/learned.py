@@ -4,9 +4,9 @@ The scorer here is a memorizing model, the simplest model with controllable
 error rates: training members score 1, trained negatives 0, each flipped to
 the other score independently with a configurable noise probability, and
 anything never seen in training scores 0. The model predicts membership for
-exactly the elements that score 1. The backup filter is built over exactly
-the members the model misses, which restores completeness of the composed
-filter.
+exactly the elements that score 1. The backup filter, a public-hash one, is
+built over exactly the members the model misses, which restores completeness
+of the composed filter.
 
 ``private_learned_build`` runs the same pipeline on a perturbed member set,
 so the model, backup and every downstream answer are a post-processing of
@@ -62,18 +62,14 @@ def make_training_set(members, universe: Universe, negatives_count: int, seed: i
             f"negatives_count must lie in [0, {complement_size}]"
         )
     rng = random.Random(seed)
-    member_set = set(members)
-    negatives: list[int] = []
+    excluded = set(members)
     if negatives_count > complement_size // 2:
-        pool = [x for x in range(universe.size) if x not in member_set]
-        negatives = rng.sample(pool, negatives_count)
+        negatives = rng.sample([x for x in range(universe.size) if x not in excluded], negatives_count)
     else:
-        seen = set()
-        while len(negatives) < negatives_count:
-            x = rng.randrange(universe.size)
-            if x not in member_set and x not in seen:
-                seen.add(x)
-                negatives.append(x)
+        negatives = []
+        for _ in range(negatives_count):
+            negatives.append(universe.sample_outside(rng, excluded))
+            excluded.add(negatives[-1])
     pairs = [(x, 1) for x in members] + [(x, 0) for x in negatives]
     return TrainingDataset(tuple(pairs))
 
@@ -120,21 +116,15 @@ def train_threshold_model(data: TrainingDataset, noise: float, seed: int) -> Lea
         raise ParameterError("noise must lie in [0, 1)")
     rng = random.Random(seed)
     scores: dict[int, float] = {}
-    pos_flips = pos_count = neg_flips = neg_count = 0
+    counts, flips = {0: 0, 1: 0}, {0: 0, 1: 0}
     for x, label in data.pairs:
-        if label == 1:
-            pos_count += 1
-            flipped = rng.random() < noise
-            scores[x] = 0.0 if flipped else 1.0
-            pos_flips += flipped
-        else:
-            neg_count += 1
-            flipped = rng.random() < noise
-            scores[x] = 1.0 if flipped else 0.0
-            neg_flips += flipped
+        flipped = rng.random() < noise
+        scores[x] = float(label != flipped)
+        counts[label] += 1
+        flips[label] += flipped
     return LearningModel(
-        eps_p=_rate_plus_slack(neg_flips, neg_count),
-        eps_n=_rate_plus_slack(pos_flips, pos_count),
+        eps_p=_rate_plus_slack(flips[0], counts[0]),
+        eps_n=_rate_plus_slack(flips[1], counts[1]),
         scores=scores,
     )
 
@@ -165,11 +155,11 @@ class LearnedFilter:
 
 
 def learned_build(members, universe: Universe, fparams: FilterParams,
-                  model: LearningModel, family: HashFamily | None = None) -> LearnedFilter:
-    """Compose ``model`` with a backup filter over its false negatives."""
+                  model: LearningModel) -> LearnedFilter:
+    """Compose ``model`` with a public-hash backup filter over its false negatives."""
     members = universe.require_all(set(members))
     missed = {x for x in members if not model.predict(x)}
-    backup = BloomFilter.build(missed, fparams, family or HashFamily.public(), universe)
+    backup = BloomFilter.build(missed, fparams, HashFamily.public(), universe)
     return LearnedFilter(model=model, backup=backup, universe=universe,
                          encoded=frozenset(members))
 

@@ -283,15 +283,14 @@ def expected_fnr(mode: str, p: float) -> float:
 
 
 def build_private_filter(members, universe: Universe, fparams: FilterParams,
-                         privacy: PrivacyParams, seed: int,
-                         family: HashFamily | None = None) -> BloomFilter:
-    """Perturb the member set with ``seed`` and build a filter over the result.
+                         privacy: PrivacyParams, seed: int) -> BloomFilter:
+    """Perturb the member set with ``seed`` and build a public-hash filter on it.
 
     The perturbation consumes ``seed`` directly, so callers can reproduce the
     perturbed set by invoking the perturbation with the same seed.
     """
     perturbed = perturb(members, universe, privacy, seed)
-    return BloomFilter.build(perturbed.members, fparams, family or HashFamily.public(), universe)
+    return BloomFilter.build(perturbed.members, fparams, HashFamily.public(), universe)
 
 
 class AuditReport(namedtuple("AuditReport", (

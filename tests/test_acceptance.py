@@ -30,6 +30,7 @@ from bloomlab.filters import (
     Universe,
     estimate_fpr,
     filter_factory,
+    fresh_family,
 )
 from bloomlab.games import (
     GameConfig,
@@ -91,7 +92,7 @@ def test_2_completeness_every_insertable_kind():
         return BloomFilter.build(members, fparams, HashFamily.keyed(rng.randbytes(16)), u)
 
     def true_random(members, rng):
-        return BloomFilter.build(members, fparams, HashFamily.true_random(rng=rng), u)
+        return BloomFilter.build(members, fparams, fresh_family(TRUE_RANDOM, rng), u)
 
     def ny(members, rng):
         return NyFilter.build(members, fparams, rng.randbytes(16), u)

@@ -485,3 +485,12 @@ def test_wrapped_adversary_insufficient_budget_outputs_zero():
 def test_oracle_budget_refuses_a_negative_count(budget):
     with pytest.raises(ParameterError, match=r"^budgets must be >= 0$"):
         OracleBudget(*budget)
+
+
+@pytest.mark.parametrize("budget, name, kind", [((0, 1.5, 0), "queries", "float"),
+                                                ((True, 0, 0), "inserts", "bool"),
+                                                ((0, 0, 1.0), "reveals", "float")])
+def test_oracle_budget_refuses_a_count_that_is_not_an_int(budget, name, kind):
+    """A float budget would allow a call more than it says: 1.5 queries allow two."""
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int, not {kind}$"):
+        OracleBudget(*budget)

@@ -1158,6 +1158,24 @@ def test_universe_refuses_a_size_that_is_not_an_int(size, kind):
         Universe(size)
 
 
+@pytest.mark.parametrize("args, name, kind", [((64.0, 3, 5), "m", "float"), ((True, 1, 0), "m", "bool"),
+                                              ((64, 3, 5.0), "n", "float")])
+def test_filter_params_refuse_a_count_that_is_not_an_int(args, name, kind):
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int, not {kind}$"):
+        FilterParams(*args)
+
+
+@pytest.mark.parametrize("plain", [True, False])
+def test_sample_outside_counts_only_excluded_elements_of_the_universe(plain):
+    """An excluded element outside the universe does not cover any of it."""
+    u = Universe(3)
+    make = random.Random if plain else _CountingRandom
+    assert u.sample_outside(make(1), {0, 1, 99}) == 2
+    for excluded in ({0, 1, 2}, {0, 1, 2, 99}):
+        with pytest.raises(ParameterError, match="^excluded set covers the whole universe$"):
+            u.sample_outside(make(1), excluded)
+
+
 def test_refusals_of_the_sizing_helpers():
     with pytest.raises(ParameterError, match=r"^n must be >= 1$"):
         FilterParams.from_target(0, 0.01)

@@ -98,6 +98,13 @@ def test_config_validation():
         GameConfig(universe=Universe(5), n=4, t=2, threshold=0.5)  # no room for target
 
 
+@pytest.mark.parametrize("n, t, name, kind", [(2.5, 2, "n", "float"), (True, 2, "n", "bool"),
+                                              (4, 1.5, "t", "float")])
+def test_game_config_refuses_a_count_that_is_not_an_int(n, t, name, kind):
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int, not {kind}$"):
+        GameConfig(universe=Universe(64), n=n, t=t, threshold=0.5)
+
+
 def test_transcript_shape_uniform_adversary():
     u = Universe(4096)
     cfg = GameConfig(universe=u, n=10, t=6, threshold=0.5)
@@ -427,6 +434,14 @@ def test_saturation_probability_refuses_past_the_cap():
     for m, n, k, exact in ((8, 300 * 10**4, 7, 1.0), (4096, 1000, 5, 0.0), (1 << 20, 300, 7, 0.0)):
         assert m * n * k > SATURATION_CAP
         assert saturation_probability(m, n, k).exact == exact
+
+
+@pytest.mark.parametrize("m, n, k, name, kind", [(8, 20, 3.0, "k", "float"), (64, 60, 7.0, "k", "float"),
+                                                 (8.0, 20, 3, "m", "float"), (8, True, 3, "n", "bool")])
+def test_saturation_probability_refuses_a_count_that_is_not_an_int(m, n, k, name, kind):
+    """A float count would take the sum off its exact integers: a wrong last bit, or an overflow."""
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int, not {kind}$"):
+        saturation_probability(m, n, k)
 
 
 def test_saturation_frequency_matches_exact():

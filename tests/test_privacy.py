@@ -325,9 +325,8 @@ def test_private_filter_p_one_equals_plain_build():
     u = Universe(64)
     members = {2, 17, 40}
     fparams = FilterParams(m=128, k=3, n=3)
-    fam = HashFamily.keyed(b"shared")
-    private = build_private_filter(members, u, fparams, PrivacyParams(MANGAT, 1.0), 7, family=fam)
-    plain = BloomFilter.build(members, fparams, HashFamily.keyed(b"shared"), u)
+    private = build_private_filter(members, u, fparams, PrivacyParams(MANGAT, 1.0), 7)
+    plain = BloomFilter.build(members, fparams, HashFamily.public(), u)
     assert private.bit_bytes() == plain.bit_bytes()
 
 
