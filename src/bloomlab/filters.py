@@ -22,7 +22,8 @@ independent PRF outputs as the keyed construction requires. Double hashing
 still but is not used: its indices ``h1 + i*h2`` are correlated, not
 independent PRF outputs. A family caches, per block b, a blake2b state that
 is already keyed and has absorbed ``<Q>(b)`` (:meth:`HashFamily.block_states`).
-A :class:`BloomFilter` binds those states for its k, and m, once at
+A :class:`BloomFilter` that hashes per query (a keyed one, or a public one
+past the table gate below) binds those states for its k, and m, once at
 construction, and derives indices from them without a call into the family.
 ``query`` copies each state and feeds it ``<Q>(x)``, and owns the early exit:
 it tests each index as it is derived and returns 0 at the first clear bit,
@@ -46,14 +47,16 @@ stream, read straight from ``getrandbits`` on an exact ``random.Random``.
 Public indices are keyless, a fixed function of (x, m, k), so a public
 filter over a universe of u elements with u·k <= 2**15 reads them from a
 memo as a true-random one does: one process-wide table per shape (m, k),
-``_PUBLIC_INDICES``, mapping an element to all k of its indices. ``query``
-and ``build`` fill a missing entry from the bound block states, hashing
-every block, so a query under the gate that misses no longer stops at the
-first clear bit. A table holds at most u entries, 2**15 indices. Measured
-with ``tracemalloc`` on CPython 3.11, a full table takes 0.6 MB at the
-``filic-distinguish`` defaults (m = 64, k = 5, u = 4096), 1.5 MB at
-m = 1024, k = 7 and 5.0 MB at k = 1 with m = 2**20, the worst case. Keyed
-filters, and public ones over larger universes, hash per query as above.
+``_PUBLIC_INDICES``, mapping an element to all k of its indices. Such a
+filter binds no block states: ``query`` and ``build`` fill a missing entry
+through :meth:`HashFamily.indices`, whose states the family builds at its
+first miss, hashing every block, so a query under the gate that misses no
+longer stops at the first clear bit. A table holds at most u entries, 2**15
+indices. Measured with ``tracemalloc`` on CPython 3.11, a full table takes
+0.6 MB at the ``filic-distinguish`` defaults (m = 64, k = 5, u = 4096),
+1.5 MB at m = 1024, k = 7 and 5.0 MB at k = 1 with m = 2**20, the worst
+case. Keyed filters, and public ones over larger universes, hash per query
+as above.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -61,7 +64,11 @@ It is static: inserts are refused. The permutation is a four-round Feistel
 network whose rounds read w-byte fields of 64-byte keyed digests, the block
 idiom above (:mod:`bloomlab.feistel`); over a universe of at most 2**16
 elements each round is a table built once, so an element is permuted by
-four byte lookups.
+four byte lookups. A query permutes x to y once; where the inner filter has a
+memo (true-random, or public under the gate) that holds y, it reads y's k
+indices from that memo and tests them itself, and it calls the inner
+``query`` only on a miss, for an inner filter that hashes per query, or for
+a y outside the inner universe, which that refuses.
 
 Snapshots use a versioned binary layout, little-endian throughout:
 
@@ -314,8 +321,12 @@ class HashFamily:
 
     @classmethod
     def true_random(cls, seed: bytes | int) -> "HashFamily":
+        """A true-random family keyed by ``seed``: bytes as given, an int in
+        [0, 2**64) as its 8 little-endian bytes. A bool is not a seed."""
         if isinstance(seed, int):
-            seed = seed.to_bytes(8, "little", signed=False)
+            if type(seed) is not int or not 0 <= seed < 1 << 64:
+                raise ParameterError(f"a true-random seed must be bytes or an int in [0, 2**64), not {seed!r}")
+            seed = seed.to_bytes(8, "little")
         return cls(mode=TRUE_RANDOM, key=bytes(seed))
 
     def block_states(self, k: int) -> tuple:
@@ -409,21 +420,22 @@ class BloomFilter:
             raise ParameterError(f"a BloomFilter cannot be of kind {self.kind!r}")
         self._bits = bytearray((params.m + 7) // 8)
         self._ones = 0
-        # What build and query derive indices with: m, and per block of the
-        # family's k indices its pre-keyed state and the reader of its words.
-        # None for true-random families, whose (m, k) is bound here instead.
-        # _memo holds all k indices per element: the family's memo, the
-        # shape's public table (public, u*k <= _TABLE_CAP) or None.
+        # _memo holds all k indices per element: the family's memo for a
+        # true-random family, whose (m, k) is bound here; the shape's public
+        # table for a public one with u*k <= _TABLE_CAP; else None. Only a
+        # filter without a memo hashes per query, so only it binds _blocks:
+        # per block of its k indices, the pre-keyed state and the reader of
+        # its words. A memo miss derives through family.indices instead.
         self._m = params.m
         self._blocks = self._memo = None
         if family.mode == TRUE_RANDOM:
             family._bind(params.m, params.k)
             self._memo = family.memo
+        elif family.mode == PUBLIC and universe.size * params.k <= _TABLE_CAP:
+            self._memo = _PUBLIC_INDICES.setdefault((params.m, params.k), {})
         else:
             self._blocks = tuple((state, _WORDS[min(8, params.k - 8 * b)])
                                  for b, state in enumerate(family.block_states(params.k)))
-            if family.mode == PUBLIC and universe.size * params.k <= _TABLE_CAP:
-                self._memo = _PUBLIC_INDICES.setdefault((params.m, params.k), {})
 
     @classmethod
     def build(cls, members, params: FilterParams, family: HashFamily, universe: Universe) -> "BloomFilter":
@@ -438,7 +450,7 @@ class BloomFilter:
         filt = cls(params, family, universe)
         m, k = params.m, params.k
         memo = filt._memo
-        if filt._blocks is None:
+        if family.mode == TRUE_RANDOM:
             words = chain.from_iterable(_memo_fill(memo, family._rng, m, k, members))
         elif memo is not None:
             words = chain.from_iterable([memo.get(x) or memo.setdefault(x, family.indices(x, m, k))
@@ -473,8 +485,9 @@ class BloomFilter:
             got = memo.get(x)
             if got is None:
                 m, k = self._m, self.params.k
-                got = memo[x] = (tuple(_draws(self.family._rng, m, k)) if self._blocks is None
-                                 else self.family.indices(x, m, k))
+                family = self.family
+                got = memo[x] = (tuple(_draws(family._rng, m, k)) if family.mode == TRUE_RANDOM
+                                 else family.indices(x, m, k))
             for j in got:
                 if not bits[j >> 3] & (1 << (j & 7)):
                     return 0
@@ -662,9 +675,25 @@ class NyFilter:
         return self.inner.params
 
     def query(self, x: int) -> int:
+        """``inner.query(prp.encrypt(x))``. Where the inner filter has a memo
+        (true-random, or public with u·k <= 2**15) that holds the image y,
+        y's k indices are read from it and tested here; ``inner.query``
+        answers a memo miss, an inner filter that hashes per query, and a y
+        outside the inner universe, which it refuses."""
         if not (isinstance(x, int) and 0 <= x < self.universe.size):
             self.universe.require(x)
-        return self.inner.query(self.prp.encrypt(x))
+        y = self.prp.encrypt(x)
+        inner = self.inner
+        memo = inner._memo
+        if memo is not None and y < inner.universe.size:
+            got = memo.get(y)
+            if got is not None:
+                bits = inner._bits
+                for j in got:
+                    if not bits[j >> 3] & (1 << (j & 7)):
+                        return 0
+                return 1
+        return inner.query(y)
 
     def insert(self, x: int) -> None:
         raise UnsupportedOperationError("ny-prp-wrapped filters are static; insert is not supported")

@@ -32,8 +32,8 @@ class TrainingDataset(namedtuple("TrainingDataset", "pairs")):
 
     def __new__(cls, pairs: tuple[tuple[int, int], ...]):
         for x, label in pairs:
-            if label not in (0, 1):
-                raise ParameterError("labels must be 0 or 1")
+            if type(label) is not int or label not in (0, 1):
+                raise ParameterError(f"labels must be the int 0 or 1, not {label!r}")
         pos = {x for x, lab in pairs if lab == 1}
         neg = {x for x, lab in pairs if lab == 0}
         if pos & neg:
@@ -116,7 +116,7 @@ def train_threshold_model(data: TrainingDataset, noise: float, seed: int) -> Lea
         raise ParameterError("noise must lie in [0, 1)")
     rng = random.Random(seed)
     scores: dict[int, float] = {}
-    counts, flips = {0: 0, 1: 0}, {0: 0, 1: 0}
+    counts, flips = [0, 0], [0, 0]
     for x, label in data.pairs:
         flipped = rng.random() < noise
         scores[x] = float(label != flipped)

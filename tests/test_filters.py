@@ -13,6 +13,7 @@ from scipy.stats import chi2
 
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.feistel import ROUNDS, FeistelPermutation
+from bloomlab.filic import KeyLeakingFilter
 from bloomlab.filters import (
     FORMAT_VERSION,
     KEY_OFFSET,
@@ -1195,3 +1196,99 @@ def test_refusals_of_the_sizing_helpers():
 def test_feistel_refuses_an_empty_domain_and_a_str_key(key, size, message):
     with pytest.raises(ParameterError, match=message):
         FeistelPermutation(key, size)
+
+
+def _composed(ny: NyFilter, x):
+    """``ny.inner.query(ny.prp.encrypt(x))``: the answer, or the type of the refusal."""
+    try:
+        return ny.inner.query(ny.prp.encrypt(x))
+    except ValueError as exc:  # DomainError or ParameterError
+        return type(exc)
+
+
+def _wrapped(ny: NyFilter, x):
+    """``ny.query(x)``: the answer, or the type of the refusal."""
+    try:
+        return ny.query(x)
+    except ValueError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+@pytest.mark.parametrize("size, m, k, probes", [
+    (4096, 64, 5, None),       # tabulated rounds; a public inner reads the table (u*k <= 2**15)
+    (6554, 64, 5, None),       # tabulated rounds; a public inner hashes per query
+    (5000, 60, 5, None),       # cycle walking over tabulated rounds
+    (65537, 256, 3, 3000),     # per-call rounds, sampled elements
+])
+def test_ny_query_equals_the_inner_query_of_the_permuted_element(mode, size, m, k, probes):
+    """Two identical wrapped filters, one queried through ``NyFilter.query``
+    and one through the composition it replaces, in the same order: the same
+    answers, and (true-random) the same memo and generator state."""
+    u, params = Universe(size), FilterParams(m=m, k=k, n=40)
+    rng = random.Random(size * k)
+    members, key = rng.sample(range(size), 40), rng.randbytes(16)
+    a, b = (NyFilter.build(members, params, key, u, family=_family(mode, key)) for _ in range(2))
+    xs = [*(range(size) if probes is None else rng.sample(range(size), probes)), True]
+    assert [_wrapped(a, x) for x in xs] == [_composed(b, x) for x in xs]
+    assert a.inner.family == b.inner.family
+
+
+def test_key_leaking_filter_query_equals_the_composition_after_inserts():
+    u, params = Universe(4096), FilterParams(m=64, k=5, n=9)
+    filt = KeyLeakingFilter.build(range(0, 90, 10), params, b"leaky", u)
+    for x in (5, 777, 4095, 2048):
+        filt.insert(x)
+    assert all(filt.query(x) == 1 for x in (5, 777, 4095, 2048))
+    assert [filt.query(x) for x in range(u.size)] == [_composed(filt, x) for x in range(u.size)]
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, TRUE_RANDOM])
+def test_ny_query_refuses_an_image_outside_a_smaller_inner_universe(mode):
+    """A hand-built wrapper whose permutation covers 256 elements over an
+    inner filter of 100: an image y >= 100 is refused with DomainError even
+    when the memo (the shape's public table, or a family shared with a filter
+    over all 256) already holds its indices."""
+    params, key = FilterParams(m=83, k=3, n=5), b"small-inner"
+    family = _family(mode, b"fam")
+    wide = BloomFilter.build(range(256), params, family, Universe(256))
+    memo = wide._memo
+    inner = BloomFilter.build(range(0, 100, 20), params, family, Universe(100))
+    ny = NyFilter(inner, FeistelPermutation(key, 256), Universe(256))
+    outside = [x for x in range(256) if ny.prp.encrypt(x) >= 100]
+    assert outside and all(ny.prp.encrypt(x) in memo for x in outside)
+    answers = [_wrapped(ny, x) for x in range(256)]
+    assert answers == [_composed(ny, x) for x in range(256)]
+    assert {answers[x] for x in outside} == {DomainError}
+
+
+def test_only_filters_that_hash_per_query_bind_block_states():
+    """A public filter under the table's gate builds and answers with its
+    family's states unbuilt until a table miss; a keyed filter, and a public
+    one past the gate, bind theirs at construction."""
+    m, k, u = 97, 11, Universe(40)  # a shape no other test uses
+    BloomFilter.build(range(0, 40, 2), FilterParams(m=m, k=k, n=0), HashFamily.public(), u)
+    family = HashFamily.public()
+    filt = BloomFilter.build(range(0, 40, 4), FilterParams(m=m, k=k, n=0), family, u)
+    reference = HashFamily.public()
+    expected = [all(filt._bits[j >> 3] & (1 << (j & 7)) for j in reference.indices(x, m, k))
+                for x in range(0, 40, 2)]
+    assert [filt.query(x) for x in range(0, 40, 2)] == expected and all(expected[::2])
+    assert family._states == []
+    filt.query(1)  # the first table miss
+    assert len(family._states) == 2
+    for family, universe in ((HashFamily.keyed(b"k"), u), (HashFamily.public(), Universe(_TABLE_CAP // k + 1))):
+        BloomFilter(FilterParams(m=m, k=k, n=0), family, universe)
+        assert len(family._states) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, True, False])
+def test_true_random_refuses_a_seed_that_is_not_a_64_bit_int_or_bytes(seed):
+    with pytest.raises(ParameterError, match=r"^a true-random seed must be bytes or an int in \[0, 2\*\*64\)"):
+        HashFamily.true_random(seed)
+
+
+def test_true_random_int_seeds_keep_their_eight_little_endian_bytes():
+    for seed in (0, 1, 123, (1 << 64) - 1):
+        assert HashFamily.true_random(seed) == HashFamily.true_random(seed.to_bytes(8, "little"))
+    assert HashFamily.true_random(b"raw").key == b"raw"

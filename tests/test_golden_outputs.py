@@ -50,6 +50,9 @@ CASES = {
     # stop, audits at the enumeration cap and a true-random saturation game.
     "filic-key-leak-per-call-rounds": ["filic-distinguish", "--u", "65537", "--trials", "20"],
     "filic-key-leak-u5000-m60": ["filic-distinguish", "--u", "5000", "--m", "60", "--trials", "20"],
+    # Tabulated rounds over an inner filter that hashes per query (u*k > 2^15).
+    "filic-key-leak-hashed-inner": ["filic-distinguish", "--scenario", "key-leak",
+                                    "--u", "6554", "--k", "5", "--trials", "20"],
     "filic-public-collision-table": ["filic-distinguish", "--scenario", "public-collision",
                                      "--u", "6553", "--k", "5", "--trials", "20"],
     "filic-public-collision-hashed": ["filic-distinguish", "--scenario", "public-collision",
@@ -77,6 +80,7 @@ DIGESTS = {
     'error-analysis-mangat': {11: 'eef88aabe93cb16c939131f9e5e2763f77a90c0c525950a87ac6f32bd7363fb5', 2024: '58584ec3b2177a3cfb5d0ac8a991c18bad3c0de23b41695064a03d44d03ce047'},
     'error-analysis-warner': {11: '37069bfae852df9e43a07729dfc0a3c9aafd7b3f36da25a4e989303c5edbf638', 2024: 'bcb4014daeabe7c6422c19655d2b2dc0fc7d966bb5d3736a420a3fbb1155bcba'},
     'filic-key-leak': {11: 'ae0e0ebedbd395aa7c27f21c118f459530eb45eb94c5b2d5fb5bf3fb02cb6f78', 2024: '33d210e980e7a755bf9f23db04e29ba612c42ef713e6ebabf08850457cf70286'},
+    'filic-key-leak-hashed-inner': {11: 'bb6b8ada5d00d7b1363664028f556eb7240c76b4f1eaa17cb2154f4a17d2d4d4', 2024: '22f0c67ebb3d60a5b78b580eb12c03ee3be7bcb71fa0213f001a893877b8fd09'},
     'filic-key-leak-per-call-rounds': {11: '2723fb64ef071c3e895b172a13fd5325f5ecf8800091636c93246dade9984610', 2024: 'c209599b6a54d3ce3ac4f766bb2de23e968c081e3f06b5684cdd83b8c35a6d0e'},
     'filic-key-leak-u5000-m60': {11: '43858725f9a303f64cdc4ad4b09414581e18c89ed6f5c0509a438f629cab4c46', 2024: 'ee0ad6745e957f6074701f9cdaabdd790e22ba7485b887f35a133fd47a6da70a'},
     'filic-null': {11: '76371bb235faf362b3490005eafb5018fa3aa3a7d79208c898c8ada4d53458f8', 2024: 'bf6be8f015727c31d272d36a0d9a40cebe361df992fb7bb3480fd8b945d5899a'},

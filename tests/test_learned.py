@@ -52,6 +52,12 @@ def test_training_set_validation():
         TrainingDataset(((1, 2),))
 
 
+@pytest.mark.parametrize("label", [1.0, 0.0, True, False])
+def test_training_set_refuses_a_label_that_is_not_the_int_0_or_1(label):
+    with pytest.raises(ParameterError, match=r"^labels must be the int 0 or 1, not "):
+        TrainingDataset(((1, 1), (2, label)))
+
+
 def test_training_set_empty_members():
     data = _dataset(set(), 100, 10)
     assert not data.positives
