@@ -19,8 +19,8 @@ _EXPORTS = {
     ), "filters"),
     **dict.fromkeys((
         "Adversary", "GameConfig", "SaturationAdversary", "UniformAdversary",
-        "expected_profit_formula", "profit_lower_bound", "resilience_threshold_with_optimal_k",
-        "run_ab_test", "run_bp_test", "saturation_probability",
+        "expected_profit_formula", "profit_lower_bound", "run_ab_test", "run_bp_test",
+        "saturation_probability",
     ), "games"),
     **dict.fromkeys((
         "REFUSED", "FilicAdversary", "OracleBudget", "SimulatorState",
@@ -33,7 +33,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "AuditReport", "PerturbedSet", "PrivacyBudget", "PrivacyParams",
         "build_private_filter", "dp_audit", "expected_cardinality", "expected_fnr",
-        "jaccard_distance", "mangat_perturb", "privacy_budget", "warner_perturb",
+        "mangat_perturb", "privacy_budget", "warner_perturb",
     ), "privacy"),
 }
 

@@ -122,15 +122,14 @@ def _run_fpr(point, trials, seed):
 
 def _run_privacy_audit(point, trials, seed):
     from .filters import Universe
-    from .privacy import PrivacyParams, _check_cap, audit_perturbation
+    from .privacy import PrivacyParams, audit_perturbation
 
-    # Both checks come before the member set is built: its size is s.
+    # s is checked here and the universe cap in audit_perturbation, both before range(s) is read.
     universe = Universe(point["u"])
     if not 1 <= point["s"] < universe.size:
         raise ParameterError("need 1 <= s < u")
-    _check_cap(universe)
     report = audit_perturbation(
-        PrivacyParams(point["mode"], point["p"]), frozenset(range(point["s"])), universe, 0,
+        PrivacyParams(point["mode"], point["p"]), range(point["s"]), universe, 0,
         trials, seed, direction=point["direction"],
     )
     return {

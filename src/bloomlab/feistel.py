@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_ints
 from .stats import blake2b
 
 ROUNDS = 4
@@ -49,6 +49,7 @@ class FeistelPermutation:
     __slots__ = ("key", "size", "_half_bits", "_half_mask", "_width", "_field", "_rounds", "_tables")
 
     def __init__(self, key: bytes, size: int):
+        _require_ints(size=size)
         if size < 1:
             raise ParameterError("permutation domain must have size >= 1")
         if not isinstance(key, (bytes, bytearray)):

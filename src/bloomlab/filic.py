@@ -37,7 +37,7 @@ from collections import namedtuple
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_ints
 from .filters import (
     KIND_NY,
     KIND_STANDARD,
@@ -50,7 +50,6 @@ from .filters import (
     _fill,
     _memo_fill,
     _pack_snapshot,
-    _require_ints,
 )
 from .stats import mix_seed, run_trials, wilson_interval
 
@@ -132,6 +131,7 @@ class SimulatorState:
                  "_inserted_set", "_fp_set", "_ones")
 
     def __init__(self, m: int, k: int, rng: random.Random):
+        _require_ints(m=m, k=k)
         if m < 1 or k < 1:
             raise ParameterError("need m >= 1 and k >= 1")
         self.m = m

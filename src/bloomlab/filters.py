@@ -9,6 +9,9 @@ Three hashing modes share one filter implementation:
 * ``true-random``: a lazily memoized table of uniform index draws, giving an
   exact truly random function at the scales studied here.
 
+Counts must be ints and keys bytes: anything else, a bool count or an int
+key too, is refused with :class:`ParameterError`.
+
 For ``public`` and ``keyed-prf``, all indices of an element come from one
 digest per block of eight: block b of x is
 ``blake2b(<Q>(b) + <Q>(x), key=key, digest_size=64)`` read as eight
@@ -110,7 +113,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterator
 from itertools import chain, repeat
 
-from .errors import DomainError, ParameterError, UnsupportedOperationError
+from .errors import DomainError, ParameterError, UnsupportedOperationError, _require_ints
 from .feistel import FeistelPermutation
 from .stats import blake2b, run_trials, wilson_interval
 
@@ -148,13 +151,6 @@ _PUBLIC_INDICES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _TABLE_CAP = 1 << 15
 
 
-def _require_ints(**counts) -> None:
-    """Refuse a count that is not an int, naming it; a bool is not one."""
-    for name, value in counts.items():
-        if type(value) is not int:
-            raise ParameterError(f"{name} must be an int, not {type(value).__name__}")
-
-
 class FilterParams(namedtuple("FilterParams", "m k n")):
     """Size parameters: m bits, k hash functions, n expected insertions."""
 
@@ -183,6 +179,7 @@ class FilterParams(namedtuple("FilterParams", "m k n")):
 
 def optimal_k(m: int, n: int) -> int:
     """(m/n)·ln 2 rounded to the nearest integer, clamped to at least 1."""
+    _require_ints(m=m, n=n)
     if m < 1 or n < 1:
         raise ParameterError("m and n must be >= 1")
     return max(1, round((m / n) * _LN2))
@@ -282,7 +279,7 @@ class HashFamily:
     stable. The first derivation fixes (m, k); reusing the family with other
     filter shapes is refused because the memoized draws would be meaningless.
     Families are equal when their mode, key, memo, generator state and bound
-    shape are.
+    shape are. A key that is not ``bytes`` or a ``bytearray`` is refused.
     """
 
     __slots__ = ("mode", "key", "memo", "_rng", "_shape", "_states")
@@ -290,6 +287,8 @@ class HashFamily:
     def __init__(self, mode: str, key: bytes = b""):
         if mode not in _MODES:
             raise ParameterError(f"unknown hash mode {mode!r}")
+        if not isinstance(key, (bytes, bytearray)):
+            raise ParameterError(f"a hash family key must be bytes, not {type(key).__name__}")
         key = bytes(key)
         if mode == PUBLIC and key:
             # Snapshots write no key for a public family, so a keyed one would restore wrong.
@@ -327,7 +326,7 @@ class HashFamily:
             if type(seed) is not int or not 0 <= seed < 1 << 64:
                 raise ParameterError(f"a true-random seed must be bytes or an int in [0, 2**64), not {seed!r}")
             seed = seed.to_bytes(8, "little")
-        return cls(mode=TRUE_RANDOM, key=bytes(seed))
+        return cls(mode=TRUE_RANDOM, key=seed)
 
     def block_states(self, k: int) -> tuple:
         """The blake2b states of blocks 0 .. ceil(k/8)-1 of a public or keyed

@@ -34,7 +34,9 @@ rather than stall.
 
 Configurations, outcomes and experiment summaries are namedtuples:
 immutable, equal by value and hashable. :class:`GameTranscript`, which the
-referee fills in as a game runs, is a plain mutable object.
+referee fills in as a game runs, is a plain mutable object whose
+``forfeited`` is read from ``forfeit_reason``. Counts (n, t; m, n, k) must
+be ints: anything else, a bool too, is refused with :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ import random
 from abc import ABC, abstractmethod
 from collections import namedtuple
 
-from .errors import ParameterError, UnsupportedOperationError
-from .filters import TRUE_RANDOM, FilterParams, Universe, _require_ints, filter_factory, optimal_k
+from .errors import ParameterError, UnsupportedOperationError, _require_ints
+from .filters import TRUE_RANDOM, FilterParams, Universe, filter_factory
 from .stats import mean_confidence_interval, run_trials, wilson_interval
 
 # Largest m*n*k for which saturation_probability runs its exact sum.
@@ -75,17 +77,21 @@ class GameConfig(namedtuple("GameConfig", "universe n t threshold")):
 
 
 class GameTranscript:
-    """What one game recorded: the probes relayed, their answers, and any
-    forfeit. Mutable, equal by value, unhashable."""
+    """What one game recorded: the probes relayed, their answers, and the
+    reason for any forfeit, empty when there was none. Mutable, equal by
+    value, unhashable."""
 
-    __slots__ = ("members", "queries", "answers", "forfeited", "forfeit_reason")
+    __slots__ = ("members", "queries", "answers", "forfeit_reason")
 
     def __init__(self, members: frozenset[int]):
         self.members = members
         self.queries: list[int] = []
         self.answers: list[int] = []
-        self.forfeited = False
         self.forfeit_reason = ""
+
+    @property
+    def forfeited(self) -> bool:
+        return bool(self.forfeit_reason)
 
     def __eq__(self, other):
         if type(other) is not GameTranscript:
@@ -122,7 +128,6 @@ def choose_members(adversary: Adversary, cfg: GameConfig) -> frozenset[int]:
 
 
 def _forfeit(transcript: GameTranscript, reason: str) -> None:
-    transcript.forfeited = True
     transcript.forfeit_reason = reason
 
 
@@ -220,10 +225,6 @@ class UniformAdversary(Adversary):
     """Probes uniform distinct non-members and always bets on a fresh
     uniform target. Its win rate in the always-bet game is the filter's
     unconditional false-positive rate."""
-
-    def begin(self, cfg: GameConfig, rng: random.Random) -> None:
-        super().begin(cfg, rng)
-        self._used: set[int] = set()
 
     def choose_set(self) -> set[int]:
         self._used = set(self.cfg.universe.sample(self.rng, self.cfg.n))
@@ -349,26 +350,6 @@ def profit_lower_bound(p_s: float, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     return p_s * p_s / delta - p_s * (1.0 - p_s) / (1.0 - delta)
-
-
-def resilience_threshold_with_optimal_k(m: int, n: int, delta: float) -> bool:
-    """Whether the union-bound saturation estimate already beats ``delta``
-    when k follows the classic (m/n) ln 2 rule.
-
-    True means the saturation attack is guaranteed profitable at this
-    threshold. The union bound is vacuous for many parameter choices (it
-    drops below 0 whenever m e^{-nk/m} >= 1), in which case this returns
-    False even though the attack may still succeed; the exact probability
-    from :func:`saturation_probability` is the sharper tool.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0, 1)")
-    if m < 1 or n < 0:
-        raise ParameterError("need m >= 1 and n >= 0")
-    if n == 0:
-        return False
-    k = optimal_k(m, n)
-    return delta < 1.0 - m * math.exp(-n * k / m)
 
 
 class AbExperiment(namedtuple("AbExperiment", "trials wins forfeits win_rate ci_lo ci_hi")):

@@ -16,8 +16,8 @@ using Wilson intervals so that a failure is only declared when even the
 most mechanism-favorable reading of the data exceeds the bound.
 
 A perturbed set draws its members on first use, one draw per element of
-the universe, so every perturbation is capped at 2**20 elements
-(``ENUMERATION_CAP``), checked when ``perturb`` is called. Until then,
+the universe, so every perturbation and audit is capped at 2**20 elements
+(``ENUMERATION_CAP``), checked before its member set is read. Until then,
 ``x in s`` costs one draw plus a skip over the earlier draws in C, which is
 all the audit asks of each trial. The draws come from the state of
 ``random.Random(seed)``; for an ``int`` seed, the usual case, they are read
@@ -193,12 +193,6 @@ class PerturbedSet:
 _set_state = PerturbedSet._state.__set__  # the slot's own setter: PerturbedSet.__setattr__ refuses
 
 
-def jaccard_distance(a, b) -> int:
-    """Set distance |a ∪ b| - |a ∩ b|, the number of differing elements."""
-    a, b = set(a), set(b)
-    return len(a | b) - len(a & b)
-
-
 def _check_cap(universe: Universe) -> None:
     if universe.size > ENUMERATION_CAP:
         raise UnsupportedOperationError(
@@ -352,6 +346,7 @@ def audit_perturbation(params: PrivacyParams, members, universe: Universe, x: in
     mode the claimed bound is then e^epsilon_prime, for warner it stays at
     the symmetric e^epsilon.
     """
+    _check_cap(universe)
     members = frozenset(universe.require_all(list(members)))
     if x not in members:
         raise ParameterError("audited element must belong to the member set")

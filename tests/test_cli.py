@@ -240,6 +240,9 @@ def test_privacy_audit_refuses_before_building_the_member_set():
     assert peak < 1 << 20
     code, _, err = _run(["privacy-audit", "--u", str((1 << 20) + 1), "--s", "1000000"])
     assert code == 1 and "exceeds cap" in err
+    # With both p and the universe out of range, p is refused first.
+    code, _, err = _run(["privacy-audit", "--mode", "mangat", "--p", "2", "--u", "2000000"])
+    assert code == 1 and "mangat requires p in (0, 1]" in err
 
 
 def test_all_points_failed_exits_two(monkeypatch):

@@ -57,6 +57,10 @@ def test_simulator_validation():
         SimulatorState(0, 1, random.Random(0))
     with pytest.raises(ParameterError):
         SimulatorState(8, 0, random.Random(0))
+    with pytest.raises(ParameterError, match=r"^m must be an int, not float$"):
+        SimulatorState(64.0, 5, random.Random(0))
+    with pytest.raises(ParameterError, match=r"^m must be an int, not bool$"):
+        SimulatorState(True, True, random.Random(0))
 
 
 def test_simulator_insert_draws_once():

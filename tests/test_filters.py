@@ -1182,6 +1182,8 @@ def test_refusals_of_the_sizing_helpers():
         FilterParams.from_target(0, 0.01)
     with pytest.raises(ParameterError, match=r"^m and n must be >= 1$"):
         optimal_k(0, 10)
+    with pytest.raises(ParameterError, match=r"^m must be an int, not float$"):
+        optimal_k(64.0, 3)
     with pytest.raises(ParameterError, match=r"^effective cardinality must be >= 0$"):
         expected_fpr(FilterParams(m=64, k=3, n=4), n_effective=-0.5)
     with pytest.raises(ParameterError, match=r"^universe too small for n members plus a non-member$"):
@@ -1192,6 +1194,8 @@ def test_refusals_of_the_sizing_helpers():
     (b"k", 0, r"^permutation domain must have size >= 1$"),
     (b"k", -5, r"^permutation domain must have size >= 1$"),
     ("key", 16, r"^key must be bytes$"),
+    (b"k", 4096.0, r"^size must be an int, not float$"),
+    (b"k", True, r"^size must be an int, not bool$"),
 ])
 def test_feistel_refuses_an_empty_domain_and_a_str_key(key, size, message):
     with pytest.raises(ParameterError, match=message):
@@ -1286,6 +1290,16 @@ def test_only_filters_that_hash_per_query_bind_block_states():
 def test_true_random_refuses_a_seed_that_is_not_a_64_bit_int_or_bytes(seed):
     with pytest.raises(ParameterError, match=r"^a true-random seed must be bytes or an int in \[0, 2\*\*64\)"):
         HashFamily.true_random(seed)
+
+
+@pytest.mark.parametrize("make, kind", [(lambda: HashFamily.keyed(16), "int"),
+                                        (lambda: HashFamily.keyed("abc"), "str"),
+                                        (lambda: HashFamily.true_random("s"), "str")],
+                         ids=["keyed-int", "keyed-str", "true-random-str"])
+def test_hash_families_refuse_a_key_that_is_not_bytes(make, kind):
+    """An int key would otherwise become that many zero bytes."""
+    with pytest.raises(ParameterError, match=rf"^a hash family key must be bytes, not {kind}$"):
+        make()
 
 
 def test_true_random_int_seeds_keep_their_eight_little_endian_bytes():

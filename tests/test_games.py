@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.filic import OracleBudget, ab_to_filic_adversary, run_ideal, run_real
-from bloomlab.filters import TRUE_RANDOM, FilterParams, Universe, expected_fpr, filter_factory, optimal_k
+from bloomlab.filters import TRUE_RANDOM, FilterParams, Universe, expected_fpr, filter_factory
 from bloomlab.games import (
     SATURATION_CAP,
     Adversary,
@@ -20,7 +20,6 @@ from bloomlab.games import (
     UniformAdversary,
     expected_profit_formula,
     profit_lower_bound,
-    resilience_threshold_with_optimal_k,
     run_ab_experiment,
     run_ab_test,
     run_bp_experiment,
@@ -476,16 +475,6 @@ def test_profit_bound_monotone_in_saturation_probability():
     assert bounds[0] > bounds[1] > bounds[2] > 0.0
 
 
-def test_resilience_examples():
-    assert resilience_threshold_with_optimal_k(1, 1, 0.5) is True
-    assert resilience_threshold_with_optimal_k(1024, 0, 0.5) is False
-    for n in (1, 10, 100, 1000):
-        for delta in (0.01, 0.5, 0.99):
-            assert resilience_threshold_with_optimal_k(1024, n, delta) is False
-    k = optimal_k(1, 1)
-    assert resilience_threshold_with_optimal_k(1, 1, 0.6) is (0.6 < 1.0 - math.exp(-k))
-
-
 def test_bp_zero_mean_at_fair_threshold():
     """With the bet threshold set to the true hit probability the always-bet
     strategy has zero expected profit."""
@@ -542,9 +531,6 @@ def test_bp_experiment_reports_unsaturated_probe_rate():
     (lambda: profit_lower_bound(1.5, 0.5), r"^p_s must lie in \[0, 1\]$"),
     (lambda: profit_lower_bound(-0.1, 0.5), r"^p_s must lie in \[0, 1\]$"),
     (lambda: profit_lower_bound(0.5, 1.0), r"^delta must lie in \(0, 1\)$"),
-    (lambda: resilience_threshold_with_optimal_k(64, 8, 0.0), r"^delta must lie in \(0, 1\)$"),
-    (lambda: resilience_threshold_with_optimal_k(0, 8, 0.5), r"^need m >= 1 and n >= 0$"),
-    (lambda: resilience_threshold_with_optimal_k(64, -1, 0.5), r"^need m >= 1 and n >= 0$"),
 ])
 def test_profit_closed_forms_refuse_bad_arguments(call, message):
     with pytest.raises(ParameterError, match=message):

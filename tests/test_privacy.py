@@ -25,7 +25,6 @@ from bloomlab.privacy import (
     dp_audit,
     expected_cardinality,
     expected_fnr,
-    jaccard_distance,
     mangat_perturb,
     measure_fpr_excluding_injected,
     measure_member_negative_rate,
@@ -57,6 +56,19 @@ def test_enumeration_cap():
     with pytest.raises(UnsupportedOperationError):
         perturb({0}, Universe(ENUMERATION_CAP + 1), params, seed=0)
     perturb({0}, Universe(64), params, seed=0)
+
+
+class _Unreadable:
+    """A member collection that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the member collection was read")
+
+
+def test_audit_refuses_a_universe_past_the_cap_before_reading_its_members():
+    with pytest.raises(UnsupportedOperationError, match="exceeds cap"):
+        audit_perturbation(PrivacyParams(MANGAT, 0.5), _Unreadable(), Universe(ENUMERATION_CAP + 1), 0,
+                           trials=1, seed=1)
 
 
 @pytest.mark.parametrize("bad", [-1, 64, 1 << 70, 2.0, "7", None])
@@ -120,20 +132,6 @@ def test_audit_perturbs_through_the_module_once_per_world(monkeypatch, mode, p, 
     audit_perturbation(PrivacyParams(mode, p), set(range(8)), Universe(64), x=0,
                        trials=trials, seed=5, direction=direction)
     assert calls == {mode: 2 * trials, (WARNER if mode == MANGAT else MANGAT): 0}
-
-
-def test_jaccard_distance_examples():
-    assert jaccard_distance({1, 2, 3}, {1, 2, 3}) == 0
-    assert jaccard_distance({1}, {2}) == 2
-    assert jaccard_distance({1, 2}, {1, 2, 3}) == 1
-    assert jaccard_distance(set(), set()) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(a=st.sets(st.integers(0, 40), max_size=12), b=st.sets(st.integers(0, 40), max_size=12))
-def test_jaccard_is_symmetric_difference_size(a, b):
-    assert jaccard_distance(a, b) == len(a ^ b)
-    assert jaccard_distance(a, b) == jaccard_distance(b, a)
 
 
 def test_mangat_keeps_members_always():
