@@ -44,8 +44,10 @@ memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
 as one stream: ``build`` and ``HashFamily.indices`` fill the family's memo
 through it, and the ideal-world simulator of :mod:`bloomlab.filic` its f.
 ``build`` sets the indices through the same fill, and ``query`` draws only
-on a memo miss. Every draw goes through ``_draws``: ``randrange(m)``'s
-stream, read straight from ``getrandbits`` on an exact ``random.Random``.
+on a memo miss, and only while a bit is clear: a saturated true-random
+filter answers a miss 1 without drawing or memoizing. Every draw goes
+through ``_draws``: ``randrange(m)``'s stream, read straight from
+``getrandbits`` on an exact ``random.Random``.
 
 Public indices are keyless, a fixed function of (x, m, k), so a public
 filter over a universe of u elements with u·k <= 2**15 reads them from a
@@ -476,6 +478,9 @@ class BloomFilter:
         all k indices of x from a memo and derives them on a miss: a
         true-random one from the family's memo, drawing them; a public one
         from the process-wide table of its (m, k), hashing every block.
+        A saturated true-random filter answers a miss 1 without drawing:
+        no answer depends on those indices, so x stays unmemoized and a
+        later derivation draws them then.
         """
         if not (isinstance(x, int) and 0 <= x < self.universe.size):
             self.universe.require(x)
@@ -485,8 +490,12 @@ class BloomFilter:
             if got is None:
                 m, k = self._m, self.params.k
                 family = self.family
-                got = memo[x] = (tuple(_draws(family._rng, m, k)) if family.mode == TRUE_RANDOM
-                                 else family.indices(x, m, k))
+                if family.mode != TRUE_RANDOM:
+                    got = memo[x] = family.indices(x, m, k)
+                elif self._ones == m:
+                    return 1
+                else:
+                    got = memo[x] = tuple(_draws(family._rng, m, k))
             for j in got:
                 if not bits[j >> 3] & (1 << (j & 7)):
                     return 0

@@ -330,6 +330,7 @@ def expected_profit_formula(p_s: float, p_fp: float, t: int, delta: float) -> fl
     probability of an unsaturated filter, t the probe count and ``delta``
     the bet threshold.
     """
+    _require_ints(t=t)
     for name, v in (("p_s", p_s), ("p_fp", p_fp)):
         if not 0.0 <= v <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1]")

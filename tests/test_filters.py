@@ -305,15 +305,76 @@ def test_query_matches_reference_indices_on_built_filters(key, m, k, members, pr
     members=st.lists(st.integers(0, 255), max_size=30),
     probes=st.lists(st.integers(0, 255), max_size=30),
 )
+@example(key=b"s", m=4, k=3, members=list(range(20)), probes=list(range(20, 60)))
 def test_true_random_query_matches_all_indices_and_keeps_memo(key, m, k, members, probes):
+    """Every answer is the AND of x's k indices. An unsaturated filter memoizes
+    them on the query, so deriving them afterwards draws nothing; a saturated
+    one answers 1 and leaves the memo and the generator as they were."""
     family = HashFamily.true_random(seed=key)
     filt = BloomFilter.build(members, FilterParams(m=m, k=k, n=len(members)), family, Universe(256))
     bits = filt.bit_bytes()
+    saturated = filt.is_saturated()
     for x in members + probes:
+        before = dict(family.memo), family._rng.getstate()
         answer = filt.query(x)
         memo, state = dict(family.memo), family._rng.getstate()
+        if saturated:
+            assert answer == 1 and (memo, state) == before
         assert answer == all(bits[j >> 3] & (1 << (j & 7)) for j in family.indices(x, m, k))
+        if not saturated:
+            assert family.memo == memo and family._rng.getstate() == state
+
+
+def test_saturated_true_random_query_answers_a_miss_without_drawing():
+    family = HashFamily.true_random(seed=3)
+    filt = BloomFilter.build(range(40), FilterParams(m=8, k=3, n=40), family, Universe(1 << 16))
+    assert filt.is_saturated()
+    memo, state = dict(family.memo), family._rng.getstate()
+    for x in (40, 41, 1000, 40):
+        assert x not in family.memo
+        assert filt.query(x) == 1
+    assert family.memo == memo and family._rng.getstate() == state
+
+
+@pytest.mark.parametrize("m", [1, 8, 37, 64, 1 << 20])
+def test_unsaturated_true_random_query_draws_k_randrange_values(m):
+    k = 3
+    family = HashFamily.true_random(seed=8)
+    filt = BloomFilter.build([], FilterParams(m=m, k=k, n=0), family, Universe(64))
+    family.indices(5, m, k)  # the generator is past its first draws
+    reference = random.Random()
+    reference.setstate(family._rng.getstate())
+    assert filt.query(63) == 0
+    assert family.memo[63] == tuple(reference.randrange(m) for _ in range(k))
+    assert family._rng.getstate() == reference.getstate()
+
+
+def test_standard_true_random_filter_stops_drawing_from_the_saturating_insert():
+    family = HashFamily.true_random(seed=9)
+    filt = BloomFilter(FilterParams(m=8, k=3, n=0), family, Universe(1 << 16), kind=KIND_STANDARD)
+    probes, x = iter(range(1000, 2000)), 0
+    while not filt.is_saturated():
+        state = family._rng.getstate()
+        filt.query(next(probes))
+        assert family._rng.getstate() != state
+        filt.insert(x)
+        x += 1
+    for p in list(probes)[:50]:
+        memo, state = dict(family.memo), family._rng.getstate()
+        assert filt.query(p) == 1
         assert family.memo == memo and family._rng.getstate() == state
+
+
+@pytest.mark.parametrize("m, saturated", [(8, True), (64, False)])
+def test_ny_filter_over_true_random_matches_inner_query_in_lockstep(m, saturated):
+    universe, members = Universe(256), range(0, 256, 9)
+    params = FilterParams(m=m, k=3, n=len(members))
+    ny, twin = (NyFilter.build(members, params, b"prp", universe, family=HashFamily.true_random(seed=4))
+                for _ in range(2))
+    assert ny.is_saturated() is saturated
+    for x in [*range(256), *range(256)]:
+        assert ny.query(x) == twin.inner.query(twin.prp.encrypt(x))
+        assert ny.inner.family == twin.inner.family
 
 
 @settings(max_examples=200, deadline=None)

@@ -526,6 +526,8 @@ def test_bp_experiment_reports_unsaturated_probe_rate():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: expected_profit_formula(0.5, 0.1, -1, 0.5), r"^t must be >= 0$"),
+    (lambda: expected_profit_formula(0.5, 0.1, 1.5, 0.5), r"^t must be an int, not float$"),
+    (lambda: expected_profit_formula(0.5, 0.1, True, 0.5), r"^t must be an int, not bool$"),
     (lambda: expected_profit_formula(0.5, 0.1, 4, 0.0), r"^delta must lie in \(0, 1\)$"),
     (lambda: expected_profit_formula(0.5, 0.1, 4, 1.0), r"^delta must lie in \(0, 1\)$"),
     (lambda: profit_lower_bound(1.5, 0.5), r"^p_s must lie in \[0, 1\]$"),

@@ -69,13 +69,21 @@ CASES = {
                                    "--trials", "50"],
     "ab-true-random-saturation": ["ab-game", "--mode", "true-random", "--adversary", "saturation",
                                   "--m", "64", "--k", "3", "--n", "20", "--trials", "20"],
+    # At m=8 nearly every true-random filter saturates, so most queries miss
+    # the memo on a filter whose bits are all set.
+    "ab-true-random-uniform-m8": ["ab-game", "--mode", "true-random", "--adversary", "uniform",
+                                  "--m", "8", "--k", "3", "--n", "20", "--trials", "40"],
+    "ab-true-random-saturation-m8": ["ab-game", "--mode", "true-random", "--adversary", "saturation",
+                                     "--m", "8", "--k", "3", "--n", "20", "--trials", "40"],
 }
 
 DIGESTS = {
     'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '9b4c81113ca7ea9f93ebca36cc656549d8331425fe024003562b03215fe10cc9'},
     'ab-public-saturation': {11: 'd2ebc50bfd461eecf2f93333b3b11397ab7bbed9e478fc4112f6e0daa7941b24', 2024: '402936551b65c47d9df62cd5185180579c665354deed7c1f1e9f762a0ad8e554'},
     'ab-true-random-saturation': {11: '5861a01f12dcf45323b38052d65caeef6217eca5356684704cd78a67238d948b', 2024: 'da02342019af09df7ec2cd0d7a2046d4bbc41d37751f7d027228ea1455eab945'},
+    'ab-true-random-saturation-m8': {11: '7c40da0fe3ec45fdcb409dc1a34a80a80c27f89a9f0013d4cdfbe236217a3250', 2024: 'cb401e5bbf5ba73d744e9ca067636d85cb4a03ff2c3e04fbebe70d04811ad4ca'},
     'ab-true-random-uniform': {11: '90b996de90f161c873fb2e8d395b6167ea568492e4e3df370623a8ee2b928eee', 2024: 'bb2ff7514ddfe7ea87a76ec1580338c172dfbbc1d5acacb74efdaf096b072f85'},
+    'ab-true-random-uniform-m8': {11: 'f1b100ab2bbb7f4ee568297651f52160e435864b6f7ba9cf53392c218af13ce4', 2024: '59810753893c1b2b7bb64a5de3441846e8f51eda79e6a901aee9f3774081e105'},
     'bp-attack': {11: 'f3dee474a0815cd3cf10c90953a932e83f8c836ba8acbf3bbbd8bef72ce75c1a', 2024: 'e9bdbae842caca977f7f111b3dd3869508f6627c49e2e9d38800080f3387e71e'},
     'error-analysis-mangat': {11: 'eef88aabe93cb16c939131f9e5e2763f77a90c0c525950a87ac6f32bd7363fb5', 2024: '58584ec3b2177a3cfb5d0ac8a991c18bad3c0de23b41695064a03d44d03ce047'},
     'error-analysis-warner': {11: '37069bfae852df9e43a07729dfc0a3c9aafd7b3f36da25a4e989303c5edbf638', 2024: 'bcb4014daeabe7c6422c19655d2b2dc0fc7d966bb5d3736a420a3fbb1155bcba'},
