@@ -25,6 +25,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "REFUSED", "FilicAdversary", "OracleBudget", "SimulatorState",
         "ab_to_filic_adversary", "estimate_advantage", "run_ideal", "run_real",
+        "simulator_factory",
     ), "filic"),
     **dict.fromkeys((
         "LearnedFilter", "LearningModel", "TrainingDataset", "learned_build",

@@ -196,24 +196,25 @@ def _run_filic(point, trials, seed):
         RepresentationPredictionAdversary,
         estimate_advantage,
         key_leaking_filter_factory,
-        snapshot_reveal_codec,
+        key_leaking_simulator_factory,
+        simulator_factory,
     )
     from .filters import FilterParams, Universe, filter_factory
 
     params = FilterParams(m=point["m"], k=point["k"], n=point["n"])
     universe = Universe(point["u"])
     budget = OracleBudget(inserts=point["q_u"], queries=point["q_t"], reveals=point["q_v"])
-    scenario = point["scenario"]
-    codec = None
-    factory = (key_leaking_filter_factory if scenario == "key-leak" else filter_factory)(params, universe)
-    if scenario == "key-leak":
-        adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=True)
-        codec = snapshot_reveal_codec(params, universe)
-    elif scenario == "public-collision":
-        adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=False)
-    else:
+    leaks = point["scenario"] == "key-leak"
+    if point["scenario"] == "null":
         adversary = NullAdversary(universe, point["n"])
-    report = estimate_advantage(adversary, factory, params, budget, trials, seed, reveal_codec=codec)
+    else:
+        adversary = RepresentationPredictionAdversary(params, universe, point["n"], expects_snapshot=leaks)
+    if leaks:
+        make_real = key_leaking_filter_factory(params, universe)
+        make_ideal = key_leaking_simulator_factory(params, universe)
+    else:
+        make_real, make_ideal = filter_factory(params, universe), simulator_factory(params)
+    report = estimate_advantage(adversary, make_real, make_ideal, budget, trials, seed)
     return {
         "p_real": report.p_real, "p_ideal": report.p_ideal,
         "advantage": report.advantage, "ci_lo": report.ci_lo, "ci_hi": report.ci_hi,

@@ -9,9 +9,11 @@ element itself; if all sampled bits are set the element joins the
 false-positive list. A reveal simply returns M.
 
 The real world runs the same adversary against an actual insertable filter
-whose reveal returns its internal representation. The adversary's output
-bit is what the two worlds compare: a trial scores 1 exactly when the
-output equals 1, and the advantage is the gap between the two worlds'
+whose reveal returns its internal representation. Each trial builds its
+world with a factory ``make(members, rng)``, a filter factory or
+:func:`simulator_factory`, so both worlds run one protocol. The adversary's
+output bit is what the two worlds compare: a trial scores 1 exactly when
+the output equals 1, and the advantage is the gap between the two worlds'
 rates of 1. A distinguisher that sees only that output gains nothing over
 reading it as is.
 
@@ -19,15 +21,11 @@ Oracle budgets cover inserts, membership queries and reveals separately.
 An over-budget call gets the ``REFUSED`` sentinel instead of an answer, and
 any violation replaces the adversary's output by ``REFUSED``, which scores 0.
 
-The package's key-leaking construction, :class:`KeyLeakingFilter`, is a
-:class:`~bloomlab.filters.NyFilter` subclass that accepts inserts and whose
-reveal is its snapshot. It demonstrates why resilience against betting
-adversaries does not compose with a reveal oracle: the snapshot stores the
-permutation key inside the revealed representation (at ``KEY_OFFSET``), so
-an adversary can read the key, predict a false positive offline and verify
-it with a single query. Against the simulator the same adversary's
-prediction is uncorrelated with the fresh sampling and only succeeds at the
-density-driven rate.
+The package's key-leaking construction, :class:`KeyLeakingFilter`, shows
+why resilience against betting adversaries does not compose with a reveal
+oracle: its revealed snapshot stores the permutation key, so an adversary
+can predict a false positive offline and confirm it with one query, while
+against the simulator the same prediction only hits at the density rate.
 """
 
 from __future__ import annotations
@@ -124,7 +122,8 @@ class SimulatorState:
     object with only ``randrange``) is asked for ``randrange(m)``. ``build``
     fills f through the filters' ``_memo_fill``, the memo fill of true-random
     filters: the indices of all its first-time members are drawn as one
-    stream, the draws their inserts one by one would make.
+    stream, the draws their inserts one by one would make. The ideal world's
+    ``make(members, rng)``, :func:`simulator_factory`, builds it so.
     """
 
     __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list", "ctr",
@@ -195,52 +194,35 @@ class FilicAdversary:
         raise NotImplementedError
 
 
-def _run_world(adversary: FilicAdversary, make_world, budget: OracleBudget, seed: int) -> int:
-    """The protocol of both worlds: ``make_world(members, rng)`` returns the
-    world's (query, insert, reveal). The trial scores 1 when the adversary
-    outputs 1 without a violation, and 0 for any other output."""
+def run_real(adversary: FilicAdversary, make_world, budget: OracleBudget, seed: int) -> int:
+    """One experiment in either world: ``make_world(members, rng)`` returns an
+    object whose ``query``, ``insert`` and ``reveal`` are the oracles. The
+    trial scores 1 when the adversary outputs 1 without a violation, and 0
+    for any other output."""
     adversary.begin(random.Random(mix_seed(seed, "filic-adv", 0)))
     members = frozenset(adversary.choose_set())
     world = make_world(members, random.Random(mix_seed(seed, "filic-world", 0)))
-    oracles = OracleSet(*world, budget)
+    oracles = OracleSet(world.query, world.insert, world.reveal, budget)
     out = adversary.interact(oracles)
     if oracles.violated:
         out = REFUSED
     return 1 if out == 1 else 0
 
 
-def run_real(adversary: FilicAdversary, filter_factory, budget: OracleBudget, seed: int) -> int:
-    """One real-world experiment; returns its score."""
-
-    def world(members, rng):
-        filt = filter_factory(members, rng)
-        return filt.query, filt.insert, filt.reveal
-
-    return _run_world(adversary, world, budget, seed)
+# The ideal world runs the same protocol; only its factory differs.
+run_ideal = run_real
 
 
-def run_ideal(adversary: FilicAdversary, params: FilterParams, budget: OracleBudget, seed: int,
-              reveal_codec=None, state_probe=None) -> int:
-    """One ideal-world experiment against the simulator.
+def simulator_factory(params: FilterParams):
+    """The ideal world of every scenario whose reveal is a raw bit array: a
+    fresh :class:`SimulatorState` per trial, built over the sorted members."""
 
-    ``reveal_codec``, if given, is a factory taking the world generator and
-    returning a function that wraps the simulator's bit array in whatever
-    representation format the real construction reveals, so that formats
-    cannot be told apart. ``state_probe`` receives the simulator right
-    after the initial build, for instrumentation.
-    """
-
-    def world(members, rng):
+    def make(members, rng: random.Random) -> SimulatorState:
         sim = SimulatorState(params.m, params.k, rng)
         sim.build(sorted(members))
-        if state_probe is not None:
-            state_probe(sim)
-        if reveal_codec is None:
-            return sim.query, sim.insert, sim.reveal
-        codec = reveal_codec(rng)
-        return sim.query, sim.insert, lambda: codec(sim.reveal())
+        return sim
 
-    return _run_world(adversary, world, budget, seed)
+    return make
 
 
 class AdvantageReport(namedtuple("AdvantageReport", "trials p_real p_ideal advantage ci_lo ci_hi")):
@@ -250,12 +232,17 @@ class AdvantageReport(namedtuple("AdvantageReport", "trials p_real p_ideal advan
     __slots__ = ()
 
 
-def estimate_advantage(adversary: FilicAdversary, filter_factory, params: FilterParams,
-                       budget: OracleBudget, trials: int, seed: int,
-                       reveal_codec=None) -> AdvantageReport:
-    """Monte Carlo advantage over independent real and ideal trials."""
-    real = lambda s: run_real(adversary, filter_factory, budget, s)
-    ideal = lambda s: run_ideal(adversary, params, budget, s, reveal_codec=reveal_codec)
+def estimate_advantage(adversary: FilicAdversary, make_real, make_ideal, budget: OracleBudget,
+                       trials: int, seed: int) -> AdvantageReport:
+    """Monte Carlo advantage over independent real and ideal trials.
+
+    The interval spans the smallest to the largest gap between the rates
+    that their two 99% Wilson intervals allow, clamped to [0, 1]: a nominal
+    level of 98% or more, by the union bound. Newcombe's score interval for
+    a difference of proportions would be narrower.
+    """
+    real = lambda s: run_real(adversary, make_real, budget, s)
+    ideal = lambda s: run_ideal(adversary, make_ideal, budget, s)
     real_hits = sum(run_trials(real, seed, "filic-real", trials))
     ideal_hits = sum(run_trials(ideal, seed, "filic-ideal", trials))
     p_real = real_hits / trials
@@ -294,23 +281,27 @@ def key_leaking_filter_factory(params: FilterParams, universe: Universe):
     return make
 
 
-def snapshot_reveal_codec(params: FilterParams, universe: Universe):
-    """Ideal-world codec matching :class:`KeyLeakingFilter`'s reveal format.
+class _KeyLeakingSimulator(SimulatorState):
+    """A simulator revealed in :class:`KeyLeakingFilter`'s snapshot format,
+    with a random key: in the ideal world the key field carries nothing."""
 
-    The simulator has no key, so each trial wraps M together with a freshly
-    drawn random key: in the ideal world the key field carries no
-    information, which is exactly the point.
-    """
+    __slots__ = ("size", "key")
 
-    def factory(rng: random.Random):
-        key = rng.randbytes(16)
+    def reveal(self) -> bytes:
+        return _pack_snapshot(self.size, self.m, self.k, KIND_NY, self.key, self.bits)
 
-        def codec(bits: bytes) -> bytes:
-            return _pack_snapshot(universe.size, params.m, params.k, KIND_NY, key, bits)
 
-        return codec
+def key_leaking_simulator_factory(params: FilterParams, universe: Universe):
+    """The key-leak scenario's ideal world: :func:`simulator_factory`'s, its
+    reveal keyed by 16 bytes drawn from the world generator after the build."""
 
-    return factory
+    def make(members, rng: random.Random) -> _KeyLeakingSimulator:
+        sim = _KeyLeakingSimulator(params.m, params.k, rng)
+        sim.build(sorted(members))
+        sim.size, sim.key = universe.size, rng.randbytes(16)
+        return sim
+
+    return make
 
 
 class _UniformMembers(FilicAdversary):

@@ -36,10 +36,8 @@ block's state per member, and one unpack of their joined digests. A dense
 build, n·k·16 >= m for n distinct members, sets its bits in a one-byte-per-bit
 array and packs it once, so it holds about m extra bytes while it runs; a
 sparse one sets them in the packed array, where a flag array would cost O(m)
-for few indices. The byte-per-bit fill was measured (x86-64, keyed, k = 7)
-to break even at m = 32·n·k while m <= 2**18, at 24·n·k near m = 2**20 and
-at 12·n·k beyond 2**21, as the flag array outgrows the cache; 16 lies
-between. A true-random filter binds its (m, k) to the family instead. One
+for few indices; the README gives the timings behind the factor 16. A
+true-random filter binds its (m, k) to the family instead. One
 memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
 as one stream: ``build`` and ``HashFamily.indices`` fill the family's memo
 through it, and the ideal-world simulator of :mod:`bloomlab.filic` its f.
@@ -57,11 +55,8 @@ filter binds no block states: ``query`` and ``build`` fill a missing entry
 through :meth:`HashFamily.indices`, whose states the family builds at its
 first miss, hashing every block, so a query under the gate that misses no
 longer stops at the first clear bit. A table holds at most u entries, 2**15
-indices. Measured with ``tracemalloc`` on CPython 3.11, a full table takes
-0.6 MB at the ``filic-distinguish`` defaults (m = 64, k = 5, u = 4096),
-1.5 MB at m = 1024, k = 7 and 5.0 MB at k = 1 with m = 2**20, the worst
-case. Keyed filters, and public ones over larger universes, hash per query
-as above.
+indices; the README gives its measured size. Keyed filters, and public ones
+over larger universes, hash per query as above.
 
 ``NyFilter`` wraps an inner filter with a keyed permutation so that the bit
 array seen by an adversary carries no usable structure about the elements.
@@ -95,13 +90,7 @@ its fields cannot hold) refuse to serialize with
 :class:`UnsupportedOperationError`.
 
 Older versions are refused with :class:`ParameterError` rather than restored
-into a filter that answers 0 for members. Version 1 snapshots were written
-under the earlier one-digest-per-index rule, so their bits sit at other
-positions. Version 2 snapshots were written under the earlier Feistel round
-function, one 8-byte digest per (round, half-block), so an ``ny-prp-wrapped``
-one would permute its members elsewhere; the layout has no per-kind version,
-so every version 2 snapshot is refused. Version 3 snapshots do not record the
-universe size, so nothing could refuse a restore under the wrong one.
+into a filter that answers 0 for members; the README says how each differs.
 """
 
 from __future__ import annotations
@@ -144,8 +133,8 @@ _LN2 = math.log(2.0)
 # Tails hashed together in build: bounds its transient copies and digests
 # to about 0.7 MiB whatever the member count.
 _RUN = 1024
-# build sets bits through one byte per bit when n*k*_DENSE >= m (see the
-# module docstring for the measured crossover).
+# build sets bits through one byte per bit when n*k*_DENSE >= m (the README
+# gives the measured crossover).
 _DENSE = 16
 # Per shape (m, k), the k public indices of each element that a public filter
 # over a universe of u*k <= _TABLE_CAP has built or queried.
@@ -756,6 +745,11 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
     The total query budget is spread evenly across builds because a single
     build's realized rate fluctuates with its fill; the closed form is an
     expectation over builds.
+
+    The interval is the 99% Wilson score interval of the pooled hits over
+    all queries. It treats every query as independent, but the queries on
+    one build share its fill, so it ignores this clustering by build and
+    is too narrow once the queries per build grow.
     """
     if queries < builds:
         raise ParameterError("need queries >= builds")

@@ -21,16 +21,8 @@ query oracle. The modes differ only in their payouts:
 The saturation adversary probes uniform non-members and bets only when all
 probes answered 1, i.e. when the filter looks saturated: once every bit is
 set, any fresh target is a guaranteed false positive. Closed forms for the
-saturation probability and the resulting expected profit are provided. The
-exact coverage probability is correctly rounded. Pigeonhole, the union bound
-and negative association of the bin occupancies (Dubhashi and Ranjan, 1998)
-decide it where they can; otherwise an integer inclusion-exclusion sum runs,
-exact where floats would cancel catastrophically. It stops once two
-consecutive partial sums, each divided by m**T in one integer division that
-Python rounds correctly, give the same float: the partial sums bracket the
-probability (Bonferroni inequalities), so that float is its correctly
-rounded value. Past m*n*k = 2**24 it raises :class:`UnsupportedOperationError`
-rather than stall.
+saturation probability, correctly rounded by :func:`saturation_probability`,
+and the resulting expected profit are provided.
 
 Configurations, outcomes and experiment summaries are namedtuples:
 immutable, equal by value and hashable. :class:`GameTranscript`, which the
@@ -48,7 +40,7 @@ from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError, _require_ints
 from .filters import TRUE_RANDOM, FilterParams, Universe, filter_factory
-from .stats import mean_confidence_interval, run_trials, wilson_interval
+from .stats import floored_binomial_se, mean_confidence_interval, run_trials, wilson_interval
 
 # Largest m*n*k for which saturation_probability runs its exact sum.
 SATURATION_CAP = 1 << 24
@@ -361,7 +353,11 @@ class AbExperiment(namedtuple("AbExperiment", "trials wins forfeits win_rate ci_
 
 def run_ab_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
                       trials: int, seed: int) -> AbExperiment:
-    """Always-bet win rate over independent trials with derived seeds."""
+    """Always-bet win rate over independent trials with derived seeds.
+
+    The interval is the 99% Wilson score interval of the wins over the
+    trials, which are independent Bernoulli draws.
+    """
     wins = forfeits = 0
     trial = lambda s: run_ab_test(filter_factory, adversary, cfg, s)
     for outcome in run_trials(trial, seed, "ab-trial", trials):
@@ -387,6 +383,11 @@ def run_bp_experiment(filter_factory, adversary: Adversary, cfg: GameConfig,
     actually saturated and the probe hit rate among unsaturated trials,
     which estimates the unsaturated false-positive probability entering the
     closed-form expected profit.
+
+    The mean profit's interval is the normal one at 99%, mean ± Z99·se with
+    se the sample standard error of the per-trial profits. It is
+    approximate, and it collapses to a point when every trial pays the
+    same, since se is then 0.
     """
     profits: list[float] = []
     bets = wins = forfeits = 0
@@ -429,5 +430,4 @@ def saturation_frequency(m: int, k: int, n: int, trials: int, seed: int) -> Satu
 
     hits = sum(run_trials(saturated, seed, "saturation", trials))
     rate = hits / trials
-    se = math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
-    return SaturationFrequency(rate=rate, se=se, trials=trials)
+    return SaturationFrequency(rate=rate, se=floored_binomial_se(rate, trials), trials=trials)

@@ -15,14 +15,13 @@ the privatized set and inherit its privacy guarantee unchanged.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import namedtuple
 
 from .errors import ParameterError
 from .filters import BloomFilter, FilterParams, HashFamily, Universe
 from .privacy import PrivacyParams, perturb
-from .stats import mix_seed
+from .stats import floored_binomial_se, mix_seed
 
 
 class TrainingDataset(namedtuple("TrainingDataset", "pairs")):
@@ -107,7 +106,7 @@ def _rate_plus_slack(errors: int, count: int) -> float:
     if count == 0:
         return 0.0
     rate = errors / count
-    return min(1.0, rate + 3.0 * math.sqrt(max(rate * (1.0 - rate), 1.0 / count) / count))
+    return min(1.0, rate + 3.0 * floored_binomial_se(rate, count))
 
 
 def train_threshold_model(data: TrainingDataset, noise: float, seed: int) -> LearningModel:

@@ -309,6 +309,11 @@ def dp_audit(mechanism, set_with, set_without, x: int, trials: int,
     are run on independent derived seed streams. The verdict is ``fail``
     only when the conservative ratio, Wilson-lower numerator over
     Wilson-upper denominator at 99%, still exceeds e^epsilon_claimed.
+
+    ``ratio_lo`` and ``ratio_hi`` divide the bounds of the two 99% Wilson
+    score intervals, so the ratio interval's nominal level is 98% or more,
+    by the union bound. With no hit in the denominator the point ratio is NaN,
+    ``ratio_hi`` is infinite and the verdict is ``inconclusive``.
     """
     set_with = frozenset(set_with)
     set_without = frozenset(set_without)

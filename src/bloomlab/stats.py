@@ -78,6 +78,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return (min(max(0.0, center - half), phat), max(min(1.0, center + half), phat))
 
 
+def floored_binomial_se(rate: float, trials: int) -> float:
+    """Standard error of a binomial rate, its variance floored at 1/trials."""
+    return math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
+
+
 def mean_confidence_interval(values: list[float]) -> tuple[float, float, float]:
     """Return (mean, lo, hi) using compensated summation and a normal CI at z = ``Z99``."""
     n = len(values)

@@ -17,9 +17,9 @@ from bloomlab.filic import (
     ab_to_filic_adversary,
     estimate_advantage,
     key_leaking_filter_factory,
+    key_leaking_simulator_factory,
     run_ideal,
     run_real,
-    snapshot_reveal_codec,
 )
 from bloomlab.filters import (
     TRUE_RANDOM,
@@ -215,19 +215,20 @@ def test_7_reveal_reduction_harness():
     u = Universe(4096)
     budget = OracleBudget(inserts=0, queries=4, reveals=1)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
-    codec = snapshot_reveal_codec(params, u)
+    make_ideal = key_leaking_simulator_factory(params, u)
     trials = 1000
-    report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                budget, trials=trials, seed=777, reveal_codec=codec)
+    report = estimate_advantage(adv, key_leaking_filter_factory(params, u), make_ideal,
+                                budget, trials=trials, seed=777)
 
     densities = []
 
-    def probe(sim):
+    def probe(members, rng):
+        sim = make_ideal(members, rng)
         densities.append(sim.fill_ratio() ** params.k)
+        return sim
 
     ideal_hits = sum(
-        run_ideal(adv, params, budget, mix_seed(777, "filic-ideal", i),
-                  reveal_codec=codec, state_probe=probe)
+        run_ideal(adv, probe, budget, mix_seed(777, "filic-ideal", i))
         for i in range(trials)
     )
     mu = math.fsum(densities) / trials

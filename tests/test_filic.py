@@ -23,9 +23,10 @@ from bloomlab.filic import (
     ab_to_filic_adversary,
     estimate_advantage,
     key_leaking_filter_factory,
+    key_leaking_simulator_factory,
     run_ideal,
     run_real,
-    snapshot_reveal_codec,
+    simulator_factory,
 )
 from bloomlab.filters import (
     KEY_OFFSET,
@@ -197,6 +198,88 @@ def test_oracle_budget_refusal():
     assert oracles.violated
 
 
+class _CountingWorld:
+    """A world that answers every query 1 and records its oracle calls."""
+
+    def __init__(self, members, rng):
+        self.members = members
+        self.rng = rng
+        self.calls = []
+
+    def query(self, x):
+        self.calls.append(("query", x))
+        return 1
+
+    def insert(self, x):
+        self.calls.append(("insert", x))
+
+    def reveal(self):
+        self.calls.append(("reveal",))
+        return b"blob"
+
+
+class _RevealInsertQuery(FilicAdversary):
+    def choose_set(self):
+        return {5, 1}
+
+    def interact(self, oracles):
+        oracles.reveal()
+        oracles.insert(7)
+        return oracles.query(3)
+
+
+@pytest.mark.parametrize("run", [run_real, run_ideal])
+@pytest.mark.parametrize("allowance, calls, score", [
+    (1, [("reveal",), ("insert", 7), ("query", 3)], 1),
+    (0, [], 0),
+])
+def test_both_worlds_run_any_factory(run, allowance, calls, score):
+    """Either world builds one world per trial with ``make(members, rng)``,
+    from the chosen members and the trial's world generator, and reaches it
+    only through the budgeted oracles."""
+    worlds = []
+
+    def make(members, rng):
+        worlds.append(_CountingWorld(members, rng))
+        return worlds[-1]
+
+    budget = OracleBudget(inserts=allowance, queries=allowance, reveals=allowance)
+    assert run(_RevealInsertQuery(), make, budget, seed=4) == score
+    [world] = worlds
+    assert world.members == frozenset({1, 5})
+    assert world.rng.getstate() == random.Random(mix_seed(4, "filic-world", 0)).getstate()
+    assert world.calls == calls
+
+
+_MEMBERS = frozenset({40, 3, 17, 3000, 9})
+
+
+def _hand_built_simulator(m, k, seed):
+    sim = SimulatorState(m, k, random.Random(seed))
+    sim.build(sorted(_MEMBERS))
+    return sim
+
+
+@pytest.mark.parametrize("m, k", [(64, 5), (60, 3)])
+def test_simulator_factory_builds_over_the_sorted_members(m, k):
+    world = simulator_factory(FilterParams(m=m, k=k, n=5))(_MEMBERS, random.Random(21))
+    sim = _hand_built_simulator(m, k, 21)
+    assert type(world) is SimulatorState
+    assert (world.f, world.bits, world.inserted) == (sim.f, sim.bits, sim.inserted)
+    assert world.rng.getstate() == sim.rng.getstate()
+    assert world.reveal() == sim.reveal()
+
+
+def test_key_leaking_simulator_reveals_its_bits_with_a_key_drawn_after_the_build():
+    params, u = FilterParams(m=60, k=3, n=5), Universe(5000)
+    world = key_leaking_simulator_factory(params, u)(_MEMBERS, random.Random(8))
+    twin = _hand_built_simulator(60, 3, 8)
+    key = twin.rng.randbytes(16)
+    assert world.bits == twin.bits
+    assert world.reveal() == _pack_snapshot(5000, 60, 3, KIND_NY, key, bytes(twin.bits))
+    assert world.rng.getstate() == twin.rng.getstate()
+
+
 def test_violation_replaces_adversary_output():
     class Greedy(FilicAdversary):
         def choose_set(self):
@@ -210,7 +293,7 @@ def test_violation_replaces_adversary_output():
     u = Universe(64)
     bit = run_real(Greedy(), filter_factory(params, u), OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
     assert bit == 0
-    bit = run_ideal(Greedy(), params, OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
+    bit = run_ideal(Greedy(), simulator_factory(params), OracleBudget(inserts=0, queries=0, reveals=0), seed=3)
     assert bit == 0
 
 
@@ -227,7 +310,7 @@ def test_trial_scores_one_only_for_an_output_equal_to_one(out, score):
     params = FilterParams(m=16, k=2, n=1)
     budget = OracleBudget(inserts=0, queries=1, reveals=0)
     assert run_real(Fixed(), filter_factory(params, Universe(64)), budget, seed=3) == score
-    assert run_ideal(Fixed(), params, budget, seed=3) == score
+    assert run_ideal(Fixed(), simulator_factory(params), budget, seed=3) == score
 
 
 def test_worlds_are_deterministic_per_seed():
@@ -237,7 +320,7 @@ def test_worlds_are_deterministic_per_seed():
     budget = OracleBudget(inserts=0, queries=4, reveals=1)
     real = [run_real(adv, key_leaking_filter_factory(params, u), budget, seed=5)
             for _ in range(3)]
-    ideal = [run_ideal(adv, params, budget, seed=5, reveal_codec=snapshot_reveal_codec(params, u))
+    ideal = [run_ideal(adv, key_leaking_simulator_factory(params, u), budget, seed=5)
              for _ in range(3)]
     assert len(set(real)) == 1 and len(set(ideal)) == 1
 
@@ -245,8 +328,8 @@ def test_worlds_are_deterministic_per_seed():
 def test_null_adversary_has_no_advantage():
     params = FilterParams(m=32, k=3, n=4)
     u = Universe(1024)
-    report = estimate_advantage(NullAdversary(u, 4), filter_factory(params, u),
-                                params, OracleBudget(inserts=2, queries=2, reveals=1), trials=200, seed=7)
+    report = estimate_advantage(NullAdversary(u, 4), filter_factory(params, u), simulator_factory(params),
+                                OracleBudget(inserts=2, queries=2, reveals=1), trials=200, seed=7)
     assert report.p_real == 0.0 and report.p_ideal == 0.0
     assert report.advantage == 0.0
 
@@ -287,9 +370,9 @@ def test_key_leak_distinguisher_has_large_advantage():
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
-    report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                OracleBudget(inserts=0, queries=4, reveals=1),
-                                trials=300, seed=11, reveal_codec=snapshot_reveal_codec(params, u))
+    report = estimate_advantage(adv, key_leaking_filter_factory(params, u),
+                                key_leaking_simulator_factory(params, u),
+                                OracleBudget(inserts=0, queries=4, reveals=1), trials=300, seed=11)
     assert report.p_real > 0.95
     assert report.p_ideal < 0.25
     assert report.advantage > 0.6
@@ -303,9 +386,9 @@ def test_key_leak_advantage_on_both_permutation_paths(size):
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(size)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
-    report = estimate_advantage(adv, key_leaking_filter_factory(params, u), params,
-                                OracleBudget(inserts=0, queries=4, reveals=1),
-                                trials=200, seed=17, reveal_codec=snapshot_reveal_codec(params, u))
+    report = estimate_advantage(adv, key_leaking_filter_factory(params, u),
+                                key_leaking_simulator_factory(params, u),
+                                OracleBudget(inserts=0, queries=4, reveals=1), trials=200, seed=17)
     assert report.advantage >= 0.9
 
 
@@ -313,7 +396,7 @@ def test_public_hash_reveal_distinguishes_without_any_key():
     params = FilterParams(m=64, k=5, n=9)
     u = Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=False)
-    report = estimate_advantage(adv, filter_factory(params, u), params,
+    report = estimate_advantage(adv, filter_factory(params, u), simulator_factory(params),
                                 OracleBudget(inserts=0, queries=4, reveals=1),
                                 trials=300, seed=13)
     assert report.advantage > 0.5
@@ -373,13 +456,9 @@ def test_representation_prediction_matches_reference_scan(expects_snapshot, worl
         world_rng = random.Random(1000 + seed)
         if world == "real":
             make = key_leaking_filter_factory(params, u) if expects_snapshot else filter_factory(params, u)
-            blob = make(members, world_rng).reveal()
         else:
-            sim = SimulatorState(m, k, world_rng)
-            sim.build(sorted(members))
-            blob = sim.reveal()
-            if expects_snapshot:
-                blob = snapshot_reveal_codec(params, u)(world_rng)(blob)
+            make = key_leaking_simulator_factory(params, u) if expects_snapshot else simulator_factory(params)
+        blob = make(members, world_rng).reveal()
         bits = blob[len(blob) - (m + 7) // 8:]
         key = blob[KEY_OFFSET:len(blob) - len(bits)] if expects_snapshot else None
         ref = random.Random()

@@ -263,15 +263,18 @@ def test_public_table_fills_only_under_the_gate_and_holds_at_most_u_entries():
 
 
 def test_true_random_indices_ignore_bits():
-    """A true-random query draws the same stream whatever the filter's bits."""
-    params = FilterParams(m=32, k=4, n=0)
-    empty = BloomFilter(params, HashFamily.true_random(seed=5), Universe(64))
-    full = BloomFilter(params, HashFamily.true_random(seed=5), Universe(64))
-    full._bits[:] = b"\xff" * len(full._bits)
+    """An unsaturated true-random filter draws the same stream whatever its
+    bits: an empty filter and one with every bit but the last set draw all
+    k indices of each miss, though the empty one's first index answers 0."""
+    u = Universe(64)
+    empty, dense = (BloomFilter._over_bits(32, 4, HashFamily.true_random(seed=5), u, KIND_STANDARD, bits)
+                    for bits in (bytes(4), b"\xff\xff\xff\x7f"))
+    assert (empty.popcount(), dense.popcount()) == (0, 31)
     for x in (3, 9, 3, 1):
-        assert (empty.query(x), full.query(x)) == (0, 1)
-    assert empty.family.memo == full.family.memo
-    assert empty.family._rng.getstate() == full.family._rng.getstate()
+        assert empty.query(x) == 0
+        assert dense.query(x) == (31 not in dense.family.memo[x])
+        assert empty.family.memo == dense.family.memo
+        assert empty.family._rng.getstate() == dense.family._rng.getstate()
 
 
 @settings(max_examples=150, deadline=None)

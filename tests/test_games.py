@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
-from bloomlab.filic import OracleBudget, ab_to_filic_adversary, run_ideal, run_real
+from bloomlab.filic import OracleBudget, ab_to_filic_adversary, run_ideal, run_real, simulator_factory
 from bloomlab.filters import TRUE_RANDOM, FilterParams, Universe, expected_fpr, filter_factory
 from bloomlab.games import (
     SATURATION_CAP,
@@ -236,7 +236,7 @@ def test_out_of_universe_raises_in_every_harness(queries, target):
     with pytest.raises(DomainError):
         run_real(wrapper, filter_factory(params, u), budget, seed=0)
     with pytest.raises(DomainError):
-        run_ideal(wrapper, params, budget, seed=0)
+        run_ideal(wrapper, simulator_factory(params), budget, seed=0)
 
 
 @pytest.mark.parametrize("bad", [-1, 256, 1 << 70, 2.0, "7", None])

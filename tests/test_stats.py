@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bloomlab import filic, filters, games, privacy
 from bloomlab.errors import ParameterError
-from bloomlab.filic import NullAdversary, OracleBudget, estimate_advantage
+from bloomlab.filic import NullAdversary, OracleBudget, estimate_advantage, simulator_factory
 from bloomlab.filters import PUBLIC, FilterParams, Universe, estimate_fpr, filter_factory
 from bloomlab.games import (
     GameConfig,
@@ -28,6 +28,7 @@ from bloomlab.privacy import (
 )
 from bloomlab.stats import (
     Z99,
+    floored_binomial_se,
     mean_confidence_interval,
     mix_seed,
     run_trials,
@@ -129,6 +130,15 @@ def test_one_value_interval_degenerates():
     assert mean == 3.5 and lo == 3.5 and hi == 3.5
 
 
+def test_floored_binomial_se_floors_the_variance_at_one_over_trials():
+    """sqrt(max(r(1 - r), 1/n) / n): at r = 0 and r = 1 the floor 1/n gives
+    1/n; inside, r(1 - r) does once it exceeds 1/n. Powers of two keep every
+    value exact."""
+    assert floored_binomial_se(0.0, 16) == 0.0625
+    assert floored_binomial_se(1.0, 16) == 0.0625
+    assert floored_binomial_se(0.5, 16) == 0.125
+
+
 def test_run_trials_feeds_each_trial_its_mixed_seed_in_order():
     for master_seed, tag, trials in ((0, "", 1), (42, "ab-trial", 6), (-3, "Prüfung", 4)):
         seeds = [mix_seed(master_seed, tag, i) for i in range(trials)]
@@ -173,7 +183,7 @@ def _estimator_at_zero_trials(name):
         "measure_fpr_excluding_injected": lambda: measure_fpr_excluding_injected(
             members, universe, params, audit_params, 0, 10, 1),
         "estimate_advantage": lambda: estimate_advantage(
-            NullAdversary(universe, 4), factory, params, OracleBudget(1, 1, 1), 0, 1),
+            NullAdversary(universe, 4), factory, simulator_factory(params), OracleBudget(1, 1, 1), 0, 1),
     }[name]
 
 
