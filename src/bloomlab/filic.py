@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from itertools import chain
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError, _require_ints
@@ -126,7 +125,7 @@ class SimulatorState:
     ``make(members, rng)``, :func:`simulator_factory`, builds it so.
     """
 
-    __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list", "ctr",
+    __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list",
                  "_inserted_set", "_fp_set", "_ones")
 
     def __init__(self, m: int, k: int, rng: random.Random):
@@ -140,7 +139,6 @@ class SimulatorState:
         self.f: dict[int, tuple[int, ...]] = {}
         self.inserted: list[int] = []
         self.fp_list: list[int] = []
-        self.ctr = 0
         self._inserted_set: set[int] = set()
         self._fp_set: set[int] = set()
         self._ones = 0
@@ -155,10 +153,14 @@ class SimulatorState:
         inserted = self._inserted_set
         fresh = [x for x in dict.fromkeys(members) if x not in inserted]
         indices = _memo_fill(self.f, self.rng, self.m, self.k, fresh)
-        self._ones += _fill(self.bits, self.m, chain.from_iterable(indices), False)
+        self._ones += _fill(self.bits, self.m, indices, False)
         self.inserted.extend(fresh)
         inserted.update(fresh)
-        self.ctr += len(fresh)
+
+    @property
+    def ctr(self) -> int:
+        """How many distinct elements were inserted: ``len(inserted)``."""
+        return len(self.inserted)
 
     def query(self, x) -> int:
         """1 for listed elements; otherwise k fresh uniform draws decide,

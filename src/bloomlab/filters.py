@@ -39,13 +39,18 @@ sparse one sets them in the packed array, where a flag array would cost O(m)
 for few indices; the README gives the timings behind the factor 16. A
 true-random filter binds its (m, k) to the family instead. One
 memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
-as one stream: ``build`` and ``HashFamily.indices`` fill the family's memo
-through it, and the ideal-world simulator of :mod:`bloomlab.filic` its f.
-``build`` sets the indices through the same fill, and ``query`` draws only
+as one stream and returns the k indices of every element as one flat list,
+which is that stream itself when the memo lacked them all: ``build`` and
+``HashFamily.indices`` fill the family's memo through it, and the
+ideal-world simulator of :mod:`bloomlab.filic` its f. ``build`` and the
+simulator set their bits from that list, a build that drew more indices
+than it has bits setting each distinct one once; ``query`` draws only
 on a memo miss, and only while a bit is clear: a saturated true-random
 filter answers a miss 1 without drawing or memoizing. Every draw goes
 through ``_draws``: ``randrange(m)``'s stream, read straight from
-``getrandbits`` on an exact ``random.Random``.
+``getrandbits`` on an exact ``random.Random``. ``build`` checks and sorts a
+set or frozenset of members as it is, and copies any other collection into a
+list and a set first.
 
 Public indices are keyless, a fixed function of (x, m, k), so a public
 filter over a universe of u elements with u·k <= 2**15 reads them from a
@@ -182,16 +187,20 @@ class Universe:
     Immutable, equal and hashed by size. Not a container: it has no length,
     iteration or ``in``; :meth:`contains` is the membership test, and
     :meth:`require_all` checks a whole collection in one C-level pass whose
-    :class:`DomainError` names the first offender :meth:`require` would.
+    :class:`DomainError` names the first offender :meth:`require` would. The
+    last frozenset that passed is kept and passes again unchecked, so a
+    game's member set, checked when it is chosen, is not checked again when
+    its filter is built over the same universe.
     """
 
-    __slots__ = ("size",)
+    __slots__ = ("size", "_passed")
 
     def __init__(self, size: int):
         _require_ints(**{"universe size": size})
         if size < 1:
             raise ParameterError("universe size must be >= 1")
         object.__setattr__(self, "size", size)
+        _set_passed(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Universe")
@@ -221,9 +230,13 @@ class Universe:
 
     def require_all(self, xs):
         """``xs`` itself, a collection, once :meth:`require` passes each element."""
+        if xs is self._passed:
+            return xs
         if xs and not (all(map(isinstance, xs, repeat(int))) and min(xs) >= 0 and max(xs) < self.size):
             for x in xs:
                 self.require(x)
+        if type(xs) is frozenset:
+            _set_passed(self, xs)
         return xs
 
     def sample(self, rng: random.Random, n: int) -> list[int]:
@@ -260,6 +273,9 @@ class Universe:
         while x >= size or x in excluded:
             x = draw(arg)
         return x
+
+
+_set_passed = Universe._passed.__set__  # the slot's own setter: Universe.__setattr__ refuses
 
 
 class HashFamily:
@@ -338,7 +354,7 @@ class HashFamily:
         """
         if self.mode == TRUE_RANDOM:
             self._bind(m, k)
-            return next(_memo_fill(self.memo, self._rng, m, k, (x,)))
+            return tuple(_memo_fill(self.memo, self._rng, m, k, (x,)))
         tail, got = _WORD.pack(x), []
         for b, state in enumerate(self.block_states(k)):
             h = state.copy()
@@ -369,13 +385,18 @@ def _draws(rng, m: int, count: int) -> list[int]:
     return draws
 
 
-def _memo_fill(memo: dict, rng, m: int, k: int, elements) -> Iterator:
-    """The memoized k indices of each element, in order. Those the memo lacks
-    are drawn first, as one ``_draws`` stream in the order given: the draws of
-    memoizing them one by one. Only ``BloomFilter.query`` fills a memo inline."""
-    fresh = [x for x in elements if x not in memo]
-    memo.update(zip(fresh, zip(*[iter(_draws(rng, m, len(fresh) * k))] * k)))
-    return map(memo.__getitem__, elements)
+def _memo_fill(memo: dict, rng, m: int, k: int, elements) -> list[int]:
+    """The memoized k indices of each of the distinct ``elements``, as one
+    flat list in order. Those the memo lacks are drawn first, as one
+    ``_draws`` stream in the order given: the draws of memoizing them one by
+    one. When the memo lacks them all, that stream is the list returned.
+    Only ``BloomFilter.query`` fills a memo inline."""
+    fresh = [x for x in elements if x not in memo] if memo else elements
+    draws = _draws(rng, m, len(fresh) * k)
+    memo.update(zip(fresh, zip(*[iter(draws)] * k)))
+    if len(fresh) == len(elements):
+        return draws
+    return [j for x in elements for j in memo[x]]
 
 
 def fresh_family(mode: str, rng: random.Random) -> HashFamily:
@@ -436,12 +457,17 @@ class BloomFilter:
         in true-random mode where derivation order matters. All members are
         checked first, in the order given, so a refused build names the first
         bad member and leaves the family untouched."""
-        members = sorted(set(universe.require_all(list(members))))
+        if type(members) in (set, frozenset):
+            members = sorted(universe.require_all(members))
+        else:
+            members = sorted(set(universe.require_all(list(members))))
         filt = cls(params, family, universe)
         m, k = params.m, params.k
         memo = filt._memo
         if family.mode == TRUE_RANDOM:
-            words = chain.from_iterable(_memo_fill(memo, family._rng, m, k, members))
+            words = _memo_fill(memo, family._rng, m, k, members)
+            if len(words) > m:  # more draws than bits: set each distinct index once
+                words = set(words)
         elif memo is not None:
             words = chain.from_iterable([memo.get(x) or memo.setdefault(x, family.indices(x, m, k))
                                          for x in members])
@@ -477,14 +503,13 @@ class BloomFilter:
         if memo is not None:
             got = memo.get(x)
             if got is None:
-                m, k = self._m, self.params.k
                 family = self.family
                 if family.mode != TRUE_RANDOM:
-                    got = memo[x] = family.indices(x, m, k)
-                elif self._ones == m:
+                    got = memo[x] = family.indices(x, self._m, self.params.k)
+                elif self._ones == self._m:
                     return 1
                 else:
-                    got = memo[x] = tuple(_draws(family._rng, m, k))
+                    got = memo[x] = tuple(_draws(family._rng, self._m, self.params.k))
             for j in got:
                 if not bits[j >> 3] & (1 << (j & 7)):
                     return 0
@@ -751,10 +776,7 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
     one build share its fill, so it ignores this clustering by build and
     is too narrow once the queries per build grow.
     """
-    if queries < builds:
-        raise ParameterError("need queries >= builds")
-    if params.n + 1 > universe.size:
-        raise ParameterError("universe too small for n members plus a non-member")
+    _require_ints(queries=queries)
     make = filter_factory(params, universe, mode)
     size = universe.size
     width = size.bit_length()
@@ -773,7 +795,11 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
             hits += query(x)
         return hits
 
-    build_results = run_trials(build_hits, seed, "fpr-build", builds)  # refuses builds < 1
+    build_results = run_trials(build_hits, seed, "fpr-build", builds)  # refuses a bad build count
+    if queries < builds:
+        raise ParameterError("need queries >= builds")
+    if params.n + 1 > universe.size:
+        raise ParameterError("universe too small for n members plus a non-member")
     per_build = queries // builds  # read by build_hits, which runs only in the sum
     hits = sum(build_results)
     total = per_build * builds

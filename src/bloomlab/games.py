@@ -112,7 +112,8 @@ class Adversary(ABC):
 
 
 def choose_members(adversary: Adversary, cfg: GameConfig) -> frozenset[int]:
-    """The adversary's member set, checked for size and universe."""
+    """The adversary's member set as a frozenset, checked for size and
+    universe; a frozenset is taken as it is, without a copy."""
     members = frozenset(adversary.choose_set())
     if len(members) != cfg.n:
         raise ParameterError(f"adversary chose {len(members)} members, expected {cfg.n}")
@@ -130,16 +131,22 @@ def referee(query, adversary: Adversary, cfg: GameConfig,
 
     Probing a member, repeating a probe, an answer other than 0/1 (an oracle
     refusal) and targeting a member or an earlier probe forfeit, with the
-    reason recorded in ``transcript``.
+    reason recorded in ``transcript``. The domain rule comes first: a probe
+    or target that :meth:`Universe.require` refuses raises
+    :class:`DomainError`, even one equal to a member, such as 3.0 for 3.
     """
+    universe, members = cfg.universe, transcript.members
+    size, queries, answers = universe.size, transcript.queries, transcript.answers
+    next_query = adversary.next_query
     seen: set[int] = set()
     history: list[tuple[int, int]] = []
     for _ in range(cfg.t):
-        q = adversary.next_query(history.copy())
+        q = next_query(history.copy())
         if q is None:
             break
-        cfg.universe.require(q)
-        if q in transcript.members:
+        if not (isinstance(q, int) and 0 <= q < size):
+            universe.require(q)  # raises DomainError
+        if q in members:
             return _forfeit(transcript, "queried a member")
         if q in seen:
             return _forfeit(transcript, "repeated a query")
@@ -147,12 +154,12 @@ def referee(query, adversary: Adversary, cfg: GameConfig,
         answer = query(q)
         if answer not in (0, 1):
             return _forfeit(transcript, "query refused")
-        transcript.queries.append(q)
-        transcript.answers.append(answer)
+        queries.append(q)
+        answers.append(answer)
         history.append((q, answer))
     bet, target = adversary.finalize(history.copy())
-    cfg.universe.require(target)
-    if target in transcript.members or target in seen:
+    universe.require(target)
+    if target in members or target in seen:
         return _forfeit(transcript, "target was a member or an earlier query")
     return bet, target
 
@@ -218,9 +225,10 @@ class UniformAdversary(Adversary):
     uniform target. Its win rate in the always-bet game is the filter's
     unconditional false-positive rate."""
 
-    def choose_set(self) -> set[int]:
-        self._used = set(self.cfg.universe.sample(self.rng, self.cfg.n))
-        return set(self._used)
+    def choose_set(self) -> frozenset[int]:
+        members = frozenset(self.cfg.universe.sample(self.rng, self.cfg.n))
+        self._used = set(members)
+        return members
 
     def next_query(self, history) -> int | None:
         x = self.cfg.universe.sample_outside(self.rng, self._used)
@@ -239,7 +247,7 @@ class SaturationAdversary(UniformAdversary):
     """Bets only when every probe answered 1."""
 
     def _bet(self, history) -> int:
-        return 1 if all(ans == 1 for _, ans in history) else 0
+        return 1 if [ans for _, ans in history].count(1) == len(history) else 0
 
 
 class SaturationProbability(namedtuple("SaturationProbability", "exact lower_bound")):

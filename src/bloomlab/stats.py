@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_ints
 
 try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Shared by filters, feistel.
     from _blake2 import blake2b
@@ -57,7 +57,9 @@ def mix_seed(master_seed: int, tag: str, index: int) -> int:
 
 def run_trials(trial, master_seed: int, tag: str, trials: int):
     """``trial(mix_seed(master_seed, tag, i))`` for i in ``range(trials)``,
-    lazily and in order. A count below 1 is refused here, before any trial."""
+    lazily and in order. A count that is not an int, or is below 1, is
+    refused here, before any trial: this is every estimator's trial check."""
+    _require_ints(trials=trials)
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     return map(trial, map(seed_stream(master_seed, tag), range(trials)))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import random
 import re
 import struct
@@ -33,6 +34,7 @@ from bloomlab.filters import (
     _PUBLIC_INDICES,
     _TABLE_CAP,
     _draws,
+    _memo_fill,
     _pack_snapshot,
     _popcount,
     estimate_fpr,
@@ -1157,6 +1159,97 @@ def test_builds_refuse_a_bad_member_by_name_and_leave_the_family_unchanged(bad, 
         NyFilter.build([1, 5, bad], params, b"prp", u, family=family)
     assert family.memo == {} and family._shape is None
     assert state is None or family._rng.getstate() == state
+
+
+def _collections(members: list) -> dict:
+    """Makers of the same member collection as a set, a frozenset, a list
+    with repeats and a generator."""
+    return {
+        "set": lambda: set(members),
+        "frozenset": lambda: frozenset(members),
+        "list with repeats": lambda: members + members[::2],
+        "generator": lambda: (x for x in members),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from([PUBLIC, KEYED_PRF, TRUE_RANDOM]),
+    members=st.lists(st.integers(0, 4095), unique=True, max_size=40),
+    m=st.one_of(st.integers(1, 64), st.integers(1 << 12, 1 << 16)),
+    k=st.integers(1, 12),
+)
+@example(mode=TRUE_RANDOM, members=list(range(40, 0, -1)), m=8, k=3)
+def test_build_over_any_collection_of_the_members_is_one_filter(mode, members, m, k):
+    """A set or frozenset is sorted as it is and any other collection is
+    copied first: all four build the same bits, memo and generator state."""
+    u, params = Universe(4096), FilterParams(m=m, k=k, n=len(members))
+    outcomes = []
+    for make in _collections(members).values():
+        filt = BloomFilter.build(make(), params, _family(mode, b"one"), u)
+        family = filt.family
+        outcomes.append((filt.bit_bytes(), filt.popcount(), family.memo,
+                         family._rng.getstate() if mode == TRUE_RANDOM else None))
+    assert outcomes.count(outcomes[0]) == len(outcomes)
+
+
+@pytest.mark.parametrize("bad", [[-1], [40, 3.0], ["7", -2], [None, 99]])
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+def test_a_refused_build_names_the_first_offender_of_the_collection_given(bad, mode):
+    u, params = Universe(32), FilterParams(m=64, k=3, n=6)
+    for name, make in _collections([1, 5, 9, *bad, 12]).items():
+        family = _family(mode, b"key")
+        first = next(x for x in make() if not u.contains(x))
+        with pytest.raises(DomainError, match=re.escape(f"element {first!r} outside universe [0, 32)")):
+            BloomFilter.build(make(), params, family, u)
+        assert family.memo == {} and family._shape is None, name
+
+
+def test_a_frozenset_that_passed_a_universe_is_not_checked_there_again():
+    """``require_all`` keeps the last frozenset that passed, per universe:
+    it passes again as it is, while a refused frozenset, a set that changed
+    since it passed, and another universe are checked anew."""
+    u, members = Universe(32), frozenset({1, 5, 9})
+    assert u.require_all(members) is members and u._passed is members
+    assert u.require_all(members) is members
+    with pytest.raises(DomainError):
+        Universe(8).require_all(members)
+    bad = frozenset({1, 40})
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            u.require_all(bad)
+    assert u._passed is members
+    grown = {1, 5}
+    u.require_all(grown)
+    grown.add(-1)
+    with pytest.raises(DomainError):
+        u.require_all(grown)
+    assert Universe(32) == u and pickle.loads(pickle.dumps(u))._passed is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.binary(max_size=8),
+    m=st.one_of(st.integers(1, 64), st.integers(65, 1 << 20)),
+    k=st.integers(1, 9),
+    known=st.lists(st.integers(0, 63), unique=True, max_size=12),
+    elements=st.lists(st.integers(0, 63), unique=True, max_size=20),
+)
+def test_memo_fill_matches_deriving_each_element_one_by_one(seed, m, k, known, elements):
+    """Over a memo that already holds some of the elements, ``_memo_fill``
+    returns the k indices of each element, flat and in order, and leaves
+    the memo and the generator as deriving the elements one by one does."""
+    bulk, single = HashFamily.true_random(seed), HashFamily.true_random(seed)
+    for family in (bulk, single):
+        family._bind(m, k)
+        for x in known:
+            family.indices(x, m, k)
+    got = _memo_fill(bulk.memo, bulk._rng, m, k, elements)
+    for x in elements:
+        single.indices(x, m, k)
+    assert type(got) is list
+    assert got == [j for x in elements for j in single.memo[x]]
+    assert bulk == single
 
 
 @settings(max_examples=200, deadline=None)

@@ -223,6 +223,31 @@ def test_referee_passes_each_call_the_history_so_far(run):
     assert recorded == plain
 
 
+@pytest.mark.parametrize("run", [run_ab_test, run_bp_test])
+def test_referee_applies_the_domain_rule_before_the_forfeit_rules(run):
+    """The referee checks a probe's domain before its forfeit rules, as
+    ``Universe.require`` does: 3.0 equals the member 3 and the earlier probe
+    30.0 equals 30, yet each raises :class:`DomainError` rather than forfeit;
+    True is the element 1 to that rule, so probing it forfeits as 1 would."""
+    u = Universe(256)
+    members = set(range(20))
+    cfg = GameConfig(universe=u, n=20, t=3, threshold=0.5)
+    factory = filter_factory(FilterParams(m=64, k=3, n=20), u)
+    for queries in ([3.0], [30, 30.0], [30, 31, 3.0]):
+        with pytest.raises(DomainError, match=re.escape(f"element {queries[-1]!r} outside")):
+            run(factory, _Scripted(members, queries, target=50), cfg, seed=0)
+    with pytest.raises(DomainError, match=re.escape("element 3.0 outside")):
+        run(factory, _Scripted(members, [30], target=3.0), cfg, seed=0)
+    for queries in ([True], [30, 31, 1]):
+        out = run(factory, _Scripted(members, queries, target=50), cfg, seed=0)
+        assert out.transcript.forfeit_reason == "queried a member"
+    outside = set(range(2, 22))
+    for queries in ([1, True], [True, 1]):
+        out = run(factory, _Scripted(outside, queries, target=50), cfg, seed=0)
+        assert out.transcript.forfeit_reason == "repeated a query"
+        assert out.transcript.queries == queries[:1]
+
+
 @pytest.mark.parametrize("queries, target", [([256], 50), ([25], 256)])
 def test_out_of_universe_raises_in_every_harness(queries, target):
     u = Universe(256)

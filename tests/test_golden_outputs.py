@@ -75,6 +75,12 @@ CASES = {
                                   "--m", "8", "--k", "3", "--n", "20", "--trials", "40"],
     "ab-true-random-saturation-m8": ["ab-game", "--mode", "true-random", "--adversary", "saturation",
                                      "--m", "8", "--k", "3", "--n", "20", "--trials", "40"],
+    # At m=64 no filter saturates: every probe and target misses the memo and
+    # draws, and the record's probe_fp_rate counts the unsaturated probes.
+    "bp-attack-m64": ["bp-attack", "--m", "64", "--trials", "40"],
+    # The mangat audit's other direction, whose claimed bound is e^epsilon_prime.
+    "privacy-mangat-reverse": ["privacy-audit", "--mode", "mangat", "--direction", "reverse",
+                               "--trials", "300"],
 }
 
 DIGESTS = {
@@ -85,6 +91,7 @@ DIGESTS = {
     'ab-true-random-uniform': {11: '90b996de90f161c873fb2e8d395b6167ea568492e4e3df370623a8ee2b928eee', 2024: 'bb2ff7514ddfe7ea87a76ec1580338c172dfbbc1d5acacb74efdaf096b072f85'},
     'ab-true-random-uniform-m8': {11: 'f1b100ab2bbb7f4ee568297651f52160e435864b6f7ba9cf53392c218af13ce4', 2024: '59810753893c1b2b7bb64a5de3441846e8f51eda79e6a901aee9f3774081e105'},
     'bp-attack': {11: 'f3dee474a0815cd3cf10c90953a932e83f8c836ba8acbf3bbbd8bef72ce75c1a', 2024: 'e9bdbae842caca977f7f111b3dd3869508f6627c49e2e9d38800080f3387e71e'},
+    'bp-attack-m64': {11: '8b693b7e1722d58abf45887f3018893668874f399c83baaef7344a1c03bbded2', 2024: '37468f26c8c4770f989372904c1a5dacb23cb42fefd40ed1feed53046d90e7ce'},
     'error-analysis-mangat': {11: 'eef88aabe93cb16c939131f9e5e2763f77a90c0c525950a87ac6f32bd7363fb5', 2024: '58584ec3b2177a3cfb5d0ac8a991c18bad3c0de23b41695064a03d44d03ce047'},
     'error-analysis-warner': {11: '37069bfae852df9e43a07729dfc0a3c9aafd7b3f36da25a4e989303c5edbf638', 2024: 'bcb4014daeabe7c6422c19655d2b2dc0fc7d966bb5d3736a420a3fbb1155bcba'},
     'filic-key-leak': {11: 'ae0e0ebedbd395aa7c27f21c118f459530eb45eb94c5b2d5fb5bf3fb02cb6f78', 2024: '33d210e980e7a755bf9f23db04e29ba612c42ef713e6ebabf08850457cf70286'},
@@ -102,6 +109,7 @@ DIGESTS = {
     'fpr-true-random-sparse': {11: '55ae8c97f6c80f8875a0aedbefc2400b52ffb99a9cb51fc1639050039ae28cf7', 2024: 'd999ade1fee3b4b85a1a58001c8043795db702b8d6dbafc91947dd1330a505a8'},
     'privacy-mangat': {11: '14735cf09f5b0525d57c6f052fb6eda962e2636320d4446de172830cf7180f32', 2024: 'f184b4a80aed3ed4e53ee64b40f0be0e26f2c2e4adef1bf448e1e51367cf3aac'},
     'privacy-mangat-cap': {11: '4cf50c299fff4c13fdedb50aba407a9bcbea8c39ad14d3148642a592dfb0034f', 2024: '8527f3471d7b95c9237d927cf2e2e71e3ba8640c2022d376b1caffccd1468bc0'},
+    'privacy-mangat-reverse': {11: 'c7ce01d98667e830291faf7e6497c3171aa6493a909c000a23e145f4a62145b1', 2024: '709e988ff2022464078b29670fe06e68ea429bb2faa9bf4567f71d7acbfa076f'},
     'privacy-warner': {11: 'fbafb8890edadb5fd3b9c1d672fea9ac19b9a60a2f555c880fe70b37c06955df', 2024: 'c06e254ff5b5a97a2d0966ecf1a5894f3f39e86b30e12002780dcdcd2571f6f7'},
     'privacy-warner-reverse-cap': {11: '3ae2f10d031789992e379fae6c6d3199e64c7a927d3b0fcc4423a756b5a8306d', 2024: '8439e25422f5eaae00c49a74bc9cc53e97397fa48ce8fbc5672c5efdec60435e'},
     'saturation-scan': {11: '3ee65de5410a7531f42e16adf6c62967798be84ed1660b18a70ccad1d7c18c83', 2024: 'f402e5c073be9e4ac46a02828e9e35b9c08a908816e1146ef77b60c05f6850de'},

@@ -155,16 +155,24 @@ def test_run_trials_calls_nothing_until_iterated():
     assert calls == [mix_seed(9, "lazy", i) for i in range(3)]
 
 
-@pytest.mark.parametrize("trials", [0, -1, -(1 << 70)])
+def _refusal(trials) -> str:
+    """The message ``run_trials`` refuses ``trials`` with."""
+    if type(trials) is int:
+        return r"^trials must be >= 1$"
+    return rf"^trials must be an int, not {type(trials).__name__}$"
+
+
+# True once ran one trial, and 2.5 or "3" raised TypeError.
+@pytest.mark.parametrize("trials", [0, -1, -(1 << 70), True, False, 2.5, 3.0, "3", None])
 def test_run_trials_refuses_a_bad_count_when_called(trials):
     calls = []
-    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+    with pytest.raises(ParameterError, match=_refusal(trials)):
         run_trials(calls.append, 1, "eager", trials)  # never iterated: the refusal is eager
     assert calls == []
 
 
-def _estimator_at_zero_trials(name):
-    """A call of the named estimator with every argument valid but ``trials=0``."""
+def _estimator_at(name, trials=0):
+    """A call of the named estimator with every argument valid but ``trials``."""
     universe = Universe(64)
     params = FilterParams(m=64, k=3, n=4)
     cfg = GameConfig(universe=universe, n=4, t=2, threshold=0.5)
@@ -172,35 +180,62 @@ def _estimator_at_zero_trials(name):
     audit_params = PrivacyParams(MANGAT, 0.5)
     members = frozenset(range(4))
     return {
-        "run_ab_experiment": lambda: run_ab_experiment(factory, UniformAdversary(), cfg, 0, 1),
-        "run_bp_experiment": lambda: run_bp_experiment(factory, SaturationAdversary(), cfg, 0, 1),
-        "saturation_frequency": lambda: saturation_frequency(64, 3, 4, 0, 1),
-        "estimate_fpr": lambda: estimate_fpr(params, universe, PUBLIC, 0, 100, 1),
+        "run_ab_experiment": lambda: run_ab_experiment(factory, UniformAdversary(), cfg, trials, 1),
+        "run_bp_experiment": lambda: run_bp_experiment(factory, SaturationAdversary(), cfg, trials, 1),
+        "saturation_frequency": lambda: saturation_frequency(64, 3, 4, trials, 1),
+        "estimate_fpr": lambda: estimate_fpr(params, universe, PUBLIC, trials, 100, 1),
         "dp_audit": lambda: dp_audit(lambda s, sd: privacy.perturb(s, universe, audit_params, sd),
-                                     members, members - {0}, 0, 0, 1.0, 1),
+                                     members, members - {0}, 0, trials, 1.0, 1),
         "measure_member_negative_rate": lambda: measure_member_negative_rate(
-            members, universe, params, audit_params, 0, 1),
+            members, universe, params, audit_params, trials, 1),
         "measure_fpr_excluding_injected": lambda: measure_fpr_excluding_injected(
-            members, universe, params, audit_params, 0, 10, 1),
+            members, universe, params, audit_params, trials, 10, 1),
         "estimate_advantage": lambda: estimate_advantage(
-            NullAdversary(universe, 4), factory, simulator_factory(params), OracleBudget(1, 1, 1), 0, 1),
+            NullAdversary(universe, 4), factory, simulator_factory(params), OracleBudget(1, 1, 1), trials, 1),
     }[name]
 
 
-@pytest.mark.parametrize("name", [
-    "run_ab_experiment", "run_bp_experiment", "saturation_frequency", "estimate_fpr",
-    "dp_audit", "measure_member_negative_rate", "measure_fpr_excluding_injected",
-    "estimate_advantage",
-])
-def test_every_estimator_refuses_zero_trials_before_any_trial(monkeypatch, name):
-    """Each Monte Carlo estimator runs through ``run_trials``: at ``trials=0``
-    it raises its refusal and none of the per-trial entry points runs."""
+ESTIMATORS = ("run_ab_experiment", "run_bp_experiment", "saturation_frequency", "estimate_fpr",
+              "dp_audit", "measure_member_negative_rate", "measure_fpr_excluding_injected",
+              "estimate_advantage")
+
+
+def _record_trial_entry_points(monkeypatch) -> list:
+    """Replace every per-trial entry point with one that records its name."""
     calls = []
     for module, attr in ((games, "run_ab_test"), (games, "run_bp_test"), (filic, "run_real"),
                          (filic, "run_ideal"), (privacy, "mangat_perturb"), (privacy, "warner_perturb"),
                          (filters.BloomFilter, "build")):
         monkeypatch.setattr(module, attr, lambda *args, _attr=attr, **kwargs: calls.append(_attr))
-    estimator = _estimator_at_zero_trials(name)
-    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+    return calls
+
+
+@pytest.mark.parametrize("trials", [0, True, 2.5, "3"])
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_every_estimator_refuses_a_bad_trial_count_before_any_trial(monkeypatch, name, trials):
+    """Each Monte Carlo estimator runs through ``run_trials``: at ``trials=0``,
+    or a count that is not an int, it raises its refusal and none of the
+    per-trial entry points runs."""
+    calls = _record_trial_entry_points(monkeypatch)
+    estimator = _estimator_at(name, trials)
+    with pytest.raises(ParameterError, match=_refusal(trials)):
+        estimator()
+    assert calls == []
+
+
+@pytest.mark.parametrize("queries", [True, 3000.0, "3000"])
+@pytest.mark.parametrize("name, count", [("estimate_fpr", "queries"),
+                                         ("measure_fpr_excluding_injected", "queries_per_trial")])
+def test_fpr_estimators_refuse_a_query_count_that_is_not_an_int_before_any_trial(monkeypatch, name, count,
+                                                                                 queries):
+    """True once ran one query per build, and 3000.0 or "3000" raised TypeError."""
+    calls = _record_trial_entry_points(monkeypatch)
+    params, universe = FilterParams(m=64, k=3, n=4), Universe(64)
+    estimator = {
+        "estimate_fpr": lambda: estimate_fpr(params, universe, PUBLIC, 1, queries, 1),
+        "measure_fpr_excluding_injected": lambda: measure_fpr_excluding_injected(
+            frozenset(range(4)), universe, params, PrivacyParams(MANGAT, 0.5), 1, queries, 1),
+    }[name]
+    with pytest.raises(ParameterError, match=rf"^{count} must be an int, not {type(queries).__name__}$"):
         estimator()
     assert calls == []
