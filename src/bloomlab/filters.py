@@ -43,8 +43,7 @@ as one stream and returns the k indices of every element as one flat list,
 which is that stream itself when the memo lacked them all: ``build`` and
 ``HashFamily.indices`` fill the family's memo through it, and the
 ideal-world simulator of :mod:`bloomlab.filic` its f. ``build`` and the
-simulator set their bits from that list, a build that drew more indices
-than it has bits setting each distinct one once; ``query`` draws only
+simulator set their bits from that list; ``query`` draws only
 on a memo miss, and only while a bit is clear: a saturated true-random
 filter answers a miss 1 without drawing or memoizing. Every draw goes
 through ``_draws``: ``randrange(m)``'s stream, read straight from
@@ -187,20 +186,16 @@ class Universe:
     Immutable, equal and hashed by size. Not a container: it has no length,
     iteration or ``in``; :meth:`contains` is the membership test, and
     :meth:`require_all` checks a whole collection in one C-level pass whose
-    :class:`DomainError` names the first offender :meth:`require` would. The
-    last frozenset that passed is kept and passes again unchecked, so a
-    game's member set, checked when it is chosen, is not checked again when
-    its filter is built over the same universe.
+    :class:`DomainError` names the first offender :meth:`require` would.
     """
 
-    __slots__ = ("size", "_passed")
+    __slots__ = ("size",)
 
     def __init__(self, size: int):
         _require_ints(**{"universe size": size})
         if size < 1:
             raise ParameterError("universe size must be >= 1")
         object.__setattr__(self, "size", size)
-        _set_passed(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Universe")
@@ -230,13 +225,9 @@ class Universe:
 
     def require_all(self, xs):
         """``xs`` itself, a collection, once :meth:`require` passes each element."""
-        if xs is self._passed:
-            return xs
         if xs and not (all(map(isinstance, xs, repeat(int))) and min(xs) >= 0 and max(xs) < self.size):
             for x in xs:
                 self.require(x)
-        if type(xs) is frozenset:
-            _set_passed(self, xs)
         return xs
 
     def sample(self, rng: random.Random, n: int) -> list[int]:
@@ -273,9 +264,6 @@ class Universe:
         while x >= size or x in excluded:
             x = draw(arg)
         return x
-
-
-_set_passed = Universe._passed.__set__  # the slot's own setter: Universe.__setattr__ refuses
 
 
 class HashFamily:
@@ -466,8 +454,6 @@ class BloomFilter:
         memo = filt._memo
         if family.mode == TRUE_RANDOM:
             words = _memo_fill(memo, family._rng, m, k, members)
-            if len(words) > m:  # more draws than bits: set each distinct index once
-                words = set(words)
         elif memo is not None:
             words = chain.from_iterable([memo.get(x) or memo.setdefault(x, family.indices(x, m, k))
                                          for x in members])

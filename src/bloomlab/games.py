@@ -135,8 +135,8 @@ def referee(query, adversary: Adversary, cfg: GameConfig,
     or target that :meth:`Universe.require` refuses raises
     :class:`DomainError`, even one equal to a member, such as 3.0 for 3.
     """
-    universe, members = cfg.universe, transcript.members
-    size, queries, answers = universe.size, transcript.queries, transcript.answers
+    require, members = cfg.universe.require, transcript.members
+    queries, answers = transcript.queries, transcript.answers
     next_query = adversary.next_query
     seen: set[int] = set()
     history: list[tuple[int, int]] = []
@@ -144,8 +144,7 @@ def referee(query, adversary: Adversary, cfg: GameConfig,
         q = next_query(history.copy())
         if q is None:
             break
-        if not (isinstance(q, int) and 0 <= q < size):
-            universe.require(q)  # raises DomainError
+        require(q)
         if q in members:
             return _forfeit(transcript, "queried a member")
         if q in seen:
@@ -158,7 +157,7 @@ def referee(query, adversary: Adversary, cfg: GameConfig,
         answers.append(answer)
         history.append((q, answer))
     bet, target = adversary.finalize(history.copy())
-    universe.require(target)
+    require(target)
     if target in members or target in seen:
         return _forfeit(transcript, "target was a member or an earlier query")
     return bet, target
@@ -247,7 +246,7 @@ class SaturationAdversary(UniformAdversary):
     """Bets only when every probe answered 1."""
 
     def _bet(self, history) -> int:
-        return 1 if [ans for _, ans in history].count(1) == len(history) else 0
+        return 1 if all(ans == 1 for _, ans in history) else 0
 
 
 class SaturationProbability(namedtuple("SaturationProbability", "exact lower_bound")):

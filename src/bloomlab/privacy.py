@@ -25,11 +25,10 @@ straight from CPython's C Mersenne Twister (``_random.Random``), which holds
 that same state. The inputs of a perturbation (the params, the cap and the
 member set) are checked once per distinct (member frozenset, universe size,
 mode, p), and the lazy set keeps its state in one slot. An audit looks up
-its mode's perturbation once, a repeat of checked inputs makes its undrawn
-set in place, and a probe picks its generator inline, so an audit world
-costs one seeding of the C generator and one draw, about 6.2 µs, plus about
-1.4 µs of calls, a third of them the trial's seed (Python 3.11, 2-core
-x86-64 VM). A mangat world whose audited element is a member takes no draw.
+its mode's perturbation once and a repeat of checked inputs makes its
+undrawn set in place, so an audit world costs one seeding of the C
+generator and one draw, about 6.2 µs, plus about 1.5 µs of calls, a third
+of them the trial's seed (Python 3.11, 2-core x86-64 VM). A mangat world whose audited element is a member takes no draw.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ class PerturbedSet:
             j = x - sum(map(x.__gt__, inputs)) if x else 0
         else:
             j = x
-        rng = _Random(seed) if type(seed) is int else random.Random(seed)  # _generator(seed), inline
+        rng = _generator(seed)
         if j:
             rng.getrandbits(64 * j)
         return rng.random() < (p if member else 1.0 - p)
@@ -237,10 +236,14 @@ def warner_perturb(members, universe: Universe, p: float, seed: int) -> Perturbe
     return _perturbation(WARNER, members, universe, p, seed)
 
 
+def _perturber(mode: str):
+    """The mode's perturbation, ``mangat_perturb`` or ``warner_perturb``,
+    looked up in this module when called."""
+    return mangat_perturb if mode == MANGAT else warner_perturb
+
+
 def perturb(members, universe: Universe, params: PrivacyParams, seed: int) -> PerturbedSet:
-    if params.mode == MANGAT:
-        return mangat_perturb(members, universe, params.p, seed)
-    return warner_perturb(members, universe, params.p, seed)
+    return _perturber(params.mode)(members, universe, params.p, seed)
 
 
 def privacy_budget(params: PrivacyParams) -> PrivacyBudget:
@@ -357,9 +360,7 @@ def audit_perturbation(params: PrivacyParams, members, universe: Universe, x: in
     if x not in members:
         raise ParameterError("audited element must belong to the member set")
     budget = privacy_budget(params)
-    # Looked up in the module once per audit, so a wrapped mangat_perturb or
-    # warner_perturb is the one every world calls.
-    perturb_one, p = (mangat_perturb if params.mode == MANGAT else warner_perturb), params.p
+    perturb_one, p = _perturber(params.mode), params.p  # looked up once per audit
     mechanism = lambda s, sd: perturb_one(s, universe, p, sd)
     without = members - {x}
     if direction == "removal":

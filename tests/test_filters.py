@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import pickle
 import random
 import re
 import struct
@@ -1203,28 +1202,6 @@ def test_a_refused_build_names_the_first_offender_of_the_collection_given(bad, m
         with pytest.raises(DomainError, match=re.escape(f"element {first!r} outside universe [0, 32)")):
             BloomFilter.build(make(), params, family, u)
         assert family.memo == {} and family._shape is None, name
-
-
-def test_a_frozenset_that_passed_a_universe_is_not_checked_there_again():
-    """``require_all`` keeps the last frozenset that passed, per universe:
-    it passes again as it is, while a refused frozenset, a set that changed
-    since it passed, and another universe are checked anew."""
-    u, members = Universe(32), frozenset({1, 5, 9})
-    assert u.require_all(members) is members and u._passed is members
-    assert u.require_all(members) is members
-    with pytest.raises(DomainError):
-        Universe(8).require_all(members)
-    bad = frozenset({1, 40})
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            u.require_all(bad)
-    assert u._passed is members
-    grown = {1, 5}
-    u.require_all(grown)
-    grown.add(-1)
-    with pytest.raises(DomainError):
-        u.require_all(grown)
-    assert Universe(32) == u and pickle.loads(pickle.dumps(u))._passed is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -268,6 +268,20 @@ def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
     assert len(perturb(members, universe, params, seed)) == len(drawn)
 
 
+@pytest.mark.parametrize("seed", [1, 10])
+def test_a_mangat_probe_below_every_member_reads_its_own_draw(seed):
+    """Probes 0 and 1 lie below both members {2, 3}, so they read draws 0 and
+    1 of the stream. The two seeds put those draws on either side of 1 - p,
+    so a probe that skips one draw too many or too few answers wrongly."""
+    rng = random.Random(seed)
+    assert (rng.random() < 0.5) != (rng.random() < 0.5)
+    params, universe = PrivacyParams(MANGAT, 0.5), Universe(6)
+    drawn = _loop_perturb(MANGAT, {2, 3}, 6, 0.5, seed)
+    assert {0, 1} & drawn in ({0}, {1})
+    for x in range(6):
+        assert (x in perturb({2, 3}, universe, params, seed)) == (x in drawn)
+
+
 @pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
 @pytest.mark.parametrize("seed", [-1, -(1 << 70) - 3, 1 << 64, (1 << 64) + 12345, 1 << 200,
                                   True, False, b"bytes seed", "str seed"])
