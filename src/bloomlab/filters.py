@@ -32,12 +32,14 @@ construction, and derives indices from them without a call into the family.
 it tests each index as it is derived and returns 0 at the first clear bit,
 skipping any later block. ``build`` derives the words of all members block by
 block, in one pass per block and run of up to 1024 members: a copy of the
-block's state per member, and one unpack of their joined digests. A dense
-build, n·k·16 >= m for n distinct members, sets its bits in a one-byte-per-bit
-array and packs it once, so it holds about m extra bytes while it runs; a
-sparse one sets them in the packed array, where a flag array would cost O(m)
-for few indices; the README gives the timings behind the factor 16. A
-true-random filter binds its (m, k) to the family instead. One
+block's state per member, and one array of their joined digests, whose words
+past the block's indices are deleted in C, so the run's words for the block
+are one flat array. A dense build, n·k·16 >= m for n distinct members, sets
+its bits in a one-byte-per-bit array and packs it once, so it holds about m
+extra bytes while it runs; a sparse one sets them in the packed array, where
+a flag array would cost O(m) for few indices; the README gives the timings
+behind the factor 16. A true-random filter binds its (m, k) to the family
+instead. One
 memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
 as one stream and returns the k indices of every element as one flat list,
 which is that stream itself when the memo lacked them all: ``build`` and
@@ -47,9 +49,16 @@ simulator set their bits from that list; ``query`` draws only
 on a memo miss, and only while a bit is clear: a saturated true-random
 filter answers a miss 1 without drawing or memoizing. Every draw goes
 through ``_draws``: ``randrange(m)``'s stream, read straight from
-``getrandbits`` on an exact ``random.Random``. ``build`` checks and sorts a
-set or frozenset of members as it is, and copies any other collection into a
-list and a set first.
+``getrandbits`` on an exact ``random.Random``. ``build`` checks a set or
+frozenset of members as it is, and copies any other collection into a list
+and a set first. Only a true-random build sorts its members, since there
+their order is the draw stream; a public or keyed filter's bits are an OR
+over its members, so those builds hash them in set order.
+
+``Universe.require_all`` remembers a frozenset that passed, by identity,
+in ``_CHECKED``: the one memo of checked member sets, which the
+perturbations of :mod:`bloomlab.privacy` share under their own keys. So a
+game's build does not check again the set ``choose_members`` checked.
 
 Public indices are keyless, a fixed function of (x, m, k), so a public
 filter over a universe of u elements with u·k <= 2**15 reads them from a
@@ -109,7 +118,6 @@ from collections.abc import Iterator
 from itertools import chain, repeat
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError, _require_ints
-from .feistel import FeistelPermutation
 from .stats import blake2b, run_trials, wilson_interval
 
 MAGIC = b"BFLT"
@@ -144,6 +152,12 @@ _DENSE = 16
 # over a universe of u*k <= _TABLE_CAP has built or queried.
 _PUBLIC_INDICES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 _TABLE_CAP = 1 << 15
+# Frozensets that passed a check, each under the key of that check: (xs, size)
+# for Universe.require_all, (members, size, mode, p) for the perturbations of
+# the privacy module. A hit must be the same object: an equal frozenset may
+# hold 0.0 for 0. Cleared when full; an audit uses four entries.
+_CHECKED: dict[tuple, frozenset] = {}
+_CHECKED_MAX = 8
 
 
 class FilterParams(namedtuple("FilterParams", "m k n")):
@@ -186,7 +200,9 @@ class Universe:
     Immutable, equal and hashed by size. Not a container: it has no length,
     iteration or ``in``; :meth:`contains` is the membership test, and
     :meth:`require_all` checks a whole collection in one C-level pass whose
-    :class:`DomainError` names the first offender :meth:`require` would.
+    :class:`DomainError` names the first offender :meth:`require` would. A
+    frozenset that passed is remembered in the module's ``_CHECKED`` and not
+    checked again under the same size.
     """
 
     __slots__ = ("size",)
@@ -224,10 +240,19 @@ class Universe:
         return x
 
     def require_all(self, xs):
-        """``xs`` itself, a collection, once :meth:`require` passes each element."""
+        """``xs`` itself, a collection, once :meth:`require` passes each element.
+        A frozenset that passed under this size is remembered, and that same
+        object is not checked again; an equal one is."""
+        key = None
+        if type(xs) is frozenset:
+            key = (xs, self.size)
+            if _CHECKED.get(key) is xs:
+                return xs
         if xs and not (all(map(isinstance, xs, repeat(int))) and min(xs) >= 0 and max(xs) < self.size):
             for x in xs:
                 self.require(x)
+        if key is not None:
+            _remember_checked(key, xs)
         return xs
 
     def sample(self, rng: random.Random, n: int) -> list[int]:
@@ -358,6 +383,13 @@ class HashFamily:
             raise ParameterError("true-random family already bound to another (m, k)")
 
 
+def _remember_checked(key: tuple, xs: frozenset) -> None:
+    """Remember ``xs`` as passed under ``key``, clearing a full ``_CHECKED`` first."""
+    if len(_CHECKED) >= _CHECKED_MAX:
+        _CHECKED.clear()
+    _CHECKED[key] = xs
+
+
 def _draws(rng, m: int, count: int) -> list[int]:
     """``count`` draws of ``rng.randrange(m)``, in order. An exact
     ``random.Random`` draws them inline by CPython's rule, getrandbits(m.bit_length())
@@ -440,20 +472,22 @@ class BloomFilter:
     def build(cls, members, params: FilterParams, family: HashFamily, universe: Universe) -> "BloomFilter":
         """Construct the filter for a member set.
 
-        Members are processed in sorted order so that identical
-        (key, members, params) always yield bit-identical filters, including
-        in true-random mode where derivation order matters. All members are
-        checked first, in the order given, so a refused build names the first
-        bad member and leaves the family untouched."""
+        Identical (key, members, params) always yield bit-identical filters. A
+        true-random build draws its members' indices in sorted order, since
+        there the order is the draw stream; a public or keyed filter's bits
+        are an OR over its members, so it hashes them in set order. All
+        members are checked first, in the order given, so a refused build
+        names the first bad member and leaves the family untouched; a
+        frozenset that passed the same check before is not checked again."""
         if type(members) in (set, frozenset):
-            members = sorted(universe.require_all(members))
+            members = universe.require_all(members)
         else:
-            members = sorted(set(universe.require_all(list(members))))
+            members = set(universe.require_all(list(members)))
         filt = cls(params, family, universe)
         m, k = params.m, params.k
         memo = filt._memo
         if family.mode == TRUE_RANDOM:
-            words = _memo_fill(memo, family._rng, m, k, members)
+            words = _memo_fill(memo, family._rng, m, k, sorted(members))
         elif memo is not None:
             words = chain.from_iterable([memo.get(x) or memo.setdefault(x, family.indices(x, m, k))
                                          for x in members])
@@ -572,13 +606,14 @@ class BloomFilter:
         return filt
 
 
-def _member_words(states, k: int, tails: list) -> Iterator:
+def _member_words(states, k: int, tails: list) -> Iterator[array]:
     """The words of indices 0 .. k-1 of every tail, a member as ``<Q>(x)``.
 
     Per run of up to ``_RUN`` tails and per block, every tail of the run is
     hashed from a copy of the block's state and the joined digests are read
-    with one unpack; then, for each index of the block, that word of every
-    tail is yielded as one array."""
+    as one array of 8 words per tail. Its words past the block's r = min(8,
+    k - 8b) indices are deleted in C, one strided deletion per width from 8
+    down to r + 1, and the array, r words per tail, is yielded."""
     for lo in range(0, len(tails), _RUN):
         run = tails[lo:lo + _RUN]
         for b, state in enumerate(states):
@@ -588,8 +623,9 @@ def _member_words(states, k: int, tails: list) -> Iterator:
             words = array("Q", b"".join(map(blake2b.digest, hs)))
             if sys.byteorder == "big":
                 words.byteswap()
-            for i in range(min(8, k - 8 * b)):
-                yield words[i::8]
+            for w in range(8, min(8, k - 8 * b), -1):
+                del words[w - 1::w]
+            yield words
 
 
 def _fill(bits: bytearray, m: int, words, dense: bool) -> int:
@@ -659,13 +695,16 @@ class NyFilter:
     Queries permute the element and consult the inner filter, so membership
     behaves exactly like the inner filter on permuted elements. Without the
     key the bit positions reveal nothing about which elements were encoded.
+    ``prp`` is a :class:`bloomlab.feistel.FeistelPermutation`, a module
+    imported only where a permutation is made, so runs without one never
+    load it.
     """
 
     __slots__ = ("inner", "prp", "universe")
 
     kind = KIND_NY
 
-    def __init__(self, inner: BloomFilter, prp: FeistelPermutation, universe: Universe):
+    def __init__(self, inner: BloomFilter, prp, universe: Universe):
         self.inner = inner
         self.prp = prp
         self.universe = universe
@@ -673,6 +712,8 @@ class NyFilter:
     @classmethod
     def build(cls, members, params: FilterParams, prp_key: bytes, universe: Universe,
               family: HashFamily | None = None) -> "NyFilter":
+        from .feistel import FeistelPermutation
+
         prp = FeistelPermutation(prp_key, universe.size)
         permuted = set(map(prp.encrypt, universe.require_all(set(members))))
         inner = BloomFilter.build(permuted, params, family or HashFamily.public(), universe)
@@ -728,6 +769,8 @@ class NyFilter:
         """Restore a snapshot over the universe it records. A ``universe`` of
         another size is refused: under it the permutation would differ and
         members would answer 0."""
+        from .feistel import FeistelPermutation
+
         universe, m, k, kind, key, bits = _unpack_snapshot(blob, universe)
         if kind != KIND_NY:
             raise ParameterError(f"snapshot holds a {kind} filter, not ny-prp-wrapped")

@@ -113,7 +113,8 @@ class Adversary(ABC):
 
 def choose_members(adversary: Adversary, cfg: GameConfig) -> frozenset[int]:
     """The adversary's member set as a frozenset, checked for size and
-    universe; a frozenset is taken as it is, without a copy."""
+    universe; a frozenset is taken as it is, without a copy. The universe
+    remembers the checked frozenset, so the build does not check it again."""
     members = frozenset(adversary.choose_set())
     if len(members) != cfg.n:
         raise ParameterError(f"adversary chose {len(members)} members, expected {cfg.n}")

@@ -24,9 +24,10 @@ all the audit asks of each trial. The draws come from the state of
 straight from CPython's C Mersenne Twister (``_random.Random``), which holds
 that same state. The inputs of a perturbation (the params, the cap and the
 member set) are checked once per distinct (member frozenset, universe size,
-mode, p), and the lazy set keeps its state in one slot. An audit looks up
-its mode's perturbation once and a repeat of checked inputs makes its
-undrawn set in place, so an audit world costs one seeding of the C
+mode, p), remembered in ``filters._CHECKED``, the package's one memo of
+checked member sets, and the lazy set keeps its state in one slot. An
+audit looks up its mode's perturbation once and a repeat of checked inputs
+makes its undrawn set in place, so an audit world costs one seeding of the C
 generator and one draw, about 6.2 µs, plus about 1.5 µs of calls, a third
 of them the trial's seed (Python 3.11, 2-core x86-64 VM). A mangat world whose audited element is a member takes no draw.
 """
@@ -39,7 +40,8 @@ from _random import Random as _Random  # the C generator random.Random extends; 
 from collections import namedtuple
 
 from .errors import ParameterError, UnsupportedOperationError, _require_ints
-from .filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
+from .filters import (_CHECKED, BloomFilter, FilterParams, HashFamily, Universe, _remember_checked,
+                      expected_fpr)
 from .stats import run_trials, standard_error, wilson_interval
 
 MANGAT = "mangat"
@@ -197,15 +199,13 @@ def _check_cap(universe: Universe) -> None:
         )
 
 
-_CHECKED: dict[tuple, frozenset] = {}  # (members, size, mode, p) -> the frozenset that passed with them
-_CHECKED_MAX = 8  # an audit uses two entries
-
-
 def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -> PerturbedSet:
     """The output of perturbing ``members`` over the universe with ``seed``,
     not drawn yet, once the inputs pass. A frozenset that passed with the
     same universe size, mode and p is not checked again; anything else, an
-    equal but other frozenset too, is checked and raises as it would."""
+    equal but other frozenset too, is checked and raises as it would. It is
+    remembered under ``(members, size, mode, p)`` in ``filters._CHECKED``,
+    the one memo of checked member sets."""
     key = hit = None
     if type(members) is frozenset:
         try:
@@ -218,9 +218,7 @@ def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -
         _check_cap(universe)
         members = universe.require_all(frozenset(members))
         if key is not None:
-            if len(_CHECKED) >= _CHECKED_MAX:
-                _CHECKED.clear()
-            _CHECKED[key] = members
+            _remember_checked(key, members)
     out = object.__new__(PerturbedSet)
     _set_state(out, (None, mode, p, len(members), members, universe.size, seed))
     return out

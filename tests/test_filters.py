@@ -29,10 +29,14 @@ from bloomlab.filters import (
     HashFamily,
     NyFilter,
     Universe,
+    _CHECKED,
+    _CHECKED_MAX,
     _DENSE,
     _PUBLIC_INDICES,
+    _RUN,
     _TABLE_CAP,
     _draws,
+    _member_words,
     _memo_fill,
     _pack_snapshot,
     _popcount,
@@ -1180,7 +1184,7 @@ def _collections(members: list) -> dict:
 )
 @example(mode=TRUE_RANDOM, members=list(range(40, 0, -1)), m=8, k=3)
 def test_build_over_any_collection_of_the_members_is_one_filter(mode, members, m, k):
-    """A set or frozenset is sorted as it is and any other collection is
+    """A set or frozenset is taken as it is and any other collection is
     copied first: all four build the same bits, memo and generator state."""
     u, params = Universe(4096), FilterParams(m=m, k=k, n=len(members))
     outcomes = []
@@ -1190,6 +1194,87 @@ def test_build_over_any_collection_of_the_members_is_one_filter(mode, members, m
         outcomes.append((filt.bit_bytes(), filt.popcount(), family.memo,
                          family._rng.getstate() if mode == TRUE_RANDOM else None))
     assert outcomes.count(outcomes[0]) == len(outcomes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mode=st.sampled_from([PUBLIC, KEYED_PRF]),
+    key=st.binary(max_size=16),
+    k=st.integers(1, 20),
+    n=st.one_of(st.integers(0, 20), st.integers(_RUN - 3, _RUN + 40)),
+    seed=st.integers(0, 1 << 32),
+)
+@example(mode=KEYED_PRF, key=b"runs", k=20, n=2 * _RUN + 1, seed=0)
+@example(mode=PUBLIC, key=b"", k=8, n=_RUN + 1, seed=1)
+@example(mode=PUBLIC, key=b"", k=1, n=_RUN + 1, seed=2)
+def test_member_words_are_each_members_indices(mode, key, k, n, seed):
+    """Per run of up to _RUN members and per block b, one flat array holds
+    the first min(8, k - 8b) words of every member's block-b digest, which
+    are indices 8b onwards of HashFamily.indices taken mod 2**64."""
+    family = _family(mode, key if mode == KEYED_PRF else b"")
+    members = random.Random(seed).sample(range(1 << 20), n)
+    arrays = list(_member_words(family.block_states(k), k, [struct.pack("<Q", x) for x in members]))
+    expected = []
+    for lo in range(0, n, _RUN):
+        indices = [family.indices(x, 1 << 64, k) for x in members[lo:lo + _RUN]]
+        for b in range(0, k, 8):
+            expected.append([w for got in indices for w in got[b:b + 8]])
+    assert [list(words) for words in arrays] == expected
+
+
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+@pytest.mark.parametrize("u, m, k", [(4096, 256, 5), (4096, 1 << 20, 20), (1 << 20, 64, 12)])
+def test_hashed_bits_do_not_depend_on_the_order_of_the_members(mode, u, m, k):
+    """Keyed and public builds hash their members in set order and true-random
+    ones draw in sorted order, so sets whose iteration orders differ, and
+    lists in any order, build one filter, with one true-random memo."""
+    members = random.Random(u + k).sample(range(u), 60)
+    orders = [members, sorted(members), sorted(members, reverse=True)]
+    collections = [*orders, *map(frozenset, orders)]
+    padded = set(range(u - 3000, u)) | set(members)  # a larger table, so another order
+    padded -= set(range(u - 3000, u)) - set(members)
+    collections.append(padded)
+    assert len({tuple(c) for c in collections if isinstance(c, (set, frozenset))}) > 1
+    params, universe = FilterParams(m=m, k=k, n=len(members)), Universe(u)
+    outcomes = []
+    for members_in_order in collections:
+        filt = BloomFilter.build(members_in_order, params, _family(mode, b"order"), universe)
+        outcomes.append((filt.bit_bytes(), filt.popcount(), filt.family.memo))
+    assert outcomes.count(outcomes[0]) == len(outcomes)
+
+
+def test_require_all_remembers_a_passed_frozenset_for_itself_and_its_size_only(monkeypatch):
+    """A frozenset that passed is kept in _CHECKED under (set, size) and that
+    object is not checked again under that size. Another size, an equal set
+    that is another object and a mutable set are checked as on a first call."""
+    members = frozenset(range(8))
+    assert Universe(64).require_all(members) is members
+    assert _CHECKED[(members, 64)] is members
+    first = next(x for x in members if x >= 5)  # the offender require_all names first
+    with pytest.raises(DomainError, match=re.escape(f"element {first!r} outside universe [0, 5)")):
+        Universe(5).require_all(members)
+    lookalike = frozenset([0.0, *range(1, 8)])
+    assert lookalike == members and lookalike is not members
+    with pytest.raises(DomainError, match=re.escape("element 0.0 outside universe [0, 64)")):
+        Universe(64).require_all(lookalike)
+    mutable = set(range(8))
+    assert Universe(64).require_all(mutable) is mutable
+    assert not any(value is mutable for value in _CHECKED.values())
+    mutable.add(70)
+    with pytest.raises(DomainError, match=re.escape("element 70 outside universe [0, 64)")):
+        Universe(64).require_all(mutable)
+    # A remembered set is trusted: this entry was never checked, and passes.
+    unchecked = frozenset({3, 70})
+    monkeypatch.setitem(_CHECKED, (unchecked, 64), unchecked)
+    assert Universe(64).require_all(unchecked) is unchecked
+
+
+def test_the_checked_memo_is_cleared_when_full():
+    sets = [frozenset({i}) for i in range(3 * _CHECKED_MAX)]
+    for xs in sets:
+        Universe(64).require_all(xs)
+        assert 1 <= len(_CHECKED) <= _CHECKED_MAX
+        assert _CHECKED[(xs, 64)] is xs
 
 
 @pytest.mark.parametrize("bad", [[-1], [40, 3.0], ["7", -2], [None, 99]])

@@ -81,10 +81,23 @@ CASES = {
     # The mangat audit's other direction, whose claimed bound is e^epsilon_prime.
     "privacy-mangat-reverse": ["privacy-audit", "--mode", "mangat", "--direction", "reverse",
                                "--trials", "300"],
+    # Hashed builds past one digest block, at shapes where the wins depend on
+    # bit positions: keyed k=20 reads blocks of 8, 8 and 4 words, public k=12
+    # (u*k > 2^15) hashes per query with blocks of 8 and 4, and keyed k=8 reads
+    # one full block.
+    "ab-keyed-k20": ["ab-game", "--mode", "keyed-prf", "--m", "64", "--k", "20", "--n", "8",
+                     "--trials", "40"],
+    "ab-public-k12-hashed": ["ab-game", "--mode", "public", "--m", "64", "--k", "12", "--n", "10",
+                             "--trials", "40"],
+    "ab-keyed-k8": ["ab-game", "--mode", "keyed-prf", "--m", "64", "--k", "8", "--n", "10",
+                    "--trials", "40"],
 }
 
 DIGESTS = {
+    'ab-keyed-k20': {11: '2285d7f0f766e7495749b9fdae19b99a79c3f552c9bfdefa0c94bf446ba78c0b', 2024: '5772d52b4ea8f6d2e60b04f96b009e2f18958de5260b5ad55224c3e9ac5601e1'},
+    'ab-keyed-k8': {11: 'e5763b4737b48d56567b769c6777ec99c9312ca443c1fbeb903733c3cb2ed1cd', 2024: '336aff5b2ad36002b21abe6d0b7a5823fedaf857555bdaf592d58d43e302df9a'},
     'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '9b4c81113ca7ea9f93ebca36cc656549d8331425fe024003562b03215fe10cc9'},
+    'ab-public-k12-hashed': {11: '2188a0d095aed80de21e0594bbe456818bcbff02f38b58c5fbd47f7ecfc783dc', 2024: '5537dc27ca91f4c4cc92664182e061cd9dcf14732f3cfd8df7125054cbfc7e89'},
     'ab-public-saturation': {11: 'd2ebc50bfd461eecf2f93333b3b11397ab7bbed9e478fc4112f6e0daa7941b24', 2024: '402936551b65c47d9df62cd5185180579c665354deed7c1f1e9f762a0ad8e554'},
     'ab-true-random-saturation': {11: '5861a01f12dcf45323b38052d65caeef6217eca5356684704cd78a67238d948b', 2024: 'da02342019af09df7ec2cd0d7a2046d4bbc41d37751f7d027228ea1455eab945'},
     'ab-true-random-saturation-m8': {11: '7c40da0fe3ec45fdcb409dc1a34a80a80c27f89a9f0013d4cdfbe236217a3250', 2024: 'cb401e5bbf5ba73d744e9ca067636d85cb4a03ff2c3e04fbebe70d04811ad4ca'},

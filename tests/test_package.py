@@ -52,6 +52,9 @@ def test_cli_loads_only_the_modules_of_the_experiment_run():
     assert "bloomlab.filters" in seen["fpr-estimate"]
     assert "bloomlab.games" in seen["bp-attack"]
     assert not {"bloomlab.filic", "bloomlab.learned"} & set(seen["bp-attack"])
+    # Only a permutation-wrapped filter loads the Feistel permutation.
+    assert "bloomlab.feistel" not in seen["fpr-estimate"]
+    assert "bloomlab.feistel" not in seen["bp-attack"]
     assert seen["heavy"] == []
 
 

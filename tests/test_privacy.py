@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloomlab import privacy
+from bloomlab import filters, privacy
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
 from bloomlab.filters import BloomFilter, FilterParams, HashFamily, Universe, expected_fpr
 from bloomlab.privacy import (
@@ -115,6 +115,18 @@ def test_checked_inputs_are_remembered_only_for_themselves():
     with pytest.raises(DomainError, match=re.escape("element 70 outside universe [0, 64)")):
         mangat_perturb(frozenset({3, 70}), Universe(64), 0.5, 7)
     assert mangat_perturb(members, Universe(64), 0.5, 7) == mangat_perturb(set(members), Universe(64), 0.5, 7)
+
+
+def test_checked_perturbation_inputs_share_the_filters_memo():
+    """A perturbation remembers its inputs under (members, size, mode, p) in
+    the one memo of checked sets, beside the (members, size) entry of the
+    universe's own check."""
+    filters._CHECKED.clear()  # room for both entries: a full memo is cleared before it stores
+    members = frozenset(range(3, 11))
+    mangat_perturb(members, Universe(64), 0.5, 7)
+    assert privacy._CHECKED is filters._CHECKED
+    assert filters._CHECKED[(members, 64, MANGAT, 0.5)] is members
+    assert filters._CHECKED[(members, 64)] is members
 
 
 @pytest.mark.parametrize("direction", ["removal", "reverse"])
