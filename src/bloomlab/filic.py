@@ -6,7 +6,7 @@ append-only list of inserted elements, an append-only list of elements that
 became sticky false positives, and an insert counter. A query for an
 element on neither list samples k fresh uniform indices, disregarding the
 element itself; if all sampled bits are set the element joins the
-false-positive list. A reveal simply returns M.
+false-positive list. A reveal returns M, packed as a filter's bits are.
 
 The real world runs the same adversary against an actual insertable filter
 whose reveal returns its internal representation. Each trial builds its
@@ -46,7 +46,9 @@ from .filters import (
     _draws,
     _fill,
     _memo_fill,
+    _pack,
     _pack_snapshot,
+    _popcount,
 )
 from .stats import mix_seed, run_trials, wilson_interval
 
@@ -122,11 +124,12 @@ class SimulatorState:
     fills f through the filters' ``_memo_fill``, the memo fill of true-random
     filters: the indices of all its first-time members are drawn as one
     stream, the draws their inserts one by one would make. The ideal world's
-    ``make(members, rng)``, :func:`simulator_factory`, builds it so.
+    ``make(members, rng)``, :func:`simulator_factory`, builds it so. M is
+    ``flags``, one byte per position, 0 or 1, as in a filter.
     """
 
-    __slots__ = ("m", "k", "rng", "bits", "f", "inserted", "fp_list",
-                 "_inserted_set", "_fp_set", "_ones")
+    __slots__ = ("m", "k", "rng", "flags", "f", "inserted", "fp_list",
+                 "_inserted_set", "_fp_set")
 
     def __init__(self, m: int, k: int, rng: random.Random):
         _require_ints(m=m, k=k)
@@ -135,13 +138,12 @@ class SimulatorState:
         self.m = m
         self.k = k
         self.rng = rng
-        self.bits = bytearray((m + 7) // 8)
+        self.flags = bytearray(m)
         self.f: dict[int, tuple[int, ...]] = {}
         self.inserted: list[int] = []
         self.fp_list: list[int] = []
         self._inserted_set: set[int] = set()
         self._fp_set: set[int] = set()
-        self._ones = 0
 
     def insert(self, x) -> None:
         """First-time inserts set the bits of f(x); repeats do nothing."""
@@ -153,7 +155,7 @@ class SimulatorState:
         inserted = self._inserted_set
         fresh = [x for x in dict.fromkeys(members) if x not in inserted]
         indices = _memo_fill(self.f, self.rng, self.m, self.k, fresh)
-        self._ones += _fill(self.bits, self.m, indices, False)
+        _fill(self.flags, self.m, indices)
         self.inserted.extend(fresh)
         inserted.update(fresh)
 
@@ -167,20 +169,20 @@ class SimulatorState:
         and a hit makes the element a permanent false positive."""
         if x in self._inserted_set or x in self._fp_set:
             return 1
-        if all(self.bits[j >> 3] & (1 << (j & 7)) for j in _draws(self.rng, self.m, self.k)):
+        if all(map(self.flags.__getitem__, _draws(self.rng, self.m, self.k))):
             self.fp_list.append(x)
             self._fp_set.add(x)
             return 1
         return 0
 
     def reveal(self) -> bytes:
-        return bytes(self.bits)
+        return _pack(self.flags)
 
     def popcount(self) -> int:
-        return self._ones
+        return _popcount(self.flags)
 
     def fill_ratio(self) -> float:
-        return self._ones / self.m
+        return _popcount(self.flags) / self.m
 
 
 class FilicAdversary:
@@ -290,7 +292,7 @@ class _KeyLeakingSimulator(SimulatorState):
     __slots__ = ("size", "key")
 
     def reveal(self) -> bytes:
-        return _pack_snapshot(self.size, self.m, self.k, KIND_NY, self.key, self.bits)
+        return _pack_snapshot(self.size, self.m, self.k, KIND_NY, self.key, _pack(self.flags))
 
 
 def key_leaking_simulator_factory(params: FilterParams, universe: Universe):

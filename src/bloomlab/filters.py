@@ -34,12 +34,12 @@ skipping any later block. ``build`` derives the words of all members block by
 block, in one pass per block and run of up to 1024 members: a copy of the
 block's state per member, and one array of their joined digests, whose words
 past the block's indices are deleted in C, so the run's words for the block
-are one flat array. A dense build, n·k·16 >= m for n distinct members, sets
-its bits in a one-byte-per-bit array and packs it once, so it holds about m
-extra bytes while it runs; a sparse one sets them in the packed array, where
-a flag array would cost O(m) for few indices; the README gives the timings
-behind the factor 16. A true-random filter binds its (m, k) to the family
-instead. One
+are one flat array. A true-random filter binds its (m, k) to the family
+instead. A filter holds its bits as m flags, one byte each, 0 or 1, so a bit
+test is one index. ``_pack`` and ``_unpack``, each an O(m) pass in C (the
+README gives the timings), convert them to the snapshot layout below only
+where bytes leave (``bit_bytes``, ``reveal``, ``to_bytes``) or a restore
+enters. ``is_saturated`` looks for a 0 flag. One
 memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
 as one stream and returns the k indices of every element as one flat list,
 which is that stream itself when the memo lacked them all: ``build`` and
@@ -95,7 +95,7 @@ records; a restore given a universe of another size is refused with
 :class:`ParameterError`, since under another size the permutation differs and
 an ``ny-prp-wrapped`` filter would answer 0 for nearly every member; so is a
 bit array of other than (m + 7) // 8 bytes, or one that sets a bit at a
-position >= m, which would count towards the popcount. Filters
+position >= m, which the filter has no flag for. Filters
 whose state the layout cannot carry (true-random filters, ``ny-prp-wrapped``
 filters over a non-public inner family, and a universe size of 2**64 or
 more, an m of 2**32 or more, or a k or key length of 2**16 or more, which
@@ -145,9 +145,9 @@ _LN2 = math.log(2.0)
 # Tails hashed together in build: bounds its transient copies and digests
 # to about 0.7 MiB whatever the member count.
 _RUN = 1024
-# build sets bits through one byte per bit when n*k*_DENSE >= m (the README
-# gives the measured crossover).
-_DENSE = 16
+# Flag bytes to base-2 digits and back, for _pack and _unpack.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 # Per shape (m, k), the k public indices of each element that a public filter
 # over a universe of u*k <= _TABLE_CAP has built or queried.
 _PUBLIC_INDICES: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
@@ -438,7 +438,7 @@ def filter_factory(params: FilterParams, universe: Universe, mode: str = PUBLIC)
 class BloomFilter:
     """Bit-array filter; ``standard`` kind is insertable, others are static."""
 
-    __slots__ = ("params", "family", "kind", "universe", "_bits", "_ones", "_m", "_blocks", "_memo")
+    __slots__ = ("params", "family", "kind", "universe", "_flags", "_m", "_blocks", "_memo")
 
     def __init__(self, params: FilterParams, family: HashFamily, universe: Universe, kind: str | None = None):
         self.params = params
@@ -449,8 +449,7 @@ class BloomFilter:
         )
         if self.kind not in (KIND_STANDARD, KIND_PRF):
             raise ParameterError(f"a BloomFilter cannot be of kind {self.kind!r}")
-        self._bits = bytearray((params.m + 7) // 8)
-        self._ones = 0
+        self._flags = bytearray(params.m)  # flag j is bit j, 0 or 1
         # _memo holds all k indices per element: the family's memo for a
         # true-random family, whose (m, k) is bound here; the shape's public
         # table for a public one with u*k <= _TABLE_CAP; else None. Only a
@@ -494,7 +493,7 @@ class BloomFilter:
         else:
             states = [state for state, _ in filt._blocks]
             words = chain.from_iterable(_member_words(states, k, list(map(_WORD.pack, members))))
-        filt._ones = _fill(filt._bits, m, words, len(members) * k * _DENSE >= m)
+        _fill(filt._flags, m, words)
         return filt
 
     def insert(self, x: int) -> None:
@@ -502,7 +501,7 @@ class BloomFilter:
         if self.kind != KIND_STANDARD:
             raise UnsupportedOperationError(f"{self.kind} filters are static; insert is not supported")
         self.universe.require(x)
-        self._ones += _fill(self._bits, self._m, self.family.indices(x, self._m, self.params.k), False)
+        _fill(self._flags, self._m, self.family.indices(x, self._m, self.params.k))
 
     def query(self, x: int) -> int:
         """1 if every derived bit is set, else 0. Never mutates the bits.
@@ -519,19 +518,19 @@ class BloomFilter:
         """
         if not (isinstance(x, int) and 0 <= x < self.universe.size):
             self.universe.require(x)
-        bits, memo = self._bits, self._memo
+        flags, memo = self._flags, self._memo
         if memo is not None:
             got = memo.get(x)
             if got is None:
                 family = self.family
                 if family.mode != TRUE_RANDOM:
                     got = memo[x] = family.indices(x, self._m, self.params.k)
-                elif self._ones == self._m:
+                elif 0 not in flags:
                     return 1
                 else:
                     got = memo[x] = tuple(_draws(family._rng, self._m, self.params.k))
             for j in got:
-                if not bits[j >> 3] & (1 << (j & 7)):
+                if not flags[j]:
                     return 0
             return 1
         tail, m = _WORD.pack(x), self._m
@@ -539,25 +538,25 @@ class BloomFilter:
             h = state.copy()
             h.update(tail)
             for w in words.unpack_from(h.digest()):
-                j = w % m
-                if not bits[j >> 3] & (1 << (j & 7)):
+                if not flags[w % m]:
                     return 0
         return 1
 
     def popcount(self) -> int:
-        return self._ones
+        return _popcount(self._flags)
 
     def fill_ratio(self) -> float:
         """Fraction of set bits."""
-        return self._ones / self.params.m
+        return _popcount(self._flags) / self.params.m
 
     def is_saturated(self) -> bool:
         """True when every bit is set, so every query answers 1."""
-        return self._ones == self.params.m
+        return 0 not in self._flags
 
     def bit_bytes(self) -> bytes:
-        """The packed bit array alone, the filter's in-memory state."""
-        return bytes(self._bits)
+        """The filter's bits packed as in a snapshot: bit j at byte j >> 3,
+        bit 1 << (j & 7)."""
+        return _pack(self._flags)
 
     # Internal representation exposed to a reveal oracle: the bit array.
     reveal = bit_bytes
@@ -573,7 +572,7 @@ class BloomFilter:
             raise UnsupportedOperationError("true-random filters cannot be serialized")
         key = self.family.key if self.family.mode == KEYED_PRF else b""
         return _pack_snapshot(self.universe.size, self.params.m, self.params.k, self.kind, key,
-                              bytes(self._bits))
+                              _pack(self._flags))
 
     @classmethod
     def from_bytes(cls, blob: bytes, universe: Universe | None = None) -> "BloomFilter":
@@ -592,17 +591,16 @@ class BloomFilter:
     @classmethod
     def _over_bits(cls, m: int, k: int, family: HashFamily, universe: Universe, kind: str,
                    bits: bytes) -> "BloomFilter":
-        """The filter whose bit array is ``bits``, packed as in a snapshot. It
-        must be the (m + 7) // 8 bytes of m bits; any other length is refused,
-        and so is a set bit at a position >= m, which no query reads and which
-        would count towards the popcount and the fill ratio."""
+        """The filter whose bit array is ``bits``, packed as in a snapshot and
+        unpacked here into its flags. It must be the (m + 7) // 8 bytes of m
+        bits; any other length is refused, and so is a set bit at a position
+        >= m, which no query reads and which the filter has no flag for."""
         if len(bits) != (m + 7) // 8:
             raise ParameterError(f"bit array has the wrong length for m = {m}")
         if m & 7 and bits[-1] >> (m & 7):
             raise ParameterError(f"bit array sets bits at positions >= m = {m}")
         filt = cls(FilterParams(m=m, k=k, n=0), family, universe, kind=kind)
-        filt._bits = bytearray(bits)
-        filt._ones = _popcount(bits)
+        filt._flags = _unpack(bits, m)
         return filt
 
 
@@ -628,32 +626,28 @@ def _member_words(states, k: int, tails: list) -> Iterator[array]:
             yield words
 
 
-def _fill(bits: bytearray, m: int, words, dense: bool) -> int:
-    """Set bit ``w % m`` for every word; return how many were newly set. A
-    ``dense`` fill of an all-zero array sets one byte per bit, b"0" or b"1":
-    reversed, flag j is the digit of 2**j in a base-2 numeral whose value is
-    the packed array."""
-    if dense:
-        flags = bytearray(b"0") * m
-        for w in words:
-            flags[w % m] = 0x31
-        flags.reverse()
-        packed = int(flags, 2)
-        bits[:] = packed.to_bytes(len(bits), "little")
-        return packed.bit_count()
-    ones = 0
+def _fill(flags: bytearray, m: int, words) -> None:
+    """Set flag ``w % m`` for every word."""
     for w in words:
-        j = w % m
-        byte, bit = j >> 3, 1 << (j & 7)
-        if not bits[byte] & bit:
-            bits[byte] |= bit
-            ones += 1
-    return ones
+        flags[w % m] = 1
 
 
 def _popcount(bits: bytes) -> int:
-    """Number of set bits in a packed bit array."""
+    """Number of set bits in a packed bit array, or of set flags in a flag array."""
     return int.from_bytes(bits, "little").bit_count()
+
+
+def _pack(flags: bytearray) -> bytes:
+    """The m flags packed as in a snapshot. Reversed, flag j is the digit of
+    2**j in a base-2 numeral whose value is the packed array."""
+    return int(flags[::-1].translate(_DIGITS), 2).to_bytes((len(flags) + 7) >> 3, "little")
+
+
+def _unpack(bits: bytes, m: int) -> bytearray:
+    """The m flags of a packed array that sets no bit at a position >= m. The
+    set bit m makes the base-2 numeral m + 1 digits long, and the reversal
+    drops it."""
+    return bytearray(format(int.from_bytes(bits, "little") | 1 << m, "b")[:0:-1], "ascii").translate(_FLAGS)
 
 
 def _pack_snapshot(size: int, m: int, k: int, kind: str, key: bytes, bits: bytes) -> bytes:
@@ -737,9 +731,9 @@ class NyFilter:
         if memo is not None and y < inner.universe.size:
             got = memo.get(y)
             if got is not None:
-                bits = inner._bits
+                flags = inner._flags
                 for j in got:
-                    if not bits[j >> 3] & (1 << (j & 7)):
+                    if not flags[j]:
                         return 0
                 return 1
         return inner.query(y)

@@ -25,7 +25,8 @@ straight from CPython's C Mersenne Twister (``_random.Random``), which holds
 that same state. The inputs of a perturbation (the params, the cap and the
 member set) are checked once per distinct (member frozenset, universe size,
 mode, p), remembered in ``filters._CHECKED``, the package's one memo of
-checked member sets, and the lazy set keeps its state in one slot. An
+checked member sets, so the estimators freeze their member set once per call
+and build over a set copy of a drawn one. The lazy set keeps its state in one slot. An
 audit looks up its mode's perturbation once and a repeat of checked inputs
 makes its undrawn set in place, so an audit world costs one seeding of the C
 generator and one draw, about 6.2 µs, plus about 1.5 µs of calls, a third
@@ -286,7 +287,7 @@ def build_private_filter(members, universe: Universe, fparams: FilterParams,
     perturbed set by invoking the perturbation with the same seed.
     """
     perturbed = perturb(members, universe, privacy, seed)
-    return BloomFilter.build(perturbed.members, fparams, HashFamily.public(), universe)
+    return BloomFilter.build(set(perturbed.members), fparams, HashFamily.public(), universe)
 
 
 class AuditReport(namedtuple("AuditReport", (
@@ -385,7 +386,7 @@ def measure_member_negative_rate(members, universe: Universe, fparams: FilterPar
     standard error is computed over per-trial means, which absorbs the weak
     within-filter correlation between members.
     """
-    members = sorted(set(universe.require_all(list(members))))
+    members = frozenset(universe.require_all(list(members)))
     if not members:
         raise ParameterError("need at least one member")
 
@@ -414,7 +415,7 @@ def measure_fpr_excluding_injected(members, universe: Universe, fparams: FilterP
     injected elements excluded from the sample, leaving the residual hash
     false-positive rate of the filter built over the perturbed set.
     """
-    members = set(universe.require_all(list(members)))
+    members = frozenset(universe.require_all(list(members)))
     _require_ints(queries_per_trial=queries_per_trial)
     if queries_per_trial < 1:
         raise ParameterError("queries_per_trial must be >= 1")
@@ -424,8 +425,9 @@ def measure_fpr_excluding_injected(members, universe: Universe, fparams: FilterP
     perturbed_sets = run_trials(lambda s: perturb(members, universe, privacy, s), seed, "private-fpr", trials)
     query_rngs = run_trials(random.Random, seed, "private-fpr-queries", trials)
     for perturbed, rng in zip(perturbed_sets, query_rngs):
-        filt = BloomFilter.build(perturbed.members, fparams, HashFamily.public(), universe)
-        excluded = set(perturbed.members) | members
+        drawn = set(perturbed.members)
+        filt = BloomFilter.build(drawn, fparams, HashFamily.public(), universe)
+        excluded = drawn | members
         sizes.append(len(perturbed))
         if len(excluded) >= universe.size:
             continue

@@ -308,18 +308,18 @@ class _ReferenceSimulator:
 
 def _clone_sim(sim):
     twin = SimulatorState(sim.m, sim.k, _ScriptedSampler(sim.rng.ctr))
-    twin.bits = bytearray(sim.bits)
+    twin.flags = bytearray(sim.flags)
     twin.f = dict(sim.f)
     twin.inserted = list(sim.inserted)
     twin.fp_list = list(sim.fp_list)
     twin._inserted_set = set(sim._inserted_set)
     twin._fp_set = set(sim._fp_set)
-    twin._ones = sim._ones
     return twin
 
 
 def _states_agree(sim, ref):
-    bits = {j for j in range(sim.m) if sim.bits[j >> 3] & (1 << (j & 7))}
+    packed = sim.reveal()
+    bits = {j for j in range(sim.m) if packed[j >> 3] & (1 << (j & 7))}
     return (
         sim.ctr == len(ref.inserted)
         and sim.inserted == ref.inserted
@@ -372,7 +372,7 @@ def test_8_simulator_exhaustive_fidelity():
                     sim.insert(x)
                 else:
                     answers.append(sim.query(x))
-            return answers, sim.ctr, bytes(sim.bits)
+            return answers, sim.ctr, sim.reveal()
 
         if run(script) != run([(op, mapping[x]) for op, x in script]):
             replays_ok = False

@@ -181,8 +181,8 @@ def test_simulator_draws_the_randrange_stream(seed, m, k, script):
                     sim.insert(x)
     assert answers[0] == answers[1] == answers[2]
     for sim in sims[1:]:
-        assert (sim.f, sim.bits, sim.inserted, sim.fp_list, sim.ctr, sim.popcount()) == (
-            sims[0].f, sims[0].bits, sims[0].inserted, sims[0].fp_list, sims[0].ctr, sims[0].popcount())
+        assert (sim.f, sim.flags, sim.inserted, sim.fp_list, sim.ctr, sim.popcount()) == (
+            sims[0].f, sims[0].flags, sims[0].inserted, sims[0].fp_list, sims[0].ctr, sims[0].popcount())
         assert sim.rng.getstate() == sims[0].rng.getstate()
 
 
@@ -265,7 +265,7 @@ def test_simulator_factory_builds_over_the_sorted_members(m, k):
     world = simulator_factory(FilterParams(m=m, k=k, n=5))(_MEMBERS, random.Random(21))
     sim = _hand_built_simulator(m, k, 21)
     assert type(world) is SimulatorState
-    assert (world.f, world.bits, world.inserted) == (sim.f, sim.bits, sim.inserted)
+    assert (world.f, world.flags, world.inserted) == (sim.f, sim.flags, sim.inserted)
     assert world.rng.getstate() == sim.rng.getstate()
     assert world.reveal() == sim.reveal()
 
@@ -275,8 +275,8 @@ def test_key_leaking_simulator_reveals_its_bits_with_a_key_drawn_after_the_build
     world = key_leaking_simulator_factory(params, u)(_MEMBERS, random.Random(8))
     twin = _hand_built_simulator(60, 3, 8)
     key = twin.rng.randbytes(16)
-    assert world.bits == twin.bits
-    assert world.reveal() == _pack_snapshot(5000, 60, 3, KIND_NY, key, bytes(twin.bits))
+    assert world.flags == twin.flags
+    assert world.reveal() == _pack_snapshot(5000, 60, 3, KIND_NY, key, twin.reveal())
     assert world.rng.getstate() == twin.rng.getstate()
 
 

@@ -31,7 +31,6 @@ from bloomlab.filters import (
     Universe,
     _CHECKED,
     _CHECKED_MAX,
-    _DENSE,
     _PUBLIC_INDICES,
     _RUN,
     _TABLE_CAP,
@@ -214,9 +213,9 @@ def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, 
     filt = BloomFilter(FilterParams(m=m, k=k, n=0), family, Universe(1 << 64))
     for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=k, max_size=k))):
         if on:
-            filt._bits[j >> 3] |= 1 << (j & 7)
-    assert filt.query(x) == all(filt._bits[j >> 3] & (1 << (j & 7)) for j in expected)
-    filt._bits[:] = b"\xff" * len(filt._bits)
+            filt._flags[j] = 1
+    assert filt.query(x) == all(filt._flags[j] for j in expected)
+    filt._flags[:] = b"\1" * m
     assert filt.query(x) == 1
 
     # A public query over a universe of u*k <= 2**15 reads all k indices from
@@ -230,12 +229,12 @@ def test_indices_match_reference_formula_and_stop_at_first_clear_bit(key, x, m, 
             _PUBLIC_INDICES.get(shape, {}).pop(y, None)  # cold whatever ran before
             filt = BloomFilter(FilterParams(m=shape[0], k=shape[1], n=0), family, u)
             for _ in ("cold", "warm"):
-                filt._bits[:] = bytes(len(filt._bits))
+                filt._flags[:] = bytes(shape[0])
                 for j, on in zip(expected, data.draw(st.lists(st.booleans(), min_size=shape[1],
                                                               max_size=shape[1]))):
                     if on:
-                        filt._bits[j >> 3] |= 1 << (j & 7)
-                assert filt.query(y) == all(filt._bits[j >> 3] & (1 << (j & 7)) for j in expected)
+                        filt._flags[j] = 1
+                assert filt.query(y) == all(filt._flags[j] for j in expected)
             assert _PUBLIC_INDICES[shape][y] == expected
 
 
@@ -261,7 +260,7 @@ def test_public_table_fills_only_under_the_gate_and_holds_at_most_u_entries():
     for family in (HashFamily.public(), HashFamily.keyed(b"k"), HashFamily.true_random(seed=1)):
         for universe in (past, Universe(64)) if family.mode != PUBLIC else (past,):
             filt = BloomFilter.build(range(0, 64, 7), FilterParams(m=m, k=k, n=0), family, universe)
-            expected = [all(filt._bits[j >> 3] & (1 << (j & 7)) for j in family.indices(x, m, k))
+            expected = [all(filt._flags[j] for j in family.indices(x, m, k))
                         for x in range(universe.size)]
             assert [filt.query(x) for x in range(universe.size)] == expected
     assert _tables() == before
@@ -448,19 +447,19 @@ def _family(mode: str, key: bytes) -> HashFamily:
     m=st.one_of(st.integers(1, 300), st.integers(1 << 12, 1 << 20)),
     k=st.integers(1, 20),
 )
-# Ten keyed members on each side of the threshold of the one-byte-per-bit
-# fill, at the block boundaries k = 8, 9, 16, 17.
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 8 * _DENSE, k=8)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 8 * _DENSE + 1, k=8)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 9 * _DENSE, k=9)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 9 * _DENSE + 1, k=9)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 16 * _DENSE, k=16)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 16 * _DENSE + 1, k=16)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 17 * _DENSE, k=17)
-@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=10 * 17 * _DENSE + 1, k=17)
+# Ten keyed members at the block boundaries k = 8, 9, 16, 17, each at an m
+# that is a multiple of 8 and at the odd m after it.
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=1280, k=8)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=1281, k=8)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=1440, k=9)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=1441, k=9)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=2560, k=16)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=2561, k=16)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=2720, k=17)
+@example(mode=KEYED_PRF, key=b"edge", members=set(range(10)), m=2721, k=17)
 @example(mode=PUBLIC, key=b"", members=set(), m=1, k=1)
 @example(mode=KEYED_PRF, key=b"empty", members=set(), m=1 << 20, k=9)
-# More members than build hashes together in one run, dense and sparse.
+# More members than build hashes together in one run, at a small and a large m.
 @example(mode=PUBLIC, key=b"", members=set(range(0, 4096, 2)), m=1 << 16, k=9)
 @example(mode=PUBLIC, key=b"", members=set(range(0, 4096, 2)), m=1 << 20, k=9)
 def test_build_matches_inserting_sorted_members(mode, key, members, m, k):
@@ -478,8 +477,7 @@ def test_build_matches_inserting_sorted_members(mode, key, members, m, k):
 
 @pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
 @pytest.mark.parametrize("n, k, m", [
-    (10, 7, 10 * 7 * _DENSE), (10, 7, 10 * 7 * _DENSE + 1),   # dense, sparse
-    (10, 7, 1 << 20), (-(-(1 << 20) // (7 * _DENSE)), 7, 1 << 20),
+    (10, 7, 1120), (10, 7, 1121), (10, 7, 1 << 20), (9363, 7, 1 << 20),
 ])
 def test_build_popcount_counts_the_set_bits(mode, n, k, m):
     members = random.Random(n).sample(range(1 << 20), n)
@@ -698,11 +696,10 @@ def test_true_random_filter_binds_its_shape_at_construction():
 
 
 @pytest.mark.parametrize("n, k, m", [
-    (10, 7, 10 * 7 * _DENSE), (10, 7, 10 * 7 * _DENSE + 1),   # dense, sparse
-    (10, 7, 1 << 20), (-(-(1 << 20) // (7 * _DENSE)), 7, 1 << 20), (300, 3, 8),
+    (10, 7, 1120), (10, 7, 1121), (10, 7, 1 << 20), (9363, 7, 1 << 20), (300, 3, 8),
 ])
 def test_true_random_build_matches_inserting_sorted_members(n, k, m):
-    """Dense and sparse true-random builds up to m = 2**20, on a family whose
+    """True-random builds with few and many draws per bit up to m = 2**20, on a family whose
     memo already holds some members and non-members: the bits, popcount,
     memo and generator state of inserting the sorted members one by one."""
     members = random.Random(n).sample(range(1 << 20), n)
@@ -1494,7 +1491,7 @@ def test_only_filters_that_hash_per_query_bind_block_states():
     family = HashFamily.public()
     filt = BloomFilter.build(range(0, 40, 4), FilterParams(m=m, k=k, n=0), family, u)
     reference = HashFamily.public()
-    expected = [all(filt._bits[j >> 3] & (1 << (j & 7)) for j in reference.indices(x, m, k))
+    expected = [all(filt._flags[j] for j in reference.indices(x, m, k))
                 for x in range(0, 40, 2)]
     assert [filt.query(x) for x in range(0, 40, 2)] == expected and all(expected[::2])
     assert family._states == []

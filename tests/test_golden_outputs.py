@@ -91,11 +91,21 @@ CASES = {
                              "--trials", "40"],
     "ab-keyed-k8": ["ab-game", "--mode", "keyed-prf", "--m", "64", "--k", "8", "--n", "10",
                     "--trials", "40"],
+    # The flag array packed for a reveal and unpacked by a restore at an m that
+    # is not a multiple of 8, and at a large odd m; and keyed filters that
+    # saturate, so every query reads all k flags.
+    "filic-key-leak-m1001": ["filic-distinguish", "--scenario", "key-leak", "--m", "1001", "--n", "100",
+                             "--trials", "20"],
+    "filic-public-collision-m65537": ["filic-distinguish", "--scenario", "public-collision",
+                                      "--m", "65537", "--trials", "5"],
+    "ab-keyed-saturated-m8": ["ab-game", "--mode", "keyed-prf", "--m", "8", "--k", "3", "--n", "20",
+                              "--trials", "40"],
 }
 
 DIGESTS = {
     'ab-keyed-k20': {11: '2285d7f0f766e7495749b9fdae19b99a79c3f552c9bfdefa0c94bf446ba78c0b', 2024: '5772d52b4ea8f6d2e60b04f96b009e2f18958de5260b5ad55224c3e9ac5601e1'},
     'ab-keyed-k8': {11: 'e5763b4737b48d56567b769c6777ec99c9312ca443c1fbeb903733c3cb2ed1cd', 2024: '336aff5b2ad36002b21abe6d0b7a5823fedaf857555bdaf592d58d43e302df9a'},
+    'ab-keyed-saturated-m8': {11: '89d7a883a17caf47e0a653b1782bbca7d7f15523d1c81de21b12a5ac408f161a', 2024: '88b6d30a166a549ae8009e06fd311de9d8041ad4ff47b60e2ac220e1b50954cc'},
     'ab-keyed-uniform': {11: '166c6f65ef84a24aa82f03d103a535a2209e9475a244abb9049db73ce27ab1f8', 2024: '9b4c81113ca7ea9f93ebca36cc656549d8331425fe024003562b03215fe10cc9'},
     'ab-public-k12-hashed': {11: '2188a0d095aed80de21e0594bbe456818bcbff02f38b58c5fbd47f7ecfc783dc', 2024: '5537dc27ca91f4c4cc92664182e061cd9dcf14732f3cfd8df7125054cbfc7e89'},
     'ab-public-saturation': {11: 'd2ebc50bfd461eecf2f93333b3b11397ab7bbed9e478fc4112f6e0daa7941b24', 2024: '402936551b65c47d9df62cd5185180579c665354deed7c1f1e9f762a0ad8e554'},
@@ -109,11 +119,13 @@ DIGESTS = {
     'error-analysis-warner': {11: '37069bfae852df9e43a07729dfc0a3c9aafd7b3f36da25a4e989303c5edbf638', 2024: 'bcb4014daeabe7c6422c19655d2b2dc0fc7d966bb5d3736a420a3fbb1155bcba'},
     'filic-key-leak': {11: 'ae0e0ebedbd395aa7c27f21c118f459530eb45eb94c5b2d5fb5bf3fb02cb6f78', 2024: '33d210e980e7a755bf9f23db04e29ba612c42ef713e6ebabf08850457cf70286'},
     'filic-key-leak-hashed-inner': {11: 'bb6b8ada5d00d7b1363664028f556eb7240c76b4f1eaa17cb2154f4a17d2d4d4', 2024: '22f0c67ebb3d60a5b78b580eb12c03ee3be7bcb71fa0213f001a893877b8fd09'},
+    'filic-key-leak-m1001': {11: 'a65cca40075241e66aea795a9d7030a929ee4da8a880fcaf83c6f6016b5102c0', 2024: '024817bdcc1d6430e06804697d63b75d57a89ef7e42a50806b68b30baf46e05b'},
     'filic-key-leak-per-call-rounds': {11: '2723fb64ef071c3e895b172a13fd5325f5ecf8800091636c93246dade9984610', 2024: 'c209599b6a54d3ce3ac4f766bb2de23e968c081e3f06b5684cdd83b8c35a6d0e'},
     'filic-key-leak-u5000-m60': {11: '43858725f9a303f64cdc4ad4b09414581e18c89ed6f5c0509a438f629cab4c46', 2024: 'ee0ad6745e957f6074701f9cdaabdd790e22ba7485b887f35a133fd47a6da70a'},
     'filic-null': {11: '76371bb235faf362b3490005eafb5018fa3aa3a7d79208c898c8ada4d53458f8', 2024: 'bf6be8f015727c31d272d36a0d9a40cebe361df992fb7bb3480fd8b945d5899a'},
     'filic-public-collision': {11: '89a6dd71dc01a7425dc774e8100bceaa562efff3d6d14d8cc25b8552a85b36cb', 2024: '5b0bf63802aee3849b1b23b0a287d1fe923223bb99689b64789f0e1264225045'},
     'filic-public-collision-hashed': {11: '6e7ba565a9c18337a006ce46da3e208b11338e13cce61a3ec34fad18e7cc461a', 2024: '864b5c0d40170943ef40f5a89447cae31a931afa652227aa18451e4fe8cfb2a8'},
+    'filic-public-collision-m65537': {11: 'f34c7af7057f0fa86ea6b3795b4c4f880ce201491d1a3bcca80b365dd7607a74', 2024: 'be13b6288962322b0af6ac14059cf872fc931a66aaea820772be52d861be1db4'},
     'filic-public-collision-table': {11: '19365bbd6b4046281ee48d380d01611ab6f7b50748d8c9eb6acdc6430d4a02db', 2024: '398d73485d0dbdc2d4c9f72732e89b50cb0195581294b55c1cb99045c3ab6eb3'},
     'fpr-keyed': {11: '76be2e0a157e20b8c16d3e35b700bcc891d396a7b86a9dcec8b9492cf2075ce2', 2024: 'bba9e21fecf7750c619e77cc0b86e288aeb9d4e3dd9faa8607c672af975d3fe9'},
     'fpr-keyed-sparse': {11: 'ae7ae4d101f0882e8762d2a62347c6dd11f3aa1b1ef346ea83c00c6490426b20', 2024: 'eb21024d08a809c95f10dc491d49128388b89427e3c85ea1eee5ab45b75bd552'},

@@ -129,6 +129,24 @@ def test_checked_perturbation_inputs_share_the_filters_memo():
     assert filters._CHECKED[(members, 64)] is members
 
 
+def test_estimators_leave_an_audits_checked_sets_in_the_memo():
+    """The estimators freeze their member set once per call and build over a
+    set copy of each drawn set, so ten trials leave two entries in the one
+    memo of checked sets, and the four of an audit before them survive."""
+    filters._CHECKED.clear()
+    u, fparams = Universe(64), FilterParams(m=64, k=3, n=10)
+    audit_perturbation(PrivacyParams(MANGAT, 0.5), range(3, 11), u, 5, trials=5, seed=1)
+    audit = dict(filters._CHECKED)
+    assert len(audit) == 4
+    measure_fpr_excluding_injected(set(range(10)), u, fparams, PrivacyParams(MANGAT, 0.5),
+                                   trials=10, queries_per_trial=3, seed=2)
+    assert len(filters._CHECKED) == 6
+    assert all(filters._CHECKED.get(key) is value for key, value in audit.items())
+    filters._CHECKED.clear()
+    measure_member_negative_rate(set(range(10)), u, fparams, PrivacyParams(WARNER, 0.75), trials=10, seed=2)
+    assert len(filters._CHECKED) == 2
+
+
 @pytest.mark.parametrize("direction", ["removal", "reverse"])
 @pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
 def test_audit_perturbs_through_the_module_once_per_world(monkeypatch, mode, p, direction):
