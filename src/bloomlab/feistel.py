@@ -14,22 +14,34 @@ bits. This is the block idiom of the filters' index derivation: fields at
 distinct positions of PRF outputs are independent, so each round is a PRF
 and the network a strong PRP. Domains above 2**128 (h > 64) are refused.
 
-When w = 1 (h <= 8, domains up to 2**16) each round is tabulated once, at
+When w = 1 (h <= 8, domains up to 2**16) each round is tabulated, at
 construction: its ceil(2**h / 64) digests joined and masked, at most 256
 bytes, after which a block costs four byte lookups. Each table digest comes
 from one copy of the keyed state fed ``<QQ>(i, b)``, the same bytes as
 ``<Q>(i) || <Q>(b)``, and a tabulated permutation keeps no per-round state.
-A domain of 4096 costs four digests per permutation in all. Wider
-half-blocks read one field per round per call, from a copy of the round's
-state, which is already keyed and has absorbed ``<Q>(i)``: one digest per
-round and call. Only the tabulated encrypt block, the hot path, runs its
-four rounds unrolled: 520 against 640 ns a block looped. The per-call rounds
-loop, as decrypt's do: unrolled, an encrypt at 2**20 took 6.35 against 6.37 us
+A domain of 4096 costs four digests per permutation in all.
+
+Only the tables of the latest (key, size) are kept, as the one entry of
+``_round_tables``'s cache: a permutation made next with the same key and
+size shares them instead of hashing them again, and any other key or size
+replaces them. In a reveal-oracle trial that is the real world's restore,
+of a snapshot of the filter the world has just built under that key. At u = 4096 a permutation takes
+5.1 us to make when it hashes its tables and 1.05 us when it reuses them
+(best of 7 ``timeit`` runs, 2-core x86-64 VM, Python 3.11).
+
+Wider half-blocks read one field per round per call, from a copy of the
+round's state, which is already keyed and has absorbed ``<Q>(i)``: one
+digest per round and call. Only the tabulated encrypt block, the hot path,
+runs its four rounds unrolled: 520 against 640 ns a block looped.
+:meth:`bloomlab.filters.NyFilter.sample_positive` runs the same unrolled
+rounds inline on this class's tables. The per-call rounds loop, as
+decrypt's do: unrolled, an encrypt at 2**20 took 6.35 against 6.37 us
 (medians of 31 interleaved rounds, 2-core x86-64 VM, Python 3.11).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from .errors import ParameterError, _require_ints
@@ -41,6 +53,31 @@ _PAIR = struct.Struct("<QQ")
 # The reader of one w-byte field of a digest, for the widths read per call.
 _FIELDS = {2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
 _BYTES = bytes(range(256))
+
+
+def _half_width(size: int) -> int:
+    """h, the half-block width of the smallest even-width domain covering [0, size)."""
+    return (max((size - 1).bit_length(), 2) + 1) // 2
+
+
+@functools.lru_cache(maxsize=1)
+def _round_tables(key: bytes, size: int) -> tuple[bytes, ...]:
+    """The four round tables of a permutation with h <= 8: round i's is the
+    digests b < ceil(2**h / 64) of <QQ>(i, b), each byte masked to h bits.
+    Only the last (key, size) is kept."""
+    half = _half_width(size)
+    masked = _BYTES[:1 << half] * (256 >> half)
+    keyed = blake2b(key=key, digest_size=64)
+    blocks = range(((1 << half) + 63) >> 6)
+    tables = []
+    for i in range(ROUNDS):
+        digests = []
+        for b in blocks:
+            h = keyed.copy()
+            h.update(_PAIR.pack(i, b))
+            digests.append(h.digest())
+        tables.append(b"".join(digests).translate(masked))
+    return tuple(tables)
 
 
 class FeistelPermutation:
@@ -60,25 +97,14 @@ class FeistelPermutation:
             raise ParameterError("permutation domain must have size <= 2**128")
         self.key = key = bytes(key)
         self.size = size
-        bits = max((size - 1).bit_length(), 2)
-        half = self._half_bits = (bits + 1) // 2
-        mask = self._half_mask = (1 << half) - 1
+        half = self._half_bits = _half_width(size)
+        self._half_mask = (1 << half) - 1
         width = self._width = 1 if half <= 8 else 2 if half <= 16 else 4 if half <= 32 else 8
-        keyed = blake2b(key=key, digest_size=64)
         self._tables = self._rounds = self._field = None
         if width == 1:
-            # Round i's table: digests b < ceil(2**h / 64) of <QQ>(i, b), each byte masked to h bits.
-            masked = _BYTES[:mask + 1] * (256 >> half)
-            blocks = range(((1 << half) + 63) >> 6)
-            self._tables = tables = []
-            for i in range(ROUNDS):
-                digests = []
-                for b in blocks:
-                    h = keyed.copy()
-                    h.update(_PAIR.pack(i, b))
-                    digests.append(h.digest())
-                tables.append(b"".join(digests).translate(masked))
+            self._tables = _round_tables(key, size)
         else:
+            keyed = blake2b(key=key, digest_size=64)
             self._field = _FIELDS[width].unpack_from
             self._rounds = rounds = []
             for i in range(ROUNDS):

@@ -328,9 +328,9 @@ class RepresentationPredictionAdversary(_UniformMembers):
 
     With ``expects_snapshot`` the reveal is restored as the key-carrying
     :class:`NyFilter` snapshot it is, permutation included; otherwise it is
-    taken as a raw bit array under the public hash. Random non-members are
-    queried against that offline copy until one is positive, at most
-    ``MAX_SCAN`` draws. Real-world predictions are exact, so the confirmed bit
+    taken as a raw bit array under the public hash. That offline copy's
+    ``sample_positive`` tests random non-members until one is positive, at
+    most ``MAX_SCAN`` draws. Real-world predictions are exact, so the confirmed bit
     is 1 almost surely; against the simulator the prediction is independent
     of the fresh sampling and only hits at the density rate.
     """
@@ -350,18 +350,11 @@ class RepresentationPredictionAdversary(_UniformMembers):
         else:
             offline = BloomFilter._over_bits(self.params.m, self.params.k, HashFamily.public(),
                                              self.universe, KIND_STANDARD, blob)
-        members, query, size, rng = self.members, offline.query, self.universe.size, self.rng
-        # rng.randrange(size), drawn as Universe.sample_outside draws it; a
-        # member uses up one of the MAX_SCAN draws.
-        draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
-        for _ in range(MAX_SCAN):
-            x = draw(arg)
-            while x >= size:
-                x = draw(arg)
-            if x not in members and query(x):
-                ans = oracles.query(x)
-                return ans if ans in (0, 1) else 0
-        return 0
+        x = offline.sample_positive(self.rng, self.members, MAX_SCAN)
+        if x is None:
+            return 0
+        ans = oracles.query(x)
+        return ans if ans in (0, 1) else 0
 
 
 class NullAdversary(_UniformMembers):

@@ -76,12 +76,17 @@ array seen by an adversary carries no usable structure about the elements.
 It is static: inserts are refused. The permutation is a four-round Feistel
 network whose rounds read w-byte fields of 64-byte keyed digests, the block
 idiom above (:mod:`bloomlab.feistel`); over a universe of at most 2**16
-elements each round is a table built once, so an element is permuted by
-four byte lookups. A query permutes x to y once; where the inner filter has a
-memo (true-random, or public under the gate) that holds y, it reads y's k
-indices from that memo and tests them itself, and it calls the inner
-``query`` only on a miss, for an inner filter that hashes per query, or for
-a y outside the inner universe, which that refuses.
+elements each round is a table, so an element is permuted by four byte
+lookups, and the tables of the last (key, size) are reused by the next
+permutation of that key and size. ``_feistel`` imports the permutation
+class at the first permutation made. A query permutes x to y once; where
+the inner filter has a memo (true-random, or public under the gate) that
+holds y, it reads y's k indices from that memo and tests them itself, and
+it calls the inner ``query`` only on a miss, for an inner filter that hashes
+per query, or for a y outside the inner universe, which that refuses.
+``sample_positive``, the scan of the reveal-oracle adversary, tests draws
+until one is positive: over tabulated rounds and an inner memo it permutes
+and tests each draw inline, as a query does, with no call per draw.
 
 Snapshots use a versioned binary layout, little-endian throughout:
 
@@ -108,6 +113,7 @@ into a filter that answers 0 for members; the README says how each differs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import struct
@@ -542,6 +548,13 @@ class BloomFilter:
                     return 0
         return 1
 
+    def sample_positive(self, rng: random.Random, excluded, tries: int) -> int | None:
+        """A positive found by sampling: the first of ``tries`` draws of
+        ``rng.randrange(u)``, drawn as :meth:`Universe.sample_outside` draws
+        them, that is not in ``excluded`` and that the filter answers 1 for;
+        None when no draw is."""
+        return _sample_positive(self.query, self.universe.size, rng, excluded, tries)
+
     def popcount(self) -> int:
         return _popcount(self._flags)
 
@@ -602,6 +615,18 @@ class BloomFilter:
         filt = cls(FilterParams(m=m, k=k, n=0), family, universe, kind=kind)
         filt._flags = _unpack(bits, m)
         return filt
+
+
+def _sample_positive(query, size: int, rng, excluded, tries: int) -> int | None:
+    """``sample_positive`` through ``query``: each draw a call."""
+    draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
+    for _ in range(tries):
+        x = draw(arg)
+        while x >= size:
+            x = draw(arg)
+        if x not in excluded and query(x):
+            return x
+    return None
 
 
 def _member_words(states, k: int, tails: list) -> Iterator[array]:
@@ -690,8 +715,8 @@ class NyFilter:
     behaves exactly like the inner filter on permuted elements. Without the
     key the bit positions reveal nothing about which elements were encoded.
     ``prp`` is a :class:`bloomlab.feistel.FeistelPermutation`, a module
-    imported only where a permutation is made, so runs without one never
-    load it.
+    imported only where a permutation is first made, so runs without one
+    never load it.
     """
 
     __slots__ = ("inner", "prp", "universe")
@@ -706,9 +731,7 @@ class NyFilter:
     @classmethod
     def build(cls, members, params: FilterParams, prp_key: bytes, universe: Universe,
               family: HashFamily | None = None) -> "NyFilter":
-        from .feistel import FeistelPermutation
-
-        prp = FeistelPermutation(prp_key, universe.size)
+        prp = _feistel()(prp_key, universe.size)
         permuted = set(map(prp.encrypt, universe.require_all(set(members))))
         inner = BloomFilter.build(permuted, params, family or HashFamily.public(), universe)
         return cls(inner, prp, universe)
@@ -738,6 +761,48 @@ class NyFilter:
                 return 1
         return inner.query(y)
 
+    def sample_positive(self, rng: random.Random, excluded, tries: int) -> int | None:
+        """:meth:`BloomFilter.sample_positive`. Where the permutation's rounds
+        are tabulated and cover the universe and the inner filter has a memo,
+        each draw is answered here, without a call: permuted by the rounds of
+        ``FeistelPermutation._encrypt_block``, cycle walk included, then
+        tested as ``query`` tests it."""
+        prp, inner, size = self.prp, self.inner, self.universe.size
+        tables, memo = prp._tables, inner._memo
+        if tables is None or memo is None or size > prp.size:
+            return _sample_positive(self.query, size, rng, excluded, tries)
+        t0, t1, t2, t3 = tables
+        half, mask, prp_size = prp._half_bits, prp._half_mask, prp.size
+        flags, inner_size = inner._flags, inner.universe.size
+        draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
+        for _ in range(tries):
+            x = draw(arg)
+            while x >= size:
+                x = draw(arg)
+            if x in excluded:
+                continue
+            y = x
+            while True:
+                left, right = y >> half, y & mask
+                left ^= t0[right]
+                right ^= t1[left]
+                left ^= t2[right]
+                right ^= t3[left]
+                y = (left << half) | right
+                if y < prp_size:
+                    break
+            got = memo.get(y) if y < inner_size else None
+            if got is None:
+                if inner.query(y):
+                    return x
+                continue
+            for j in got:
+                if not flags[j]:
+                    break
+            else:
+                return x
+        return None
+
     def insert(self, x: int) -> None:
         raise UnsupportedOperationError("ny-prp-wrapped filters are static; insert is not supported")
 
@@ -763,13 +828,19 @@ class NyFilter:
         """Restore a snapshot over the universe it records. A ``universe`` of
         another size is refused: under it the permutation would differ and
         members would answer 0."""
-        from .feistel import FeistelPermutation
-
         universe, m, k, kind, key, bits = _unpack_snapshot(blob, universe)
         if kind != KIND_NY:
             raise ParameterError(f"snapshot holds a {kind} filter, not ny-prp-wrapped")
         inner = BloomFilter._over_bits(m, k, HashFamily.public(), universe, KIND_STANDARD, bits)
-        return cls(inner, FeistelPermutation(key, universe.size), universe)
+        return cls(inner, _feistel()(key, universe.size), universe)
+
+
+@functools.cache
+def _feistel() -> type:
+    """:class:`bloomlab.feistel.FeistelPermutation`, imported at the first call."""
+    from .feistel import FeistelPermutation
+
+    return FeistelPermutation
 
 
 class FprEstimate(namedtuple("FprEstimate", "rate ci_lo ci_hi expected builds queries")):

@@ -50,7 +50,7 @@ def test_experiment_smoke(experiment):
         assert rec["experiment"] == experiment
         assert rec["master_seed"] == 7
         assert rec["failed"] == 0
-        assert rec["build"].startswith("bloomlab-0.1.0+g")
+        assert rec["build"] == cli.build_identifier()
     assert "ms" in err  # timing goes to stderr, never stdout
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomlab.errors import ParameterError, UnsupportedOperationError
-from bloomlab.feistel import FeistelPermutation
+from bloomlab.feistel import FeistelPermutation, _round_tables
 from bloomlab.filic import (
     MAX_SCAN,
     REFUSED,
@@ -377,6 +377,19 @@ def test_key_leak_distinguisher_has_large_advantage():
     assert report.p_ideal < 0.25
     assert report.advantage > 0.6
     assert report.ci_lo > 0.5
+
+
+def test_key_leak_trials_reuse_round_tables_only_within_the_real_world():
+    """Per trial, the real world builds under a fresh key (a miss) and the
+    adversary restores its snapshot under the same key (a hit); the ideal
+    world's snapshot carries another fresh key (a miss)."""
+    params, u = FilterParams(m=64, k=5, n=9), Universe(4096)
+    adv = RepresentationPredictionAdversary(params, u, n=9, expects_snapshot=True)
+    _round_tables.cache_clear()
+    estimate_advantage(adv, key_leaking_filter_factory(params, u), key_leaking_simulator_factory(params, u),
+                       OracleBudget(inserts=0, queries=4, reveals=1), trials=20, seed=5)
+    info = _round_tables.cache_info()
+    assert (info.hits, info.misses) == (20, 40)
 
 
 @pytest.mark.parametrize("size", [1 << 16, (1 << 16) + 1])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
-from bloomlab.feistel import ROUNDS, FeistelPermutation
+from bloomlab.feistel import ROUNDS, FeistelPermutation, _round_tables
 from bloomlab.filic import KeyLeakingFilter
 from bloomlab.filters import (
     FORMAT_VERSION,
@@ -39,6 +39,7 @@ from bloomlab.filters import (
     _memo_fill,
     _pack_snapshot,
     _popcount,
+    _sample_positive,
     estimate_fpr,
     expected_fpr,
     fresh_family,
@@ -179,6 +180,31 @@ def _reference_round(key: bytes, i: int, r: int, half: int) -> int:
     b, at = divmod(r * w, 64)
     digest = hashlib.blake2b(struct.pack("<QQ", i, b), key=key, digest_size=64).digest()
     return int.from_bytes(digest[at:at + w], "little") & ((1 << half) - 1)
+
+
+def _reference_encrypt(key: bytes, size: int):
+    """x -> its image under a four-round Feistel network built from scratch
+    out of :func:`_reference_round`, cycle-walked back into [0, size)."""
+    width = max((size - 1).bit_length(), 2)
+    width += width % 2
+    half, mask = width // 2, (1 << (width // 2)) - 1
+    rounds = [{} for _ in range(ROUNDS)]
+
+    def block(v):
+        left, right = v >> half, v & mask
+        for i, seen in enumerate(rounds):
+            if right not in seen:
+                seen[right] = _reference_round(key, i, right, half)
+            left, right = right, left ^ seen[right]
+        return (left << half) | right
+
+    def encrypt(x):
+        y = block(x)
+        while y >= size:
+            y = block(y)
+        return y
+
+    return encrypt
 
 
 def _reference_indices(key: bytes, x: int, m: int, k: int) -> tuple[int, ...]:
@@ -1522,3 +1548,65 @@ def test_true_random_int_seeds_keep_their_eight_little_endian_bytes():
     for seed in (0, 1, 123, (1 << 64) - 1):
         assert HashFamily.true_random(seed) == HashFamily.true_random(seed.to_bytes(8, "little"))
     assert HashFamily.true_random(b"raw").key == b"raw"
+
+
+def _positives_found(sample, rng, excluded, tries: int) -> list:
+    """Up to 40 positives that ``sample(rng, excluded, tries)`` finds one
+    after another, each excluded from the next call; None for a call that
+    finds none, which ends the list."""
+    found, excluded = [], set(excluded)
+    while len(found) < 40 and (not found or found[-1] is not None):
+        found.append(sample(rng, excluded, tries))
+        excluded.add(found[-1])
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.binary(max_size=16), size=st.integers(1, 300))
+@example(key=b"tabulated", size=4096)
+@example(key=b"walks", size=5000)
+@example(key=b"wide-tables", size=1 << 14)
+@example(key=b"largest-tabulated", size=1 << 16)
+@example(key=b"per-call", size=(1 << 16) + 1)
+def test_ny_query_and_sampling_match_the_reference_permutation(key, size):
+    """Over whole domains (sampled elements above 2**16, where the rounds are
+    read per call): ``encrypt`` is the reference network, ``NyFilter.query``
+    is ``inner.query(prp.encrypt(x))``, and ``sample_positive``, which
+    permutes inline over tabulated rounds, finds the positives that sampling
+    through ``query`` finds, from the same draws, over a public inner filter
+    (a memo up to u*k <= 2**15, hashed above) and a true-random one."""
+    u, params = Universe(size), FilterParams(m=64, k=3, n=8)
+    rng = random.Random(size)
+    members = rng.sample(range(size), min(8, size // 3))
+    xs = range(size) if size <= 1 << 16 else rng.sample(range(size), 300)
+    reference = _reference_encrypt(key, size)
+    prp = FeistelPermutation(key, size)
+    assert [prp.encrypt(x) for x in xs] == [reference(x) for x in xs]
+    for mode in (PUBLIC, TRUE_RANDOM):
+        a, b = (NyFilter.build(members, params, key, u, family=_family(mode, key)) for _ in range(2))
+        assert [a.query(x) for x in xs] == [b.inner.query(reference(x)) for x in xs]
+        tries = min(4 * size, 512)
+        via_query = lambda r, excluded, n: _sample_positive(b.query, size, r, excluded, n)
+        ra, rb = random.Random(key), random.Random(key)
+        found = _positives_found(a.sample_positive, ra, members, tries)
+        assert found == _positives_found(via_query, rb, members, tries)
+        assert ra.getstate() == rb.getstate() and a.inner.family == b.inner.family
+        positives = [x for x in found if x is not None]
+        assert not set(positives) & set(members) and all(a.query(x) == 1 for x in positives)
+
+
+def test_round_tables_are_reused_only_for_the_same_key_and_size():
+    """Permutations made in turn over (k1, s1), (k1, s2), (k2, s1), (k1, s1),
+    with s1 and s2 of other half widths, each match a fresh reference: the one
+    remembered table set serves only the next permutation of the same key and
+    size, and then is the same object."""
+    k1, k2, s1, s2 = b"first", b"second", 4096, 256
+    _round_tables.cache_clear()
+    made = [FeistelPermutation(key, size) for key, size in ((k1, s1), (k1, s2), (k2, s1), (k1, s1))]
+    assert _round_tables.cache_info().hits == 0
+    for perm in made:
+        reference = _reference_encrypt(perm.key, perm.size)
+        assert [perm.encrypt(x) for x in range(perm.size)] == [reference(x) for x in range(perm.size)]
+    again = FeistelPermutation(k1, s1)
+    assert _round_tables.cache_info().hits == 1
+    assert again._tables is made[-1]._tables

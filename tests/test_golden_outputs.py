@@ -100,6 +100,12 @@ CASES = {
                                       "--m", "65537", "--trials", "5"],
     "ab-keyed-saturated-m8": ["ab-game", "--mode", "keyed-prf", "--m", "8", "--k", "3", "--n", "20",
                               "--trials", "40"],
+    # The largest domain whose rounds are tabulated, and the smallest, where
+    # some real-world scans find no positive non-member and give up.
+    "filic-key-leak-u65536": ["filic-distinguish", "--scenario", "key-leak", "--u", "65536",
+                              "--trials", "20"],
+    "filic-key-leak-u16": ["filic-distinguish", "--scenario", "key-leak", "--u", "16", "--n", "3",
+                           "--m", "16", "--trials", "40"],
 }
 
 DIGESTS = {
@@ -121,7 +127,9 @@ DIGESTS = {
     'filic-key-leak-hashed-inner': {11: 'bb6b8ada5d00d7b1363664028f556eb7240c76b4f1eaa17cb2154f4a17d2d4d4', 2024: '22f0c67ebb3d60a5b78b580eb12c03ee3be7bcb71fa0213f001a893877b8fd09'},
     'filic-key-leak-m1001': {11: 'a65cca40075241e66aea795a9d7030a929ee4da8a880fcaf83c6f6016b5102c0', 2024: '024817bdcc1d6430e06804697d63b75d57a89ef7e42a50806b68b30baf46e05b'},
     'filic-key-leak-per-call-rounds': {11: '2723fb64ef071c3e895b172a13fd5325f5ecf8800091636c93246dade9984610', 2024: 'c209599b6a54d3ce3ac4f766bb2de23e968c081e3f06b5684cdd83b8c35a6d0e'},
+    'filic-key-leak-u16': {11: '65b932705c08e6f53628396404837ac94ee4a676886ea58b0102edf624cdf954', 2024: 'd6a96bd48bd51cc0ca37ab749e200785fbc96a426be73649576e8aa333edf44c'},
     'filic-key-leak-u5000-m60': {11: '43858725f9a303f64cdc4ad4b09414581e18c89ed6f5c0509a438f629cab4c46', 2024: 'ee0ad6745e957f6074701f9cdaabdd790e22ba7485b887f35a133fd47a6da70a'},
+    'filic-key-leak-u65536': {11: 'f0a77ab4a1ba6593b82e1d846f2b08ee86c1283192dcfd4593907209b31e821c', 2024: '1e8e7a22e6cd50e7117e89199c8f78d1ab46d447b32bb1d0ebe109376f8aef91'},
     'filic-null': {11: '76371bb235faf362b3490005eafb5018fa3aa3a7d79208c898c8ada4d53458f8', 2024: 'bf6be8f015727c31d272d36a0d9a40cebe361df992fb7bb3480fd8b945d5899a'},
     'filic-public-collision': {11: '89a6dd71dc01a7425dc774e8100bceaa562efff3d6d14d8cc25b8552a85b36cb', 2024: '5b0bf63802aee3849b1b23b0a287d1fe923223bb99689b64789f0e1264225045'},
     'filic-public-collision-hashed': {11: '6e7ba565a9c18337a006ce46da3e208b11338e13cce61a3ec34fad18e7cc461a', 2024: '864b5c0d40170943ef40f5a89447cae31a931afa652227aa18451e4fe8cfb2a8'},
