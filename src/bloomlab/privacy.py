@@ -15,35 +15,44 @@ one of its neighbors and compares the ratio against the claimed e^epsilon,
 using Wilson intervals so that a failure is only declared when even the
 most mechanism-favorable reading of the data exceeds the bound.
 
-A perturbed set draws its members on first use, one draw per element of
+A perturbed set draws its members on first use, one word per element of
 the universe, so every perturbation and audit is capped at 2**20 elements
-(``ENUMERATION_CAP``), checked before its member set is read. Until then,
-``x in s`` costs one draw plus a skip over the earlier draws in C, which is
-all the audit asks of each trial. The draws come from the state of
-``random.Random(seed)``; for an ``int`` seed, the usual case, they are read
-straight from CPython's C Mersenne Twister (``_random.Random``), which holds
-that same state. The inputs of a perturbation (the params, the cap and the
-member set) are checked once per distinct (member frozenset, universe size,
-mode, p), remembered in ``filters._CHECKED``, the package's one memo of
-checked member sets, so the estimators freeze their member set once per call
-and build over a set copy of a drawn one. The lazy set keeps its state in one slot. An
-audit looks up its mode's perturbation once and a repeat of checked inputs
-makes its undrawn set in place, so an audit world costs one seeding of the C
-generator and one draw, about 6.2 µs, plus about 1.5 µs of calls, a third
-of them the trial's seed (Python 3.11, 2-core x86-64 VM). A mangat world whose audited element is a member takes no draw.
+(``ENUMERATION_CAP``), checked before its member set is read. Element x's
+word under a seed is the little-endian 64-bit word x % 8 of block x // 8,
+``blake2b(<Q>(seed) || <Q>(x // 8), digest_size=64, person=b"perturb")``:
+a counter-based stream addressed by (seed, element), with no stream
+position, in the manner of Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3" (SC 2011). Its top 53 bits are the element's uniform draw. The
+full draw digests every block and selects the kept elements in C: about
+0.6 ms at u = 4096 and 0.2 s at 2**20, twice what a Mersenne Twister loop
+took, and no CLI path makes one. A seed is
+an ``int`` in [0, 2**64), what ``stats.mix_seed`` yields; anything else, a
+bool too, is refused with ``ParameterError``. Until the members are drawn,
+``x in s`` costs one block digest, which is all the audit asks of each trial.
+The inputs of a perturbation (the params, the cap and the member set) are
+checked once per distinct (member frozenset, universe size, mode, p),
+remembered in ``filters._CHECKED``, the package's one memo of checked member
+sets, so the estimators freeze their member set once per call and build over
+a set copy of a drawn one. The lazy set keeps its state in one slot. An audit
+looks up its mode's perturbation once and a repeat of checked inputs makes
+its undrawn set in place, so an audit world costs about 1.5 µs, half of it
+the block digest and its word, plus about 0.5 µs for the trial's seed
+(Python 3.11, 2-core x86-64 VM). A mangat world whose audited element is a
+member reads no word and costs about 0.7 µs.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from _random import Random as _Random  # the C generator random.Random extends; see PerturbedSet
+import struct
 from collections import namedtuple
+from itertools import chain, compress
 
 from .errors import ParameterError, UnsupportedOperationError, _require_ints
 from .filters import (_CHECKED, BloomFilter, FilterParams, HashFamily, Universe, _remember_checked,
                       expected_fpr)
-from .stats import run_trials, standard_error, wilson_interval
+from .stats import blake2b, run_trials, standard_error, wilson_interval
 
 MANGAT = "mangat"
 WARNER = "warner"
@@ -77,10 +86,29 @@ class PrivacyBudget(namedtuple("PrivacyBudget", "epsilon epsilon_prime delta sym
     __slots__ = ()
 
 
-def _generator(seed):
-    """A generator in the state of ``random.Random(seed)``: the C one for an
-    ``int`` seed (a bool is not one), ``random.Random`` for any other."""
-    return _Random(seed) if type(seed) is int else random.Random(seed)
+_PERTURB = blake2b(digest_size=64, person=b"perturb")  # copied per block, never updated itself
+_SEED_BLOCK = struct.Struct("<QQ")
+_WORD = struct.Struct("<Q")
+_BLOCK_WORDS = struct.Struct("<8Q")
+
+
+def _block(seed: int, index: int) -> bytes:
+    """Block ``index`` of the stream under ``seed``: the words of elements
+    8 * index to 8 * index + 7, in that order."""
+    h = _PERTURB.copy()
+    h.update(_SEED_BLOCK.pack(seed, index))
+    return h.digest()
+
+
+def _word(block: bytes, x: int) -> int:
+    """Element x's word, read from its block x // 8."""
+    return _WORD.unpack_from(block, (x & 7) << 3)[0]
+
+
+def _threshold(q: float) -> int:
+    """The bound t such that a word w is below t exactly when its 53-bit
+    uniform (w >> 11) / 2**53 is below q."""
+    return math.ceil(q * 9007199254740992.0) << 11
 
 
 class PerturbedSet:
@@ -88,20 +116,14 @@ class PerturbedSet:
 
     Immutable, equal and hashed by its four fields; ``len`` and ``in`` refer
     to ``members``. A set returned by :func:`perturb` keeps the run's input
-    set, universe size and seed, and draws ``members`` on first use: one
-    ``random()`` of :func:`_generator` (the state of ``random.Random(seed)``)
-    per element in universe order, under the keep rule: a mangat member is
-    kept and takes no draw; any other element is kept when its draw is below
-    p (a warner member) or 1 - p (a non-member). Until then, ``x in s`` for
-    an ``int`` x in the universe applies the same rule to x's own draw: the
-    stream skips the draws of the elements below x with one ``getrandbits``
-    call (``random()`` reads two 32-bit words, so ``getrandbits(64 * j)``
-    passes exactly j draws). For an ``int`` seed that stream is CPython's C
-    Mersenne Twister, ``_random.Random(seed)``, which seeds from the same
-    abs(seed) as ``random.Random`` without its Python frames; any other seed
-    keeps ``random.Random``, since it hashes str and bytes seeds into another
-    stream. Any other probe, and equality, hashing, ``repr``, ``len`` and
-    pickling, draw ``members`` first, so every answer is the drawn set's.
+    set, universe size and seed, and draws ``members`` on first use: element
+    x's word is word x % 8 of :func:`_block` x // 8 under the seed, and the
+    keep rule is that a mangat member is kept and reads no word; any other
+    element is kept when its word's 53-bit uniform is below p (a warner
+    member) or 1 - p (a non-member). Until then, ``x in s`` for an ``int`` x
+    in the universe applies the same rule to x's own word, one digest of
+    block x // 8. Any other probe, and equality, hashing, ``repr``, ``len``
+    and pickling, draw ``members`` first, so every answer is the drawn set's.
 
     All of it lives in one slot, ``(members or None, mode, p, original_size,
     inputs, size, seed)``: written once when the set is made and once more
@@ -136,13 +158,14 @@ class PerturbedSet:
         members = state[0]
         if members is None:
             _, mode, p, _, inputs, size, seed = state
-            q = 1.0 - p
-            draw = _generator(seed).random
+            blocks = [_block(seed, i) for i in range((size + 7) >> 3)]
+            words = chain.from_iterable(map(_BLOCK_WORDS.unpack, blocks))
+            kept = compress(range(size), map(_threshold(1.0 - p).__gt__, words))
             if mode == MANGAT:
-                kept = [x for x in range(size) if x in inputs or draw() < q]
-            else:
-                kept = [x for x in range(size) if draw() < (p if x in inputs else q)]
-            members = frozenset(kept)
+                members = frozenset(chain(kept, inputs))
+            else:  # a member kept above lies below 1 - p's bound, so below p's: p > 1/2
+                bound = _threshold(p)
+                members = frozenset(chain(kept, (x for x in inputs if _word(blocks[x >> 3], x) < bound)))
             _set_state(self, (members, *state[1:]))
         return members
 
@@ -173,18 +196,13 @@ class PerturbedSet:
         if state[0] is not None or type(x) is not int or not 0 <= x < state[5]:
             return x in self.members
         _, mode, p, _, inputs, _, seed = state
-        member = x in inputs
-        if mode == MANGAT:
-            if member:
+        if x in inputs:
+            if mode == MANGAT:
                 return True
-            # The members below x take no draw; no member lies below 0.
-            j = x - sum(map(x.__gt__, inputs)) if x else 0
+            q = p
         else:
-            j = x
-        rng = _generator(seed)
-        if j:
-            rng.getrandbits(64 * j)
-        return rng.random() < (p if member else 1.0 - p)
+            q = 1.0 - p
+        return _word(_block(seed, x >> 3), x) < _threshold(q)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -206,7 +224,10 @@ def _perturbation(mode: str, members, universe: Universe, p: float, seed: int) -
     same universe size, mode and p is not checked again; anything else, an
     equal but other frozenset too, is checked and raises as it would. It is
     remembered under ``(members, size, mode, p)`` in ``filters._CHECKED``,
-    the one memo of checked member sets."""
+    the one memo of checked member sets. A seed that is not an ``int`` in
+    [0, 2**64) is refused first."""
+    if type(seed) is not int or not 0 <= seed < 1 << 64:
+        raise ParameterError(f"perturbation seed must be an int in [0, 2**64), not {seed!r}")
     key = hit = None
     if type(members) is frozenset:
         try:

@@ -14,7 +14,7 @@ import struct
 
 from .errors import ParameterError, _require_ints
 
-try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Shared by filters, feistel.
+try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Used by filters, feistel, privacy.
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b

@@ -140,11 +140,11 @@ DIGESTS = {
     'fpr-public': {11: '7c7417f1a67d98d2e6b9922320b739c952718e65f5c6a7ebbc0b70be119cee25', 2024: 'b5ca9ee11177b05745d7649fc020472ff81972caa39199e621265541235c3866'},
     'fpr-true-random': {11: '802110e4fa6157995e4246319f90eb2bd37d8ac36a0199f6b6d1eb07e4999613', 2024: '09c970497e24780a9c5bff9d51e1bcded93827e6816ee4a12b8ec6c01a01c340'},
     'fpr-true-random-sparse': {11: '55ae8c97f6c80f8875a0aedbefc2400b52ffb99a9cb51fc1639050039ae28cf7', 2024: 'd999ade1fee3b4b85a1a58001c8043795db702b8d6dbafc91947dd1330a505a8'},
-    'privacy-mangat': {11: '14735cf09f5b0525d57c6f052fb6eda962e2636320d4446de172830cf7180f32', 2024: 'f184b4a80aed3ed4e53ee64b40f0be0e26f2c2e4adef1bf448e1e51367cf3aac'},
-    'privacy-mangat-cap': {11: '4cf50c299fff4c13fdedb50aba407a9bcbea8c39ad14d3148642a592dfb0034f', 2024: '8527f3471d7b95c9237d927cf2e2e71e3ba8640c2022d376b1caffccd1468bc0'},
-    'privacy-mangat-reverse': {11: 'c7ce01d98667e830291faf7e6497c3171aa6493a909c000a23e145f4a62145b1', 2024: '709e988ff2022464078b29670fe06e68ea429bb2faa9bf4567f71d7acbfa076f'},
-    'privacy-warner': {11: 'fbafb8890edadb5fd3b9c1d672fea9ac19b9a60a2f555c880fe70b37c06955df', 2024: 'c06e254ff5b5a97a2d0966ecf1a5894f3f39e86b30e12002780dcdcd2571f6f7'},
-    'privacy-warner-reverse-cap': {11: '3ae2f10d031789992e379fae6c6d3199e64c7a927d3b0fcc4423a756b5a8306d', 2024: '8439e25422f5eaae00c49a74bc9cc53e97397fa48ce8fbc5672c5efdec60435e'},
+    'privacy-mangat': {11: '5d8b0cd7439772fee70f9d06c757bcc6a0b3cdb7ef1ded3fee0fc4dda3563ead', 2024: '6666054be2fb7e6081b71e1e1a8852595144f0643c9902312acdc5888ae1a270'},
+    'privacy-mangat-cap': {11: '1e53bf2ba09abc56c6550a2fa361c9a72c6713d92052d2c5372084ed1ef359ef', 2024: '5e04edf591bd16e65c935878d02a7da9253707cb8ca5ed6db3fad0ed5c1fb3c1'},
+    'privacy-mangat-reverse': {11: '613ec5297c7ef3e77943721bd4907efbe52b90eafa0cf1107b2a1b44f6633ad3', 2024: '70dd1b45cb4188ec5327765a542de73207e7109a6e72c42135ef1f8d0f0d50d6'},
+    'privacy-warner': {11: '4a5ea6ea8e0201f7169a96ea1207557292f844b3d65a0b6e94f535f222b91da5', 2024: '2181050030fb4acc9bf9560cdd60ca157f5819b21908972c619db3126daf93e2'},
+    'privacy-warner-reverse-cap': {11: 'f06b4d91303339c31d7954c2c4393ab35a87163ede9d3d7378a1980cefc40e8b', 2024: '5d8f264e0f08ab3778cb67e2b694528232beea0959e8c80d8beb9ab8b498f10c'},
     'saturation-scan': {11: '3ee65de5410a7531f42e16adf6c62967798be84ed1660b18a70ccad1d7c18c83', 2024: 'f402e5c073be9e4ac46a02828e9e35b9c08a908816e1146ef77b60c05f6850de'},
     'saturation-scan-early-stop': {11: '7de5a2e0aee5511c0471a4f8ab78bca9be8077ec20f30a056f51c4d331a001de', 2024: 'e553d4ce0cd9c1dc77e0dc2fb13b9e464e486e19093ee2a284e965a5505b50e3'},
 }

@@ -1,5 +1,6 @@
 """Randomized-response perturbation, budgets, and the empirical audit."""
 
+import hashlib
 import math
 import pickle
 import random
@@ -8,6 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from bloomlab import filters, privacy
 from bloomlab.errors import DomainError, ParameterError, UnsupportedOperationError
@@ -241,18 +243,35 @@ def test_perturb_dispatch_and_determinism():
     assert a.mode == WARNER and c.mode == MANGAT
 
 
+def _reference_word(seed, x):
+    """Element x's word under ``seed``, from the rule's definition: the
+    little-endian word x % 8 of the 64-byte blake2b digest of the two
+    little-endian 8-byte integers seed and x // 8, personalised "perturb"."""
+    payload = seed.to_bytes(8, "little") + (x // 8).to_bytes(8, "little")
+    digest = hashlib.blake2b(payload, digest_size=64, person=b"perturb").digest()
+    return int.from_bytes(digest[8 * (x % 8):8 * (x % 8) + 8], "little")
+
+
+def _reference_keeps(mode, members, p, seed, x):
+    """The keep rule: a mangat member is kept and reads no word; any other
+    element is kept when its word's top 53 bits, read as a uniform in
+    [0, 1), are below p (a warner member) or 1 - p (a non-member)."""
+    if x in members:
+        if mode == MANGAT:
+            return True
+        q = p
+    else:
+        q = 1.0 - p
+    return (_reference_word(seed, x) >> 11) / 2.0 ** 53 < q
+
+
 def _loop_perturb(mode, members, size, p, seed):
-    """Randomized response restated as a plain loop: one draw per element in
-    universe order, none for mangat members."""
-    rng = random.Random(seed)
-    out = set(members) if mode == MANGAT else set()
-    for x in range(size):
-        if x in members:
-            if mode == WARNER and rng.random() < p:
-                out.add(x)
-        elif rng.random() < 1.0 - p:
-            out.add(x)
-    return frozenset(out)
+    """Randomized response restated as a plain loop over the universe, one
+    keep decision per element."""
+    return frozenset(x for x in range(size) if _reference_keeps(mode, members, p, seed, x))
+
+
+_SEEDS = st.integers(0, (1 << 64) - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,7 +279,7 @@ def _loop_perturb(mode, members, size, p, seed):
     mode=st.sampled_from([MANGAT, WARNER]),
     size=st.integers(1, 300),
     p=st.floats(0.51, 0.99),
-    seed=st.integers(0, 1 << 64),
+    seed=_SEEDS,
     data=st.data(),
 )
 def test_perturbation_matches_plain_loop(mode, size, p, seed, data):
@@ -278,7 +297,7 @@ _P_RANGE = {
 
 @settings(max_examples=100, deadline=None)
 @given(mode=st.sampled_from([MANGAT, WARNER]), size=st.integers(1, 300),
-       seed=st.integers(0, 1 << 64), data=st.data())
+       seed=_SEEDS, data=st.data())
 def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
     p = data.draw(st.one_of(st.just(1.0), _P_RANGE[MANGAT]) if mode == MANGAT else _P_RANGE[WARNER])
     members = data.draw(st.sets(st.integers(0, size - 1), max_size=size))
@@ -290,7 +309,7 @@ def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
         assert (x in fresh) == (x in drawn)
     fresh = perturb(members, universe, params, seed)
     assert all((x in fresh) == (x in drawn) for x in range(size))
-    assert fresh._members is None  # answered from the stream, nothing drawn
+    assert fresh._members is None  # answered from single blocks, nothing drawn
     eager = PerturbedSet(drawn, mode, p, len(members))
     assert perturb(members, universe, params, seed) == eager
     assert hash(perturb(members, universe, params, seed)) == hash(eager)
@@ -298,34 +317,115 @@ def test_undrawn_membership_matches_the_drawn_set(mode, size, seed, data):
     assert len(perturb(members, universe, params, seed)) == len(drawn)
 
 
-@pytest.mark.parametrize("seed", [1, 10])
+@given(q=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 2.0 ** -53, 0.25, 0.5, 1.0 - 2.0 ** -53, 1.0])))
+def test_the_integer_bound_keeps_exactly_the_words_whose_uniform_is_below_q(q):
+    """The full draw compares words with ``privacy._threshold(q)``; the rule
+    reads the word's top 53 bits as a uniform. The two agree on either side
+    of the bound, so everywhere."""
+    bound = privacy._threshold(q)
+    for w in (bound - 2048, bound - 1, bound, bound + 2047):
+        if 0 <= w < 1 << 64:
+            assert (w < bound) == ((w >> 11) / 2.0 ** 53 < q)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
 def test_a_mangat_probe_below_every_member_reads_its_own_draw(seed):
-    """Probes 0 and 1 lie below both members {2, 3}, so they read draws 0 and
-    1 of the stream. The two seeds put those draws on either side of 1 - p,
-    so a probe that skips one draw too many or too few answers wrongly."""
-    rng = random.Random(seed)
-    assert (rng.random() < 0.5) != (rng.random() < 0.5)
+    """Probes 0 and 1 lie below both members {2, 3} and probes 4 and 5 above
+    them; each reads its own word of block 0, however many members lie below
+    it. The two seeds put words 4 and 5 on either side of 1 - p, each unlike
+    words 2 and 3, so a probe that reads the word of its rank among the
+    non-members (word 2 for 4, word 3 for 5), or its neighbour's word,
+    answers wrongly."""
+    below = [_reference_keeps(MANGAT, set(), 0.5, seed, x) for x in range(6)]  # word x below 1 - p
+    assert below[4] != below[5] and below[2] != below[4] and below[3] != below[5]
     params, universe = PrivacyParams(MANGAT, 0.5), Universe(6)
     drawn = _loop_perturb(MANGAT, {2, 3}, 6, 0.5, seed)
-    assert {0, 1} & drawn in ({0}, {1})
+    assert drawn == {2, 3} | {x for x in (0, 1, 4, 5) if below[x]}
+    assert perturb({2, 3}, universe, params, seed).members == drawn
     for x in range(6):
         assert (x in perturb({2, 3}, universe, params, seed)) == (x in drawn)
 
 
+@pytest.mark.parametrize("members", [set(), {7, 8}])
 @pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
-@pytest.mark.parametrize("seed", [-1, -(1 << 70) - 3, 1 << 64, (1 << 64) + 12345, 1 << 200,
-                                  True, False, b"bytes seed", "str seed"])
+def test_probes_at_block_edges_of_the_largest_universe_match_the_reference(mode, p, members):
+    """At u = 2**20, the first and last words of block 0, the first word of
+    block 1 and the last element of the universe, probed one at a time and
+    read from the drawn set. With no members each probe reads its word under
+    1 - p; members 7 and 8, on the edge between blocks 0 and 1, read theirs
+    under p (warner) or are kept unread (mangat)."""
+    universe, params = Universe(ENUMERATION_CAP), PrivacyParams(mode, p)
+    seed = mix_seed(31, "block-edges", 0)
+    probes = (0, 7, 8, ENUMERATION_CAP - 1)
+    expected = [_reference_keeps(mode, members, p, seed, x) for x in probes]
+    lazy = perturb(members, universe, params, seed)
+    assert [x in lazy for x in probes] == expected
+    assert lazy._members is None
+    drawn = perturb(members, universe, params, seed).members
+    assert [x in drawn for x in probes] == expected
+
+
+@pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
+@pytest.mark.parametrize("seed", [0, 1, 1 << 32, (1 << 63) + 5, (1 << 64) - 1, 0x0123456789ABCDEF])
 def test_probe_matches_the_drawn_set_for_any_seed(mode, p, seed):
-    """An int seed probes through the C generator, which seeds from abs(seed)
-    as random.Random does; a bool, bytes or str seed keeps random.Random,
-    whose str and bytes seeding differs. Either way the probe, the drawn
-    members and the plain loop over random.Random(seed) agree."""
+    """Every seed in [0, 2**64), both ends included: the probe, the drawn
+    members and the plain loop over the reference words agree."""
     members, universe, params = {0, 3, 17, 40}, Universe(48), PrivacyParams(mode, p)
     drawn = _loop_perturb(mode, members, universe.size, p, seed)
     assert perturb(members, universe, params, seed).members == drawn
     assert all((x in perturb(members, universe, params, seed)) == (x in drawn)
                for x in range(universe.size))
     assert perturb(frozenset(members), universe, params, seed).members == drawn
+
+
+@pytest.mark.parametrize("perturb_one", [mangat_perturb, warner_perturb])
+@pytest.mark.parametrize("seed", [-1, -(1 << 70) - 3, 1 << 64, (1 << 64) + 12345, 1 << 200,
+                                  True, False, b"bytes seed", "str seed", 7.0, None])
+def test_perturbation_refuses_a_seed_outside_its_domain(perturb_one, seed):
+    """A seed is an int in [0, 2**64): a negative or wider int, a bool, str,
+    bytes, float or None is refused before any member is read, so s and -s
+    can no longer name one perturbation."""
+    with pytest.raises(ParameterError, match=r"^perturbation seed must be an int in \[0, 2\*\*64\), not "):
+        perturb_one(_Unreadable(), Universe(48), 0.75, seed)
+
+
+def test_distinct_seeds_draw_distinct_sets():
+    """Seeds that differ in one bit, in the low or the high word, or at the
+    ends of the domain draw different sets: the seed enters the digest whole."""
+    seeds = [0, 1, 2, 1 << 32, 1 << 63, (1 << 64) - 1, (1 << 64) - 2, mix_seed(5, "distinct", 0)]
+    for mode, p in ((MANGAT, 0.5), (WARNER, 0.75)):
+        drawn = {perturb(range(8), Universe(256), PrivacyParams(mode, p), s).members for s in seeds}
+        assert len(drawn) == len(seeds)
+
+
+@pytest.mark.parametrize("mode,p", [(MANGAT, 0.5), (WARNER, 0.75)])
+@pytest.mark.parametrize("size", [47, 1001, 4099])
+def test_keep_decisions_pass_a_chi_square_test(mode, p, size):
+    """Keep counts over 300 seeds, per element and pooled by word slot x % 8,
+    against their binomial expectations. No size is a multiple of 8, so
+    the last block is read in part. Critical values at level 0.999, fixed
+    before the test was first run; mangat members are kept always and left out."""
+    trials, members = 300, frozenset(range(0, size, 7))
+    params, universe = PrivacyParams(mode, p), Universe(size)
+    counts = [0] * size
+    for i in range(trials):
+        for x in perturb(members, universe, params, mix_seed(2024, "chi-square", i)).members:
+            counts[x] += 1
+    deviation, variance = [0.0] * 8, [0.0] * 8
+    per_element = 0.0
+    for x in range(size):
+        if mode == MANGAT and x in members:
+            assert counts[x] == trials
+            continue
+        q = p if x in members else 1.0 - p
+        dev, var = counts[x] - trials * q, trials * q * (1.0 - q)
+        per_element += dev * dev / var
+        deviation[x % 8] += dev
+        variance[x % 8] += var
+    df = size - (len(members) if mode == MANGAT else 0)
+    assert per_element < chi2.ppf(0.999, df)
+    per_slot = sum(d * d / v for d, v in zip(deviation, variance))
+    assert per_slot < chi2.ppf(0.999, 8)
 
 
 def test_budget_closed_forms():
