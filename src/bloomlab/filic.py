@@ -43,14 +43,13 @@ from .filters import (
     HashFamily,
     NyFilter,
     Universe,
-    _draws,
     _fill,
     _memo_fill,
     _pack,
     _pack_snapshot,
     _popcount,
 )
-from .stats import mix_seed, run_trials, wilson_interval
+from .stats import DrawStream, mix_seed, run_trials, wilson_interval
 
 if TYPE_CHECKING:
     from .games import Adversary, GameConfig
@@ -111,33 +110,35 @@ class OracleSet:
 class SimulatorState:
     """Ideal-world state machine.
 
-    Index draws come from the provided generator in strict call order: k
-    draws per first-time insert, k draws per query of an unlisted element,
-    none otherwise. Replaying the same operation sequence against the same
-    generator therefore reproduces every answer, regardless of which
-    element labels appear.
+    Index draws come from ``stream``, a :class:`bloomlab.stats.DrawStream`
+    keyed by ``key`` and personalised ``b"simulator"``, in strict call
+    order: k draws per first-time insert, k draws per query of an unlisted
+    element, none otherwise. Replaying the same operation sequence under the
+    same key therefore reproduces every answer, regardless of which element
+    labels appear, and ``stream.position`` counts the bytes drawn.
 
-    Each index is ``rng.randrange(m)``'s draw, taken through the filters'
-    ``_draws``: an exact ``random.Random`` reads it straight from
-    ``getrandbits`` by CPython's rule, any other sampler (a subclass, or an
-    object with only ``randrange``) is asked for ``randrange(m)``. ``build``
+    Each index is ``stream.below(m, ...)``'s draw, the rule of true-random
+    filters: the next ceil(w/8) stream bytes, little-endian, cut to their low
+    w = (m - 1).bit_length() bits and drawn again while >= m. ``build``
     fills f through the filters' ``_memo_fill``, the memo fill of true-random
     filters: the indices of all its first-time members are drawn as one
-    stream, the draws their inserts one by one would make. The ideal world's
+    read, the draws their inserts one by one would make. The ideal world's
     ``make(members, rng)``, :func:`simulator_factory`, builds it so. M is
-    ``flags``, one byte per position, 0 or 1, as in a filter.
+    ``flags``, one byte per position, 0 or 1, as in a filter. A simulator
+    copies and pickles partway through its stream and goes on with the
+    same draws.
     """
 
-    __slots__ = ("m", "k", "rng", "flags", "f", "inserted", "fp_list",
+    __slots__ = ("m", "k", "stream", "flags", "f", "inserted", "fp_list",
                  "_inserted_set", "_fp_set")
 
-    def __init__(self, m: int, k: int, rng: random.Random):
+    def __init__(self, m: int, k: int, key: bytes):
         _require_ints(m=m, k=k)
         if m < 1 or k < 1:
             raise ParameterError("need m >= 1 and k >= 1")
         self.m = m
         self.k = k
-        self.rng = rng
+        self.stream = DrawStream(key, b"simulator")
         self.flags = bytearray(m)
         self.f: dict[int, tuple[int, ...]] = {}
         self.inserted: list[int] = []
@@ -151,10 +152,10 @@ class SimulatorState:
 
     def build(self, members) -> None:
         """Insert the initial members in the order given: the state and draws of
-        inserting them one by one, the draws taken as one stream."""
+        inserting them one by one, the draws taken in one read."""
         inserted = self._inserted_set
         fresh = [x for x in dict.fromkeys(members) if x not in inserted]
-        indices = _memo_fill(self.f, self.rng, self.m, self.k, fresh)
+        indices = _memo_fill(self.f, self.stream, self.m, self.k, fresh)
         _fill(self.flags, self.m, indices)
         self.inserted.extend(fresh)
         inserted.update(fresh)
@@ -169,7 +170,7 @@ class SimulatorState:
         and a hit makes the element a permanent false positive."""
         if x in self._inserted_set or x in self._fp_set:
             return 1
-        if all(map(self.flags.__getitem__, _draws(self.rng, self.m, self.k))):
+        if all(map(self.flags.__getitem__, self.stream.below(self.m, self.k))):
             self.fp_list.append(x)
             self._fp_set.add(x)
             return 1
@@ -219,10 +220,11 @@ run_ideal = run_real
 
 def simulator_factory(params: FilterParams):
     """The ideal world of every scenario whose reveal is a raw bit array: a
-    fresh :class:`SimulatorState` per trial, built over the sorted members."""
+    fresh :class:`SimulatorState` per trial, keyed by 16 bytes of the world
+    generator and built over the sorted members."""
 
     def make(members, rng: random.Random) -> SimulatorState:
-        sim = SimulatorState(params.m, params.k, rng)
+        sim = SimulatorState(params.m, params.k, rng.randbytes(16))
         sim.build(sorted(members))
         return sim
 
@@ -297,10 +299,10 @@ class _KeyLeakingSimulator(SimulatorState):
 
 def key_leaking_simulator_factory(params: FilterParams, universe: Universe):
     """The key-leak scenario's ideal world: :func:`simulator_factory`'s, its
-    reveal keyed by 16 bytes drawn from the world generator after the build."""
+    reveal keyed by the next 16 bytes of the world generator."""
 
     def make(members, rng: random.Random) -> _KeyLeakingSimulator:
-        sim = _KeyLeakingSimulator(params.m, params.k, rng)
+        sim = _KeyLeakingSimulator(params.m, params.k, rng.randbytes(16))
         sim.build(sorted(members))
         sim.size, sim.key = universe.size, rng.randbytes(16)
         return sim

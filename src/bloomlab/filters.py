@@ -41,15 +41,18 @@ README gives the timings), convert them to the snapshot layout below only
 where bytes leave (``bit_bytes``, ``reveal``, ``to_bytes``) or a restore
 enters. ``is_saturated`` looks for a 0 flag. One
 memo fill, ``_memo_fill``, draws the indices of every element a memo lacks
-as one stream and returns the k indices of every element as one flat list,
-which is that stream itself when the memo lacked them all: ``build`` and
+in one read and returns the k indices of every element as one flat sequence,
+which is those draws themselves when the memo lacked them all: ``build`` and
 ``HashFamily.indices`` fill the family's memo through it, and the
 ideal-world simulator of :mod:`bloomlab.filic` its f. ``build`` and the
-simulator set their bits from that list; ``query`` draws only
+simulator set their bits from that sequence; ``query`` draws only
 on a memo miss, and only while a bit is clear: a saturated true-random
-filter answers a miss 1 without drawing or memoizing. Every draw goes
-through ``_draws``: ``randrange(m)``'s stream, read straight from
-``getrandbits`` on an exact ``random.Random``. ``build`` checks a set or
+filter answers a miss 1 without drawing or memoizing. Every draw is
+``DrawStream.below(m, ...)`` of :mod:`bloomlab.stats` on the family's
+counter-mode stream: block c is ``blake2b(<Q>(c), key=key, digest_size=64,
+person=b"true-random")``, and an index reads the next ceil(w/8) bytes,
+w = (m - 1).bit_length(), as a little-endian integer, keeps its low w bits
+and is drawn again while >= m. ``build`` checks a set or
 frozenset of members as it is, and copies any other collection into a list
 and a set first. Only a true-random build sorts its members, since there
 their order is the draw stream; a public or keyed filter's bits are an OR
@@ -124,7 +127,7 @@ from collections.abc import Iterator
 from itertools import chain, repeat
 
 from .errors import DomainError, ParameterError, UnsupportedOperationError, _require_ints
-from .stats import blake2b, run_trials, wilson_interval
+from .stats import DrawStream, blake2b, run_trials, wilson_interval
 
 MAGIC = b"BFLT"
 FORMAT_VERSION = 4
@@ -300,15 +303,19 @@ class Universe:
 class HashFamily:
     """Index derivation in one of the three modes.
 
-    For ``true-random`` the key seeds an internal generator and the table
-    ``memo`` holds the draws, so repeated derivation for the same element is
-    stable. The first derivation fixes (m, k); reusing the family with other
-    filter shapes is refused because the memoized draws would be meaningless.
-    Families are equal when their mode, key, memo, generator state and bound
-    shape are. A key that is not ``bytes`` or a ``bytearray`` is refused.
+    For ``true-random`` the key keys a draw stream (:class:`bloomlab.stats.DrawStream`,
+    personalised ``b"true-random"``), whose draws below m are the indices,
+    and the table ``memo`` holds them, so repeated derivation for the same
+    element is stable. The first derivation fixes (m, k); reusing the family
+    with other filter shapes is refused because the memoized draws would be
+    meaningless. Families are equal when their mode, key, memo, bound shape
+    and stream position are; a true-random family copies and pickles partway
+    through its stream and goes on with the same draws. A key that is not
+    ``bytes`` or a ``bytearray`` is refused, and so is a keyed-prf or
+    true-random key longer than ``blake2b.MAX_KEY_SIZE``.
     """
 
-    __slots__ = ("mode", "key", "memo", "_rng", "_shape", "_states")
+    __slots__ = ("mode", "key", "memo", "_stream", "_shape", "_states")
 
     def __init__(self, mode: str, key: bytes = b""):
         if mode not in _MODES:
@@ -319,12 +326,12 @@ class HashFamily:
         if mode == PUBLIC and key:
             # Snapshots write no key for a public family, so a keyed one would restore wrong.
             raise ParameterError("a public hash family takes no key")
-        if mode == KEYED_PRF and len(key) > blake2b.MAX_KEY_SIZE:
-            raise ParameterError(f"a keyed-prf key must be at most {blake2b.MAX_KEY_SIZE} bytes")
+        if mode != PUBLIC and len(key) > blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"a {mode} key must be at most {blake2b.MAX_KEY_SIZE} bytes")
         self.mode = mode
         self.key = key
         self.memo: dict[int, tuple[int, ...]] = {}
-        self._rng = random.Random(key) if mode == TRUE_RANDOM else None
+        self._stream = DrawStream(key, b"true-random") if mode == TRUE_RANDOM else None
         self._shape = None
         # blake2b state for block b, keyed and fed <Q>(b); grown on demand to ceil(k/8).
         self._states = []
@@ -332,9 +339,8 @@ class HashFamily:
     def __eq__(self, other):
         if type(other) is not HashFamily:
             return NotImplemented
-        a, b = self._rng, other._rng  # generators compare by state; None equals None
-        return (all(getattr(self, name) == getattr(other, name) for name in ("mode", "key", "memo", "_shape"))
-                and (a is b or None not in (a, b) and a.getstate() == b.getstate()))
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("mode", "key", "memo", "_shape", "_stream"))
 
     @classmethod
     def public(cls) -> "HashFamily":
@@ -347,7 +353,9 @@ class HashFamily:
     @classmethod
     def true_random(cls, seed: bytes | int) -> "HashFamily":
         """A true-random family keyed by ``seed``: bytes as given, an int in
-        [0, 2**64) as its 8 little-endian bytes. A bool is not a seed."""
+        [0, 2**64) as its 8 little-endian bytes. A bool is not a seed, and
+        bytes longer than ``blake2b.MAX_KEY_SIZE`` (64) are refused with
+        :class:`ParameterError`, as a keyed-prf key is."""
         if isinstance(seed, int):
             if type(seed) is not int or not 0 <= seed < 1 << 64:
                 raise ParameterError(f"a true-random seed must be bytes or an int in [0, 2**64), not {seed!r}")
@@ -369,11 +377,11 @@ class HashFamily:
         """The k bit positions of x in an m-bit array.
 
         True-random derivation draws and memoizes all k indices, so its
-        generator stream does not depend on which of them a caller tests.
+        stream position does not depend on which of them a caller tests.
         """
         if self.mode == TRUE_RANDOM:
             self._bind(m, k)
-            return tuple(_memo_fill(self.memo, self._rng, m, k, (x,)))
+            return tuple(_memo_fill(self.memo, self._stream, m, k, (x,)))
         tail, got = _WORD.pack(x), []
         for b, state in enumerate(self.block_states(k)):
             h = state.copy()
@@ -396,29 +404,14 @@ def _remember_checked(key: tuple, xs: frozenset) -> None:
     _CHECKED[key] = xs
 
 
-def _draws(rng, m: int, count: int) -> list[int]:
-    """``count`` draws of ``rng.randrange(m)``, in order. An exact
-    ``random.Random`` draws them inline by CPython's rule, getrandbits(m.bit_length())
-    redrawn while >= m; any other sampler is asked for ``randrange(m)`` each time.
-    True-random filters and the ideal-world simulator draw only through here."""
-    draw, arg = (rng.getrandbits, m.bit_length()) if type(rng) is random.Random else (rng.randrange, m)
-    draws = []
-    for _ in range(count):
-        j = draw(arg)
-        while j >= m:
-            j = draw(arg)
-        draws.append(j)
-    return draws
-
-
-def _memo_fill(memo: dict, rng, m: int, k: int, elements) -> list[int]:
+def _memo_fill(memo: dict, stream: DrawStream, m: int, k: int, elements):
     """The memoized k indices of each of the distinct ``elements``, as one
-    flat list in order. Those the memo lacks are drawn first, as one
-    ``_draws`` stream in the order given: the draws of memoizing them one by
-    one. When the memo lacks them all, that stream is the list returned.
+    flat sequence in order. Those the memo lacks are drawn first, as one
+    ``stream.below(m, ...)`` read in the order given: the draws of memoizing
+    them one by one. When the memo lacks them all, those draws are returned.
     Only ``BloomFilter.query`` fills a memo inline."""
     fresh = [x for x in elements if x not in memo] if memo else elements
-    draws = _draws(rng, m, len(fresh) * k)
+    draws = stream.below(m, len(fresh) * k)
     memo.update(zip(fresh, zip(*[iter(draws)] * k)))
     if len(fresh) == len(elements):
         return draws
@@ -492,7 +485,7 @@ class BloomFilter:
         m, k = params.m, params.k
         memo = filt._memo
         if family.mode == TRUE_RANDOM:
-            words = _memo_fill(memo, family._rng, m, k, sorted(members))
+            words = _memo_fill(memo, family._stream, m, k, sorted(members))
         elif memo is not None:
             words = chain.from_iterable([memo.get(x) or memo.setdefault(x, family.indices(x, m, k))
                                          for x in members])
@@ -534,7 +527,7 @@ class BloomFilter:
                 elif 0 not in flags:
                     return 1
                 else:
-                    got = memo[x] = tuple(_draws(family._rng, self._m, self.params.k))
+                    got = memo[x] = tuple(family._stream.below(self._m, self.params.k))
             for j in got:
                 if not flags[j]:
                     return 0

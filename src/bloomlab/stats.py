@@ -5,16 +5,19 @@ the trial index with ``mix_seed``, so trials are reproducible individually
 and could be executed out of order or in parallel without changing results.
 Every Monte Carlo estimator runs its trials through ``run_trials``, which
 derives them with ``seed_stream``: the master seed and tag are absorbed once.
+True-random hash families and the ideal-world simulator draw their indices
+from a ``DrawStream``, a counter-mode stream of keyed blake2b blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
 from .errors import ParameterError, _require_ints
 
-try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Used by filters, feistel, privacy.
+try:  # _blake2 alone, as random imports _sha512: hashlib loads OpenSSL too. Used by filters, feistel, privacy, DrawStream.
     from _blake2 import blake2b
 except ImportError:
     from hashlib import blake2b
@@ -42,6 +45,90 @@ def seed_stream(master_seed: int, tag: str):
         return from_bytes(h.digest(), "little")
 
     return seed
+
+
+class DrawStream:
+    """Uniform draws read from a counter-mode stream of keyed blake2b blocks.
+
+    Block c is ``blake2b(<Q>(c), key=key, digest_size=64, person=person)``,
+    and the stream is blocks 0, 1, 2, ... as one byte string, so a draw is
+    addressed by (key, personalisation, byte position) and needs no generator
+    state (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC 2011). ``position`` is the offset of the next unread byte. Streams
+    are equal when key, personalisation and position are; copy and pickle
+    keep those three and digest blocks again from there. A key longer than
+    ``blake2b.MAX_KEY_SIZE`` is refused with :class:`ParameterError`.
+    """
+
+    __slots__ = ("key", "person", "position", "_buf", "_base")
+
+    def __init__(self, key: bytes, person: bytes, position: int = 0):
+        if len(key) > blake2b.MAX_KEY_SIZE:
+            raise ParameterError(f"a draw stream key must be at most {blake2b.MAX_KEY_SIZE} bytes")
+        self.key, self.person, self.position = key, person, position
+        # The stream's digested bytes from offset _base on, whole blocks.
+        self._buf, self._base = b"", 0
+
+    def __eq__(self, other):
+        if type(other) is not DrawStream:
+            return NotImplemented
+        return (self.key, self.person, self.position) == (other.key, other.person, other.position)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return DrawStream, (self.key, self.person, self.position)
+
+    def read(self, n: int) -> bytes:
+        """The next n bytes of the stream. A block is digested when a read
+        first reaches it; each digest drops the blocks before the read's start."""
+        pos = self.position
+        end = self.position = pos + n
+        buf, base = self._buf, self._base
+        if end > base + len(buf):
+            low = pos & ~63
+            c = max(low, base + len(buf)) >> 6
+            parts = [buf[low - base:]]
+            while c << 6 < end:
+                parts.append(blake2b(_WORD.pack(c), key=self.key, digest_size=64, person=self.person).digest())
+                c += 1
+            buf = self._buf = b"".join(parts)
+            base = self._base = low
+        return buf[pos - base:end - base]
+
+    def below(self, m: int, count: int):
+        """``count`` draws uniform on [0, m), m >= 1, in stream order.
+
+        With w = (m - 1).bit_length(), a draw reads the next (w + 7) // 8
+        bytes as a little-endian integer, keeps its low w bits and is drawn
+        again while that is >= m, which happens to less than half the reads.
+        m = 1 reads nothing. The draws are ``bytes`` for m <= 256, where the
+        mask and the rejection are one ``bytes.translate`` per read, and a
+        list otherwise."""
+        width = (m - 1).bit_length()
+        if width <= 8:
+            if not width:
+                return bytes(count)
+            table, rejected = _byte_rule(m)
+            got = self.read(count).translate(table, rejected)
+            while len(got) < count:
+                got += self.read(count - len(got)).translate(table, rejected)
+            return got
+        size, mask, from_bytes = (width + 7) >> 3, (1 << width) - 1, int.from_bytes
+        got = []
+        while len(got) < count:
+            chunk = self.read((count - len(got)) * size)
+            got += [v for v in [from_bytes(chunk[i:i + size], "little") & mask
+                                for i in range(0, len(chunk), size)] if v < m]
+        return got
+
+
+@functools.cache
+def _byte_rule(m: int) -> tuple[bytes, bytes]:
+    """For 2 <= m <= 256: the table masking a byte to its low
+    (m - 1).bit_length() bits, and the bytes whose masked value is >= m."""
+    mask = (1 << (m - 1).bit_length()) - 1
+    return bytes(b & mask for b in range(256)), bytes(b for b in range(256) if b & mask >= m)
 
 
 def mix_seed(master_seed: int, tag: str, index: int) -> int:

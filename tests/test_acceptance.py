@@ -4,6 +4,7 @@ Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s`` or in
 captured output on failure) and asserts the same condition.
 """
 
+import copy
 import io
 import math
 import random
@@ -52,7 +53,7 @@ from bloomlab.privacy import (
     measure_member_negative_rate,
     privacy_budget,
 )
-from bloomlab.stats import Z99, mix_seed
+from bloomlab.stats import Z99, DrawStream, mix_seed
 
 Z = Z99
 
@@ -258,30 +259,25 @@ def test_7_reveal_reduction_harness():
     )
 
 
-class _ScriptedSampler:
-    """Deterministic index stream shared by both simulators under test."""
-
-    def __init__(self, ctr=0):
-        self.ctr = ctr
-
-    def randrange(self, m):
-        v = ((1103515245 * self.ctr + 12345) >> 11) & 0x7FFFFFFF
-        self.ctr += 1
-        return v % m
+_SIM_KEY = b"fidelity"
 
 
 class _ReferenceSimulator:
-    """Plain dict/list re-statement of the ideal-world rules."""
+    """Plain dict/list re-statement of the ideal-world rules, drawing its
+    indices one at a time from the simulator's keyed stream."""
 
-    def __init__(self, m, k, sampler):
-        self.m, self.k, self.sampler = m, k, sampler
+    def __init__(self, m, k, stream):
+        self.m, self.k, self.stream = m, k, stream
         self.assigned = {}
         self.inserted = []
         self.fps = []
         self.set_bits = set()
 
+    def draw(self):
+        return self.stream.below(self.m, 1)[0]
+
     def clone(self):
-        twin = _ReferenceSimulator(self.m, self.k, _ScriptedSampler(self.sampler.ctr))
+        twin = _ReferenceSimulator(self.m, self.k, copy.copy(self.stream))
         twin.assigned = dict(self.assigned)
         twin.inserted = list(self.inserted)
         twin.fps = list(self.fps)
@@ -292,14 +288,14 @@ class _ReferenceSimulator:
         if x in self.inserted:
             return
         if x not in self.assigned:
-            self.assigned[x] = tuple(self.sampler.randrange(self.m) for _ in range(self.k))
+            self.assigned[x] = tuple(self.draw() for _ in range(self.k))
         self.set_bits.update(self.assigned[x])
         self.inserted.append(x)
 
     def query(self, x):
         if x in self.inserted or x in self.fps:
             return 1
-        draw = [self.sampler.randrange(self.m) for _ in range(self.k)]
+        draw = [self.draw() for _ in range(self.k)]
         if all(j in self.set_bits for j in draw):
             self.fps.append(x)
             return 1
@@ -307,7 +303,8 @@ class _ReferenceSimulator:
 
 
 def _clone_sim(sim):
-    twin = SimulatorState(sim.m, sim.k, _ScriptedSampler(sim.rng.ctr))
+    twin = SimulatorState(sim.m, sim.k, _SIM_KEY)
+    twin.stream = copy.copy(sim.stream)
     twin.flags = bytearray(sim.flags)
     twin.f = dict(sim.f)
     twin.inserted = list(sim.inserted)
@@ -339,7 +336,7 @@ def test_8_simulator_exhaustive_fidelity():
     def walk(sim, ref, depth):
         nonlocal sequences, mismatches
         sequences += 1
-        if not _states_agree(sim, ref) or sim.rng.ctr != ref.sampler.ctr:
+        if not _states_agree(sim, ref) or sim.stream != ref.stream:
             mismatches += 1
             return
         if depth == 6:
@@ -355,7 +352,7 @@ def test_8_simulator_exhaustive_fidelity():
                     continue
             walk(s2, r2, depth + 1)
 
-    walk(SimulatorState(m, k, _ScriptedSampler()), _ReferenceSimulator(m, k, _ScriptedSampler()), 0)
+    walk(SimulatorState(m, k, _SIM_KEY), _ReferenceSimulator(m, k, DrawStream(_SIM_KEY, b"simulator")), 0)
 
     replays_ok = True
     for trial in range(50):
@@ -365,7 +362,7 @@ def test_8_simulator_exhaustive_fidelity():
         mapping = dict(zip(range(64), random.Random(seed + 1).sample(range(1000, 1064), 64)))
 
         def run(seq):
-            sim = SimulatorState(4, 2, random.Random(seed + 2))
+            sim = SimulatorState(4, 2, (seed + 2).to_bytes(8, "little"))
             answers = []
             for op, x in seq:
                 if op == "i":

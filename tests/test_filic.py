@@ -1,7 +1,9 @@
 """Real/ideal indistinguishability harness and the reveal-channel attack."""
 
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import struct
 
@@ -20,6 +22,7 @@ from bloomlab.filic import (
     OracleSet,
     RepresentationPredictionAdversary,
     SimulatorState,
+    _KeyLeakingSimulator,
     ab_to_filic_adversary,
     estimate_advantage,
     key_leaking_filter_factory,
@@ -38,7 +41,7 @@ from bloomlab.filters import (
     filter_factory,
 )
 from bloomlab.games import GameConfig, SaturationAdversary, UniformAdversary, run_ab_experiment
-from bloomlab.stats import mix_seed, wilson_interval
+from bloomlab.stats import DrawStream, mix_seed, wilson_interval
 
 
 class _CountingRandom(random.Random):
@@ -53,62 +56,71 @@ class _CountingRandom(random.Random):
         return super().randrange(*args, **kwargs)
 
 
+def _stream(key=b"sim"):
+    """A fresh reference of the simulator's stream under ``key``."""
+    return DrawStream(key, b"simulator")
+
+
 def test_simulator_validation():
     with pytest.raises(ParameterError):
-        SimulatorState(0, 1, random.Random(0))
+        SimulatorState(0, 1, b"sim")
     with pytest.raises(ParameterError):
-        SimulatorState(8, 0, random.Random(0))
+        SimulatorState(8, 0, b"sim")
     with pytest.raises(ParameterError, match=r"^m must be an int, not float$"):
-        SimulatorState(64.0, 5, random.Random(0))
+        SimulatorState(64.0, 5, b"sim")
     with pytest.raises(ParameterError, match=r"^m must be an int, not bool$"):
-        SimulatorState(True, True, random.Random(0))
+        SimulatorState(True, True, b"sim")
+    with pytest.raises(ParameterError, match="64 bytes"):
+        SimulatorState(8, 2, b"x" * 65)
+    assert SimulatorState(8, 2, b"x" * 64).stream == DrawStream(b"x" * 64, b"simulator")
 
 
 def test_simulator_insert_draws_once():
-    rng = _CountingRandom(1)
-    sim = SimulatorState(16, 3, rng)
+    sim, ref = SimulatorState(16, 3, b"sim"), _stream()
     sim.insert(42)
-    assert rng.calls == 3
+    assert sim.f[42] == tuple(ref.below(16, 3))
+    assert sim.stream == ref and sim.stream.position == 3
     assert sim.ctr == 1 and sim.inserted == [42]
     sim.insert(42)
-    assert rng.calls == 3  # repeat insert consumes nothing
+    assert sim.stream == ref  # repeat insert consumes nothing
     assert sim.ctr == 1
     assert 1 <= sim.popcount() <= 3
 
 
 def test_simulator_query_of_inserted_is_free():
-    rng = _CountingRandom(2)
-    sim = SimulatorState(16, 3, rng)
+    sim = SimulatorState(16, 3, b"sim")
     sim.insert(7)
-    base = rng.calls
+    base = sim.stream.position
     assert sim.query(7) == 1
-    assert rng.calls == base  # listed elements answer without drawing
+    assert sim.stream.position == base  # listed elements answer without drawing
 
 
 def test_simulator_unlisted_query_draws_every_time():
-    rng = _CountingRandom(3)
-    sim = SimulatorState(64, 2, rng)
+    sim, ref = SimulatorState(64, 2, b"sim"), _stream()
     assert sim.query(5) == 0  # empty bit array cannot hit
     assert sim.query(5) == 0
-    assert rng.calls == 4  # two independent draws for the same element
+    ref.below(64, 4)  # two independent draws of two indices for the same element
+    assert sim.stream == ref and sim.stream.position == 4
     assert sim.fp_list == []
 
 
 def test_simulator_false_positive_is_sticky():
-    rng = _CountingRandom(4)
-    sim = SimulatorState(1, 1, rng)
-    sim.insert(0)  # the single bit is now set
+    sim = SimulatorState(4, 1, b"sim")
+    x = 0
+    while sim.popcount() < 4:  # saturate: every fresh draw hits
+        sim.insert(x)
+        x += 1
+    before = sim.stream.position
     assert sim.query(99) == 1
     assert sim.fp_list == [99]
-    before = rng.calls
+    assert sim.stream.position == before + 1
     assert sim.query(99) == 1
-    assert rng.calls == before  # sticky: no fresh draw
+    assert sim.stream.position == before + 1  # sticky: no fresh draw
     assert sim.fp_list == [99]
 
 
 def test_simulator_insert_after_fp_does_not_redraw():
-    rng = _CountingRandom(5)
-    sim = SimulatorState(1, 1, rng)
+    sim = SimulatorState(1, 1, b"sim")
     sim.insert(0)
     sim.query(99)
     assert 99 in sim.fp_list
@@ -118,7 +130,7 @@ def test_simulator_insert_after_fp_does_not_redraw():
 
 
 def test_simulator_build_order_is_caller_controlled():
-    a = SimulatorState(32, 2, random.Random(9))
+    a = SimulatorState(32, 2, b"sim")
     a.build([3, 1, 2])
     assert a.inserted == [3, 1, 2]
 
@@ -129,25 +141,18 @@ def test_simulator_label_permutation_replays_identically():
     relabel = {0: 40, 1: 41, 5: 55, 6: 66}
 
     def run(script):
-        sim = SimulatorState(8, 2, random.Random(77))
+        sim = SimulatorState(8, 2, b"label")
         answers = []
         for op, x in script:
             if op == "i":
                 sim.insert(x)
             else:
                 answers.append(sim.query(x))
-        return answers, sim.ctr, sim.popcount()
+        return answers, sim.ctr, sim.popcount(), sim.stream.position
 
     plain = run(ops)
     renamed = run([(op, relabel[x]) for op, x in ops])
     assert plain == renamed
-
-
-class _RandrangeOnly(random.Random):
-    """Draws only through its own randrange, which forwards to Random's."""
-
-    def randrange(self, *args):
-        return super().randrange(*args)
 
 
 _ELEMENTS = st.integers(0, 15)
@@ -155,7 +160,7 @@ _ELEMENTS = st.integers(0, 15)
 
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=st.integers(0, 1 << 32),
+    key=st.binary(max_size=16),
     m=st.one_of(st.integers(1, 300), st.sampled_from([(1 << 20) - 3, 1 << 20, (1 << 20) + 1, 1_000_003])),
     k=st.integers(1, 12),
     script=st.lists(st.one_of(
@@ -163,31 +168,71 @@ _ELEMENTS = st.integers(0, 15)
         st.tuples(st.sampled_from(["insert", "query"]), _ELEMENTS),
     ), max_size=12),
 )
-def test_simulator_draws_the_randrange_stream(seed, m, k, script):
-    """A simulator on an exact Random (inline draws, ``build`` in one stream)
-    agrees with one on a subclass that draws through ``randrange``, and with
-    one whose builds are replayed as inserts in order: every answer, the
-    whole state and the final generator state."""
-    sims = [SimulatorState(m, k, rng) for rng in (random.Random(seed), _RandrangeOnly(seed), random.Random(seed))]
-    answers = [[], [], []]
+def test_simulator_draws_the_keyed_stream(key, m, k, script):
+    """A simulator whose builds draw in one read agrees with one whose builds
+    are replayed as inserts in order: every answer, the whole state and the
+    stream position. Both agree with a plain model whose draws are the keyed
+    stream's, one below m at a time: k per first-time insert and k per query
+    of an unlisted element, in call order."""
+    sims = [SimulatorState(m, k, key) for _ in range(2)]
+    ref, f, inserted, fps, bits = DrawStream(key, b"simulator"), {}, [], [], bytearray(m)
+    answers = [[], []]
     for op, arg in script:
         for i, sim in enumerate(sims):
             if op == "query":
                 answers[i].append(sim.query(arg))
-            elif op == "insert" or i < 2:
+            elif op == "insert" or i == 0:
                 getattr(sim, op)(arg)
             else:
                 for x in arg:
                     sim.insert(x)
-    assert answers[0] == answers[1] == answers[2]
-    for sim in sims[1:]:
-        assert (sim.f, sim.flags, sim.inserted, sim.fp_list, sim.ctr, sim.popcount()) == (
-            sims[0].f, sims[0].flags, sims[0].inserted, sims[0].fp_list, sims[0].ctr, sims[0].popcount())
-        assert sim.rng.getstate() == sims[0].rng.getstate()
+        if op == "query":
+            if arg in inserted or arg in fps:
+                expected = 1
+            else:
+                expected = int(all([bits[ref.below(m, 1)[0]] for _ in range(k)]))
+                if expected:
+                    fps.append(arg)
+            assert answers[0][-1] == expected
+            continue
+        for x in arg if op == "build" else (arg,):
+            if x not in inserted:
+                f[x] = tuple(ref.below(m, 1)[0] for _ in range(k))
+                for j in f[x]:
+                    bits[j] = 1
+                inserted.append(x)
+    assert answers[0] == answers[1]
+    for sim in sims:
+        assert (sim.f, sim.flags, sim.inserted, sim.fp_list, sim.ctr) == (f, bits, inserted, fps, len(inserted))
+        assert sim.stream == ref
+
+
+@pytest.mark.parametrize("m, k", [(8, 3), (60, 3), (70000, 5)])
+def test_simulator_copies_and_pickles_partway_through_its_stream(m, k):
+    """A simulator that has drawn survives ``copy.deepcopy`` and ``pickle``:
+    the copy has the same state and stream position and answers the next
+    operations as the original does."""
+    sim = _KeyLeakingSimulator(m, k, b"partway")
+    sim.build(range(0, 40, 3))
+    sim.size, sim.key = 5000, b"k" * 16
+    answers = [sim.query(x) for x in range(100, 110)]
+    assert 0 < sim.stream.position and len(answers) == 10
+    fields = lambda s: (s.m, s.k, s.f, s.flags, s.inserted, s.fp_list, s.stream, s.reveal())
+    twins = copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))
+    script = [("insert", 7), ("query", 200), ("insert", 300), *(("query", x) for x in range(400, 440))]
+
+    def play(s):
+        return [s.insert(x) if op == "insert" else s.query(x) for op, x in script]
+
+    for twin in twins:
+        assert type(twin) is _KeyLeakingSimulator and fields(twin) == fields(sim)
+    expected = play(sim)
+    for twin in twins:
+        assert play(twin) == expected and fields(twin) == fields(sim)
 
 
 def test_oracle_budget_refusal():
-    sim = SimulatorState(8, 2, random.Random(0))
+    sim = SimulatorState(8, 2, b"sim")
     oracles = OracleSet(sim.query, sim.insert, sim.reveal, OracleBudget(inserts=1, queries=2, reveals=0))
     assert oracles.insert(1) is None
     assert oracles.insert(2) is REFUSED
@@ -254,30 +299,33 @@ def test_both_worlds_run_any_factory(run, allowance, calls, score):
 _MEMBERS = frozenset({40, 3, 17, 3000, 9})
 
 
-def _hand_built_simulator(m, k, seed):
-    sim = SimulatorState(m, k, random.Random(seed))
+def _hand_built_simulator(m, k, rng):
+    """A simulator keyed by the next 16 bytes of ``rng``, built over the sorted members."""
+    sim = SimulatorState(m, k, rng.randbytes(16))
     sim.build(sorted(_MEMBERS))
     return sim
 
 
 @pytest.mark.parametrize("m, k", [(64, 5), (60, 3)])
 def test_simulator_factory_builds_over_the_sorted_members(m, k):
-    world = simulator_factory(FilterParams(m=m, k=k, n=5))(_MEMBERS, random.Random(21))
-    sim = _hand_built_simulator(m, k, 21)
+    rng, twin_rng = random.Random(21), random.Random(21)
+    world = simulator_factory(FilterParams(m=m, k=k, n=5))(_MEMBERS, rng)
+    sim = _hand_built_simulator(m, k, twin_rng)
     assert type(world) is SimulatorState
     assert (world.f, world.flags, world.inserted) == (sim.f, sim.flags, sim.inserted)
-    assert world.rng.getstate() == sim.rng.getstate()
+    assert world.stream == sim.stream and rng.getstate() == twin_rng.getstate()
     assert world.reveal() == sim.reveal()
 
 
 def test_key_leaking_simulator_reveals_its_bits_with_a_key_drawn_after_the_build():
     params, u = FilterParams(m=60, k=3, n=5), Universe(5000)
-    world = key_leaking_simulator_factory(params, u)(_MEMBERS, random.Random(8))
-    twin = _hand_built_simulator(60, 3, 8)
-    key = twin.rng.randbytes(16)
-    assert world.flags == twin.flags
+    rng, twin_rng = random.Random(8), random.Random(8)
+    world = key_leaking_simulator_factory(params, u)(_MEMBERS, rng)
+    twin = _hand_built_simulator(60, 3, twin_rng)
+    key = twin_rng.randbytes(16)
+    assert world.flags == twin.flags and world.stream == twin.stream
     assert world.reveal() == _pack_snapshot(5000, 60, 3, KIND_NY, key, twin.reveal())
-    assert world.rng.getstate() == twin.rng.getstate()
+    assert rng.getstate() == twin_rng.getstate()
 
 
 def test_violation_replaces_adversary_output():

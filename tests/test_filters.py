@@ -1,7 +1,9 @@
 """Core filter behavior: hashing, building, querying, serialization."""
 
+import copy
 import hashlib
 import math
+import pickle
 import random
 import re
 import struct
@@ -34,7 +36,6 @@ from bloomlab.filters import (
     _PUBLIC_INDICES,
     _RUN,
     _TABLE_CAP,
-    _draws,
     _member_words,
     _memo_fill,
     _pack_snapshot,
@@ -45,7 +46,7 @@ from bloomlab.filters import (
     fresh_family,
     optimal_k,
 )
-from bloomlab.stats import mix_seed
+from bloomlab.stats import DrawStream, mix_seed
 
 
 def test_params_validation():
@@ -108,13 +109,13 @@ def test_keys_longer_than_blake2b_allows_are_refused_at_construction():
     assert BloomFilter.build({1}, params, HashFamily.keyed(b"x" * 64), u).query(1) == 1
     perm = FeistelPermutation(b"x" * 64, 512)
     assert perm.decrypt(perm.encrypt(7)) == 7
+    assert HashFamily.true_random(seed=b"x" * 64).indices(1, 32, 2)
     for make in (lambda: HashFamily.keyed(b"x" * 65),
+                 lambda: HashFamily.true_random(seed=b"x" * 65),
                  lambda: FeistelPermutation(b"x" * 65, 512),
                  lambda: NyFilter.build({1}, params, b"x" * 65, u)):
         with pytest.raises(ParameterError, match="64 bytes"):
             make()
-    # A true-random seed is not a blake2b key.
-    assert HashFamily.true_random(seed=b"x" * 65).indices(1, 32, 2)
 
 
 def test_true_random_memoizes_and_locks_shape():
@@ -133,42 +134,38 @@ def test_true_random_same_seed_same_draw_order():
         assert a.indices(x, 16, 2) == b.indices(x, 16, 2)
 
 
-def test_same_seeded_families_compare_by_generator_state():
+def test_same_seeded_families_compare_by_stream_position():
     a, b = HashFamily.true_random(seed=b"x"), HashFamily.true_random(seed=b"x")
     assert a == b and a != HashFamily.true_random(seed=b"y")
     a.indices(1, 64, 3)
-    assert a != b  # a has drawn: other memo, other generator state
+    assert a != b  # a has drawn: other memo, other stream position
     b.indices(1, 64, 3)
     assert a == b
     b.memo.clear()
-    assert a != b  # same generator state, other memo
+    assert a != b  # same stream position, other memo
+    a.memo.clear()
+    a._stream.read(1)
+    assert a != b  # same memo, other stream position
     assert HashFamily.public() == HashFamily.public()
     assert HashFamily.keyed(b"k") == HashFamily.keyed(b"k") != HashFamily.keyed(b"j")
 
 
-class _RandrangeOnly(random.Random):
-    """Draws only through its own randrange, which forwards to Random's."""
-
-    def randrange(self, *args):
-        return super().randrange(*args)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 1 << 32),
-    m=st.one_of(st.integers(1, 300), st.integers(-3, 3).map(lambda d: (1 << 20) + d)),
-    count=st.integers(0, 40),
-)
-@example(seed=0, m=1, count=5)
-def test_draws_match_randrange(seed, m, count):
-    """``_draws`` gives the draws and the final state of calling ``randrange(m)``
-    count times, on an exact Random (inline) and on a subclass (through its
-    own randrange)."""
-    reference = random.Random(seed)
-    expected = [reference.randrange(m) for _ in range(count)]
-    for rng in (random.Random(seed), _RandrangeOnly(seed)):
-        assert _draws(rng, m, count) == expected
-        assert rng.getstate() == reference.getstate()
+@pytest.mark.parametrize("m, k", [(8, 3), (37, 2), (1000, 4), (70000, 7)])
+def test_true_random_family_copies_and_pickles_partway_through_its_stream(m, k):
+    """A family that has drawn survives ``copy.deepcopy`` and ``pickle``: the
+    copy compares equal, at the same stream position, and draws what the
+    original draws next."""
+    family = HashFamily.true_random(seed=b"partway")
+    for x in range(5):
+        family.indices(x, m, k)
+    assert 0 < family._stream.position
+    twins = copy.deepcopy(family), pickle.loads(pickle.dumps(family))
+    for twin in twins:
+        assert twin == family and twin._stream.position == family._stream.position
+    ahead = [family.indices(x, m, k) for x in range(5, 30)]
+    for twin in twins:
+        assert [twin.indices(x, m, k) for x in range(5, 30)] == ahead
+        assert twin == family
 
 
 def _reference_round(key: bytes, i: int, r: int, half: int) -> int:
@@ -304,7 +301,7 @@ def test_true_random_indices_ignore_bits():
         assert empty.query(x) == 0
         assert dense.query(x) == (31 not in dense.family.memo[x])
         assert empty.family.memo == dense.family.memo
-        assert empty.family._rng.getstate() == dense.family._rng.getstate()
+        assert empty.family._stream.position == dense.family._stream.position
 
 
 @settings(max_examples=150, deadline=None)
@@ -342,44 +339,43 @@ def test_query_matches_reference_indices_on_built_filters(key, m, k, members, pr
 def test_true_random_query_matches_all_indices_and_keeps_memo(key, m, k, members, probes):
     """Every answer is the AND of x's k indices. An unsaturated filter memoizes
     them on the query, so deriving them afterwards draws nothing; a saturated
-    one answers 1 and leaves the memo and the generator as they were."""
+    one answers 1 and leaves the memo and the stream position as they were."""
     family = HashFamily.true_random(seed=key)
     filt = BloomFilter.build(members, FilterParams(m=m, k=k, n=len(members)), family, Universe(256))
     bits = filt.bit_bytes()
     saturated = filt.is_saturated()
     for x in members + probes:
-        before = dict(family.memo), family._rng.getstate()
+        before = dict(family.memo), family._stream.position
         answer = filt.query(x)
-        memo, state = dict(family.memo), family._rng.getstate()
+        memo, position = dict(family.memo), family._stream.position
         if saturated:
-            assert answer == 1 and (memo, state) == before
+            assert answer == 1 and (memo, position) == before
         assert answer == all(bits[j >> 3] & (1 << (j & 7)) for j in family.indices(x, m, k))
         if not saturated:
-            assert family.memo == memo and family._rng.getstate() == state
+            assert family.memo == memo and family._stream.position == position
 
 
 def test_saturated_true_random_query_answers_a_miss_without_drawing():
     family = HashFamily.true_random(seed=3)
     filt = BloomFilter.build(range(40), FilterParams(m=8, k=3, n=40), family, Universe(1 << 16))
     assert filt.is_saturated()
-    memo, state = dict(family.memo), family._rng.getstate()
+    memo, position = dict(family.memo), family._stream.position
     for x in (40, 41, 1000, 40):
         assert x not in family.memo
         assert filt.query(x) == 1
-    assert family.memo == memo and family._rng.getstate() == state
+    assert family.memo == memo and family._stream.position == position
 
 
 @pytest.mark.parametrize("m", [1, 8, 37, 64, 1 << 20])
-def test_unsaturated_true_random_query_draws_k_randrange_values(m):
+def test_unsaturated_true_random_query_draws_k_stream_values(m):
     k = 3
     family = HashFamily.true_random(seed=8)
     filt = BloomFilter.build([], FilterParams(m=m, k=k, n=0), family, Universe(64))
-    family.indices(5, m, k)  # the generator is past its first draws
-    reference = random.Random()
-    reference.setstate(family._rng.getstate())
+    family.indices(5, m, k)  # the stream is past its first draws
+    reference = copy.copy(family._stream)
     assert filt.query(63) == 0
-    assert family.memo[63] == tuple(reference.randrange(m) for _ in range(k))
-    assert family._rng.getstate() == reference.getstate()
+    assert family.memo[63] == tuple(reference.below(m, k))
+    assert family._stream == reference
 
 
 def test_standard_true_random_filter_stops_drawing_from_the_saturating_insert():
@@ -387,15 +383,15 @@ def test_standard_true_random_filter_stops_drawing_from_the_saturating_insert():
     filt = BloomFilter(FilterParams(m=8, k=3, n=0), family, Universe(1 << 16), kind=KIND_STANDARD)
     probes, x = iter(range(1000, 2000)), 0
     while not filt.is_saturated():
-        state = family._rng.getstate()
+        position = family._stream.position
         filt.query(next(probes))
-        assert family._rng.getstate() != state
+        assert family._stream.position > position
         filt.insert(x)
         x += 1
     for p in list(probes)[:50]:
-        memo, state = dict(family.memo), family._rng.getstate()
+        memo, position = dict(family.memo), family._stream.position
         assert filt.query(p) == 1
-        assert family.memo == memo and family._rng.getstate() == state
+        assert family.memo == memo and family._stream.position == position
 
 
 @pytest.mark.parametrize("m, saturated", [(8, True), (64, False)])
@@ -417,16 +413,18 @@ def test_ny_filter_over_true_random_matches_inner_query_in_lockstep(m, saturated
     k=st.integers(1, 20),
     xs=st.lists(st.integers(0, 63), min_size=1, max_size=12),
 )
-def test_true_random_indices_match_randrange_stream(key, m, k, xs):
-    """The family draws each index as ``randrange(m)`` of the seeded generator
-    would, in order, element by element; repeats come from the memo."""
+def test_true_random_indices_match_the_keyed_stream(key, m, k, xs):
+    """The family draws each index as one draw below m of the stream keyed by
+    its key and personalised ``b"true-random"`` would, in order, element by
+    element; repeats come from the memo."""
     family = HashFamily.true_random(seed=key)
-    reference = random.Random(key)
+    reference = DrawStream(key, b"true-random")
     expected = {}
     for x in xs:
         if x not in expected:
-            expected[x] = tuple(reference.randrange(m) for _ in range(k))
+            expected[x] = tuple(reference.below(m, 1)[0] for _ in range(k))
         assert family.indices(x, m, k) == expected[x]
+    assert family._stream == reference
 
 
 def test_keyed_prf_indices_uniform_chi_square():
@@ -702,15 +700,14 @@ def test_refused_true_random_build_leaves_the_family_unchanged():
     the family is as it was, and a retry matches a fresh family bit for bit."""
     params, u = FilterParams(m=64, k=3, n=4), Universe(100)
     family = HashFamily.true_random(seed=7)
-    state = family._rng.getstate()
     with pytest.raises(DomainError):
         BloomFilter.build({1, 2, 3, 500}, params, family, u)
-    assert family.memo == {} and family._shape is None and family._rng.getstate() == state
+    assert family.memo == {} and family._shape is None and family._stream.position == 0
     retry = BloomFilter.build({1, 2, 3, 50}, params, family, u)
     fresh = BloomFilter.build({1, 2, 3, 50}, params, HashFamily.true_random(seed=7), u)
     assert retry.bit_bytes() == fresh.bit_bytes()
     assert (family.memo, family._shape) == (fresh.family.memo, fresh.family._shape)
-    assert family._rng.getstate() == fresh.family._rng.getstate()
+    assert family._stream.position == fresh.family._stream.position > 0
 
 
 def test_true_random_filter_binds_its_shape_at_construction():
@@ -727,7 +724,7 @@ def test_true_random_filter_binds_its_shape_at_construction():
 def test_true_random_build_matches_inserting_sorted_members(n, k, m):
     """True-random builds with few and many draws per bit up to m = 2**20, on a family whose
     memo already holds some members and non-members: the bits, popcount,
-    memo and generator state of inserting the sorted members one by one."""
+    memo and stream position of inserting the sorted members one by one."""
     members = random.Random(n).sample(range(1 << 20), n)
     seen = members[::3] + [-1 - x for x in range(5)]
     u, params = Universe(1 << 20), FilterParams(m=m, k=k, n=n)
@@ -742,7 +739,7 @@ def test_true_random_build_matches_inserting_sorted_members(n, k, m):
     assert built.bit_bytes() == one_by_one.bit_bytes()
     assert built.popcount() == one_by_one.popcount() == _popcount(built.bit_bytes())
     assert families[0].memo == families[1].memo
-    assert families[0]._rng.getstate() == families[1]._rng.getstate()
+    assert families[0]._stream.position == families[1]._stream.position
     assert families[0] == families[1]
 
 
@@ -1177,14 +1174,13 @@ def test_require_all_passes_and_refuses_as_require_does_element_by_element(xs):
 def test_builds_refuse_a_bad_member_by_name_and_leave_the_family_unchanged(bad, mode):
     u, params = Universe(32), FilterParams(m=64, k=3, n=3)
     family = _family(mode, b"key")
-    state = family._rng.getstate() if mode == TRUE_RANDOM else None
     message = re.escape(f"element {bad!r} outside universe [0, 32)")
     with pytest.raises(DomainError, match=message):
         BloomFilter.build([1, 5, bad], params, family, u)
     with pytest.raises(DomainError, match=message):
         NyFilter.build([1, 5, bad], params, b"prp", u, family=family)
     assert family.memo == {} and family._shape is None
-    assert state is None or family._rng.getstate() == state
+    assert mode != TRUE_RANDOM or family._stream.position == 0
 
 
 def _collections(members: list) -> dict:
@@ -1208,14 +1204,14 @@ def _collections(members: list) -> dict:
 @example(mode=TRUE_RANDOM, members=list(range(40, 0, -1)), m=8, k=3)
 def test_build_over_any_collection_of_the_members_is_one_filter(mode, members, m, k):
     """A set or frozenset is taken as it is and any other collection is
-    copied first: all four build the same bits, memo and generator state."""
+    copied first: all four build the same bits, memo and stream position."""
     u, params = Universe(4096), FilterParams(m=m, k=k, n=len(members))
     outcomes = []
     for make in _collections(members).values():
         filt = BloomFilter.build(make(), params, _family(mode, b"one"), u)
         family = filt.family
         outcomes.append((filt.bit_bytes(), filt.popcount(), family.memo,
-                         family._rng.getstate() if mode == TRUE_RANDOM else None))
+                         family._stream.position if mode == TRUE_RANDOM else None))
     assert outcomes.count(outcomes[0]) == len(outcomes)
 
 
@@ -1323,17 +1319,16 @@ def test_a_refused_build_names_the_first_offender_of_the_collection_given(bad, m
 def test_memo_fill_matches_deriving_each_element_one_by_one(seed, m, k, known, elements):
     """Over a memo that already holds some of the elements, ``_memo_fill``
     returns the k indices of each element, flat and in order, and leaves
-    the memo and the generator as deriving the elements one by one does."""
+    the memo and the stream position as deriving the elements one by one does."""
     bulk, single = HashFamily.true_random(seed), HashFamily.true_random(seed)
     for family in (bulk, single):
         family._bind(m, k)
         for x in known:
             family.indices(x, m, k)
-    got = _memo_fill(bulk.memo, bulk._rng, m, k, elements)
+    got = _memo_fill(bulk.memo, bulk._stream, m, k, elements)
     for x in elements:
         single.indices(x, m, k)
-    assert type(got) is list
-    assert got == [j for x in elements for j in single.memo[x]]
+    assert list(got) == [j for x in elements for j in single.memo[x]]
     assert bulk == single
 
 

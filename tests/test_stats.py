@@ -1,11 +1,14 @@
-"""Seed derivation and interval helpers."""
+"""Seed derivation, the counter-mode draw stream and interval helpers."""
 
+import copy
 import hashlib
+import pickle
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from bloomlab import filic, filters, games, privacy
 from bloomlab.errors import ParameterError
@@ -28,6 +31,7 @@ from bloomlab.privacy import (
 )
 from bloomlab.stats import (
     Z99,
+    DrawStream,
     floored_binomial_se,
     mean_confidence_interval,
     mix_seed,
@@ -91,6 +95,117 @@ def test_unencodable_tag_is_refused_alike():
         mix_seed(1, "\ud800", 0)
     with pytest.raises(UnicodeEncodeError):
         seed_stream(1, "\ud800")
+
+
+class _ReferenceStream:
+    """The draw stream and its rule, from scratch: block c is the keyed,
+    personalised 64-byte blake2b digest of c as 8 little-endian bytes, the
+    stream is the blocks in order, and a draw below m reads (w + 7) // 8
+    bytes, w = (m - 1).bit_length(), little-endian, keeps the low w bits and
+    is drawn again while >= m. One byte string, one draw at a time."""
+
+    def __init__(self, key, person):
+        self.key, self.person, self.data, self.position = key, person, b"", 0
+
+    def read(self, n):
+        while len(self.data) < self.position + n:
+            c = len(self.data) // 64
+            self.data += hashlib.blake2b(c.to_bytes(8, "little"), key=self.key, digest_size=64,
+                                         person=self.person).digest()
+        self.position += n
+        return self.data[self.position - n:self.position]
+
+    def below(self, m, count):
+        width = (m - 1).bit_length()
+        draws = []
+        while len(draws) < count:
+            value = int.from_bytes(self.read((width + 7) // 8), "little") % (1 << width)
+            if value < m:
+                draws.append(value)
+        return draws
+
+
+_WIDTHS = st.one_of(
+    st.integers(1, 300),
+    st.integers(1, 64).flatmap(lambda w: st.integers((1 << (w - 1)) + 1, 1 << w)),
+    st.sampled_from([37, 256, 257, 65536, 65537, (1 << 24) + 1, (1 << 64) + 1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.binary(max_size=64),
+    person=st.binary(max_size=16),
+    calls=st.lists(st.one_of(st.tuples(st.just("read"), st.integers(0, 150)),
+                             st.tuples(_WIDTHS, st.integers(0, 90))), max_size=8),
+)
+@example(key=b"k", person=b"p", calls=[(8, 60), (8, 3), (8, 3), ("read", 1), (37, 40), (65537, 30)])
+@example(key=b"", person=b"", calls=[(1, 50), (2, 64), (3, 1), ("read", 0), (3, 100)])
+def test_draw_stream_matches_the_reference_rule(key, person, calls):
+    """Reads and draws below m, in any mix and split into any calls, are the
+    from-scratch stream and rule, continuing where the last call stopped."""
+    stream, reference = DrawStream(key, person), _ReferenceStream(key, person)
+    for m, count in calls:
+        if m == "read":
+            assert stream.read(count) == reference.read(count)
+        else:
+            got = stream.below(m, count)
+            assert list(got) == reference.below(m, count)
+            assert type(got) is (bytes if m <= 256 else list)
+        assert stream.position == reference.position
+
+
+def test_a_draw_below_one_reads_nothing():
+    stream = DrawStream(b"k", b"p")
+    assert stream.below(1, 5) == bytes(5) and stream.position == 0
+    stream.below(2, 1)
+    assert stream.below(1, 3) == bytes(3) and stream.position == 1
+
+
+def test_draw_streams_compare_copy_and_pickle_by_key_person_and_position():
+    stream = DrawStream(b"key", b"person")
+    assert stream == DrawStream(b"key", b"person")
+    assert stream != DrawStream(b"kez", b"person") and stream != DrawStream(b"key", b"persoo")
+    stream.below(1000, 33)
+    assert stream != DrawStream(b"key", b"person")
+    assert stream == DrawStream(b"key", b"person", stream.position)
+    twins = copy.copy(stream), copy.deepcopy(stream), pickle.loads(pickle.dumps(stream))
+    for twin in twins:
+        assert twin == stream and twin is not stream
+    ahead = [list(stream.below(m, 25)) for m in (8, 70000, 3)]
+    for twin in twins:
+        assert [list(twin.below(m, 25)) for m in (8, 70000, 3)] == ahead and twin == stream
+
+
+def test_draw_stream_refuses_a_key_longer_than_blake2b_takes():
+    assert DrawStream(b"x" * 64, b"p").below(256, 1)
+    with pytest.raises(ParameterError, match="at most 64 bytes"):
+        DrawStream(b"x" * 65, b"p")
+
+
+# Significance of each uniformity test, fixed before the first run: 11 widths
+# at 0.001 each make a false alarm about 1% likely for a given key.
+_CHI_ALPHA = 0.001
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 37, 64, 255, 256, 257, 1000, 65537])
+def test_draws_below_m_pass_a_chi_square_test(m):
+    """Counts of draws below m, taken in calls of 1 to 97 draws, against the
+    uniform distribution: per value for m <= 1000, and per residue mod 257
+    (exact expected counts) for m = 65537. Every draw is below m."""
+    cells = m if m <= 1000 else 257
+    expected = [(m - c + cells - 1) // cells for c in range(cells)]  # values v < m with v % cells == c
+    samples = 100 * cells
+    stream, counts, drawn, size = DrawStream(b"chi-square", b"uniformity"), [0] * cells, 0, 1
+    while drawn < samples:
+        got = stream.below(m, min(size, samples - drawn))
+        assert max(got) < m
+        for v in got:
+            counts[v % cells] += 1
+        drawn += len(got)
+        size = size % 97 + 1
+    statistic = sum((counts[c] - samples * e / m) ** 2 / (samples * e / m) for c, e in enumerate(expected))
+    assert statistic < chi2.ppf(1 - _CHI_ALPHA, cells - 1)
 
 
 def test_wilson_interval_contains_point_estimate():
