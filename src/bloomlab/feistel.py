@@ -32,11 +32,11 @@ of a snapshot of the filter the world has just built under that key. At u = 4096
 Wider half-blocks read one field per round per call, from a copy of the
 round's state, which is already keyed and has absorbed ``<Q>(i)``: one
 digest per round and call. Only the tabulated encrypt block, the hot path,
-runs its four rounds unrolled: 520 against 640 ns a block looped.
-:meth:`bloomlab.filters.NyFilter.sample_positive` runs the same unrolled
-rounds inline on this class's tables. The per-call rounds loop, as
-decrypt's do: unrolled, an encrypt at 2**20 took 6.35 against 6.37 us
-(medians of 31 interleaved rounds, 2-core x86-64 VM, Python 3.11).
+runs its four rounds unrolled: 520 against 640 ns a block looped, and
+:meth:`bloomlab.filters.NyFilter.sample_positive` calls it per draw. The
+per-call rounds loop, as decrypt's do: unrolled, an encrypt at 2**20 took
+6.35 against 6.37 us (medians of 31 interleaved rounds, 2-core x86-64 VM,
+Python 3.11). A permutation copies and pickles as its key and size.
 """
 
 from __future__ import annotations
@@ -111,6 +111,10 @@ class FeistelPermutation:
                 state = keyed.copy()
                 state.update(_WORD.pack(i))
                 rounds.append(state)
+
+    def __reduce__(self):
+        """Key and size; per-call rounds hold blake2b states, which do not pickle."""
+        return FeistelPermutation, (self.key, self.size)
 
     def _encrypt_block(self, value: int) -> int:
         half_bits, mask, tables = self._half_bits, self._half_mask, self._tables

@@ -82,14 +82,14 @@ idiom above (:mod:`bloomlab.feistel`); over a universe of at most 2**16
 elements each round is a table, so an element is permuted by four byte
 lookups, and the tables of the last (key, size) are reused by the next
 permutation of that key and size. ``_feistel`` imports the permutation
-class at the first permutation made. A query permutes x to y once; where
-the inner filter has a memo (true-random, or public under the gate) that
-holds y, it reads y's k indices from that memo and tests them itself, and
-it calls the inner ``query`` only on a miss, for an inner filter that hashes
-per query, or for a y outside the inner universe, which that refuses.
-``sample_positive``, the scan of the reveal-oracle adversary, tests draws
-until one is positive: over tabulated rounds and an inner memo it permutes
-and tests each draw inline, as a query does, with no call per draw.
+class at the first permutation made. A query permutes x to y and asks the
+inner ``query``, which refuses a y outside the inner universe.
+``sample_positive``, the reveal-oracle adversary's scan, calls no ``query``
+per draw: it permutes each through ``_encrypt_block`` and the cycle walk, and
+tests y's k indices itself where the inner memo (true-random, or public
+under the gate) holds them; anything else goes to the inner ``query``.
+Families, filters and permutations copy and pickle, and make the blake2b
+states they cache again on demand.
 
 Snapshots use a versioned binary layout, little-endian throughout:
 
@@ -267,13 +267,12 @@ class Universe:
     def sample(self, rng: random.Random, n: int) -> list[int]:
         """``rng.sample(range(size), n)``: the same list, and ``rng`` left in the
         same state. Where that keeps a ``selected`` set (size above 21, or above
-        ``21 + 4**ceil(log(3n, 4))`` for n > 5), an exact ``random.Random``
-        draws inline by CPython's rule: ``getrandbits(size.bit_length())``,
-        redrawn while >= size or selected. Otherwise, a subclass of ``Random``
-        included, it calls ``rng.sample``."""
+        ``21 + 4**ceil(log(3n, 4))`` for n > 5), it draws inline by CPython's
+        rule: ``getrandbits(size.bit_length())``, redrawn while >= size or
+        selected. Otherwise it calls ``rng.sample``."""
         size = self.size
         setsize = 21 + 4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 21
-        if type(rng) is not random.Random or n < 0 or size <= setsize:
+        if n < 0 or size <= setsize:
             return rng.sample(range(size), n)
         getrandbits, width = rng.getrandbits, size.bit_length()
         selected = {}  # insertion-ordered: the draws in selection order
@@ -286,17 +285,16 @@ class Universe:
 
     def sample_outside(self, rng: random.Random, excluded) -> int:
         """Uniform element not in ``excluded``: ``rng.randrange(size)``, redrawn
-        while excluded. An exact ``random.Random`` draws it inline, as above.
-        Refused when ``excluded`` holds every element of the universe; elements
-        outside it do not count."""
+        while excluded, drawn inline by the rule above. Refused when
+        ``excluded`` holds every element of the universe; elements outside it
+        do not count."""
         size = self.size
         if len(excluded) >= size and all(map(excluded.__contains__, range(size))):
             raise ParameterError("excluded set covers the whole universe")
-        plain = type(rng) is random.Random
-        draw, arg = (rng.getrandbits, size.bit_length()) if plain else (rng.randrange, size)
-        x = draw(arg)
+        getrandbits, width = rng.getrandbits, size.bit_length()
+        x = getrandbits(width)
         while x >= size or x in excluded:
-            x = draw(arg)
+            x = getrandbits(width)
         return x
 
 
@@ -342,6 +340,11 @@ class HashFamily:
         return all(getattr(self, name) == getattr(other, name)
                    for name in ("mode", "key", "memo", "_shape", "_stream"))
 
+    def __reduce__(self):
+        """Mode, key, memo, stream and shape; blake2b states do not pickle."""
+        state = {"memo": self.memo, "_stream": self._stream, "_shape": self._shape}
+        return HashFamily, (self.mode, self.key), (None, state)
+
     @classmethod
     def public(cls) -> "HashFamily":
         return cls(mode=PUBLIC, key=b"")
@@ -382,12 +385,8 @@ class HashFamily:
         if self.mode == TRUE_RANDOM:
             self._bind(m, k)
             return tuple(_memo_fill(self.memo, self._stream, m, k, (x,)))
-        tail, got = _WORD.pack(x), []
-        for b, state in enumerate(self.block_states(k)):
-            h = state.copy()
-            h.update(tail)
-            got += [w % m for w in _WORDS[min(8, k - 8 * b)].unpack_from(h.digest())]
-        return tuple(got)
+        words = chain.from_iterable(_member_words(self.block_states(k), k, [_WORD.pack(x)]))
+        return tuple([w % m for w in words])
 
     def _bind(self, m: int, k: int) -> None:
         """Fix a true-random family's (m, k), or refuse another one."""
@@ -465,6 +464,10 @@ class BloomFilter:
         else:
             self._blocks = tuple((state, _WORDS[min(8, params.k - 8 * b)])
                                  for b, state in enumerate(family.block_states(params.k)))
+
+    def __reduce__(self):
+        """Rebuilt through ``__init__``, which binds memo or states again."""
+        return type(self), (self.params, self.family, self.universe, self.kind), (None, {"_flags": self._flags})
 
     @classmethod
     def build(cls, members, params: FilterParams, family: HashFamily, universe: Universe) -> "BloomFilter":
@@ -612,11 +615,11 @@ class BloomFilter:
 
 def _sample_positive(query, size: int, rng, excluded, tries: int) -> int | None:
     """``sample_positive`` through ``query``: each draw a call."""
-    draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
+    getrandbits, width = rng.getrandbits, size.bit_length()
     for _ in range(tries):
-        x = draw(arg)
+        x = getrandbits(width)
         while x >= size:
-            x = draw(arg)
+            x = getrandbits(width)
         if x not in excluded and query(x):
             return x
     return None
@@ -734,57 +737,33 @@ class NyFilter:
         return self.inner.params
 
     def query(self, x: int) -> int:
-        """``inner.query(prp.encrypt(x))``. Where the inner filter has a memo
-        (true-random, or public with u·k <= 2**15) that holds the image y,
-        y's k indices are read from it and tested here; ``inner.query``
-        answers a memo miss, an inner filter that hashes per query, and a y
-        outside the inner universe, which it refuses."""
+        """``inner.query(prp.encrypt(x))``, once x is checked against this
+        filter's universe; ``inner.query`` refuses an image outside its own."""
         if not (isinstance(x, int) and 0 <= x < self.universe.size):
             self.universe.require(x)
-        y = self.prp.encrypt(x)
-        inner = self.inner
-        memo = inner._memo
-        if memo is not None and y < inner.universe.size:
-            got = memo.get(y)
-            if got is not None:
-                flags = inner._flags
-                for j in got:
-                    if not flags[j]:
-                        return 0
-                return 1
-        return inner.query(y)
+        return self.inner.query(self.prp.encrypt(x))
 
     def sample_positive(self, rng: random.Random, excluded, tries: int) -> int | None:
-        """:meth:`BloomFilter.sample_positive`. Where the permutation's rounds
-        are tabulated and cover the universe and the inner filter has a memo,
-        each draw is answered here, without a call: permuted by the rounds of
-        ``FeistelPermutation._encrypt_block``, cycle walk included, then
-        tested as ``query`` tests it."""
+        """:meth:`BloomFilter.sample_positive` with no ``query`` per draw: each is
+        permuted as ``prp.encrypt`` permutes it and tested on the inner memo
+        where that holds the image; ``inner.query`` answers any other image.
+        A universe larger than the permutation's domain samples via ``query``."""
         prp, inner, size = self.prp, self.inner, self.universe.size
-        tables, memo = prp._tables, inner._memo
-        if tables is None or memo is None or size > prp.size:
+        if size > prp.size:
             return _sample_positive(self.query, size, rng, excluded, tries)
-        t0, t1, t2, t3 = tables
-        half, mask, prp_size = prp._half_bits, prp._half_mask, prp.size
-        flags, inner_size = inner._flags, inner.universe.size
-        draw, arg = (rng.getrandbits, size.bit_length()) if type(rng) is random.Random else (rng.randrange, size)
+        encrypt, prp_size, flags, inner_size = prp._encrypt_block, prp.size, inner._flags, inner.universe.size
+        lookup = inner._memo.get if inner._memo is not None else {}.get
+        getrandbits, width = rng.getrandbits, size.bit_length()
         for _ in range(tries):
-            x = draw(arg)
+            x = getrandbits(width)
             while x >= size:
-                x = draw(arg)
+                x = getrandbits(width)
             if x in excluded:
                 continue
-            y = x
-            while True:
-                left, right = y >> half, y & mask
-                left ^= t0[right]
-                right ^= t1[left]
-                left ^= t2[right]
-                right ^= t3[left]
-                y = (left << half) | right
-                if y < prp_size:
-                    break
-            got = memo.get(y) if y < inner_size else None
+            y = encrypt(x)
+            while y >= prp_size:
+                y = encrypt(y)
+            got = lookup(y) if y < inner_size else None
             if got is None:
                 if inner.query(y):
                     return x
@@ -872,7 +851,7 @@ def estimate_fpr(params: FilterParams, universe: Universe, mode: str,
         rng = random.Random(s)
         members = set(universe.sample(rng, params.n))
         query = make(members, rng).query
-        # Universe.sample_outside, drawn inline as it draws for a plain Random.
+        # Universe.sample_outside, drawn inline.
         getrandbits = rng.getrandbits
         hits = 0
         for _ in range(per_build):

@@ -95,6 +95,8 @@ class Adversary(ABC):
     """Per-trial opponent; ``begin`` resets it with fresh randomness."""
 
     def begin(self, cfg: GameConfig, rng: random.Random) -> None:
+        """Reset for a trial on ``rng``, any ``random.Random``: the universe's
+        samplers draw from it by ``getrandbits``, a subclass's too."""
         self.cfg = cfg
         self.rng = rng
 

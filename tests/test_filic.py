@@ -576,16 +576,20 @@ def test_public_collision_adversary_refuses_a_raw_reveal_setting_bits_past_m(las
 @pytest.mark.parametrize("expects_snapshot", [True, False])
 def test_representation_prediction_gives_up_after_max_scan_on_empty_bits(expects_snapshot):
     """An all-zero bit array has no positive: the scan draws MAX_SCAN times,
+    leaving the generator where MAX_SCAN draws of randrange(u) leave it,
     asks nothing and outputs 0."""
     params, u = FilterParams(m=64, k=5, n=9), Universe(4096)
     adv = RepresentationPredictionAdversary(params, u, 9, expects_snapshot=expects_snapshot)
-    adv.begin(_CountingRandom(4))
+    adv.begin(random.Random(4))
     adv.choose_set()
-    calls = adv.rng.calls
+    ref = random.Random()
+    ref.setstate(adv.rng.getstate())
+    for _ in range(MAX_SCAN):
+        ref.randrange(u.size)
     bits = bytes(8)
     oracles = _RecordingOracles(_pack_snapshot(u.size, 64, 5, KIND_NY, b"k" * 16, bits) if expects_snapshot else bits)
     assert adv.interact(oracles) == 0
-    assert adv.rng.calls - calls == MAX_SCAN
+    assert adv.rng.getstate() == ref.getstate()
     assert oracles.queried == []
 
 

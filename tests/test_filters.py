@@ -168,6 +168,29 @@ def test_true_random_family_copies_and_pickles_partway_through_its_stream(m, k):
         assert twin == family
 
 
+@pytest.mark.parametrize("u", [4096, 65537])
+@pytest.mark.parametrize("mode", [PUBLIC, KEYED_PRF, TRUE_RANDOM])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["bloom", "ny"])
+def test_filters_copy_and_pickle_after_building_and_querying(wrapped, mode, u):
+    """A filter that has built and answered queries survives ``copy.deepcopy``
+    and ``pickle``, its family's blake2b states and, at u = 65537, the
+    permutation's per-call rounds included: each copy answers every probe as
+    the original does, and a true-random copy draws what the original draws."""
+    universe, params = Universe(u), FilterParams(m=512, k=3, n=20)
+    family = _family(mode, b"copies")
+    if wrapped:
+        filt = NyFilter.build(range(0, 2000, 100), params, b"prp", universe, family=family)
+    else:
+        filt = BloomFilter.build(range(0, 2000, 100), params, family, universe)
+    assert all(filt.query(x) for x in range(0, 2000, 100)) and not all(map(filt.query, range(600)))
+    twins = copy.deepcopy(filt), pickle.loads(pickle.dumps(filt))
+    probes = range(0, u, 1 if u <= 4096 else 7)
+    expected = [filt.query(x) for x in probes]
+    for twin in twins:
+        assert [twin.query(x) for x in probes] == expected
+        assert twin.params == filt.params and getattr(twin, "inner", twin).family == family
+
+
 def _reference_round(key: bytes, i: int, r: int, half: int) -> int:
     """Feistel round i of the half-block r, hashed from scratch: field r of
     the keystream blake2b(<Q>(i) || <Q>(b), key) for b = 0, 1, ..., read as
@@ -676,23 +699,25 @@ class _CountingRandom(random.Random):
         return super().randrange(*args)
 
 
-def test_random_subclasses_draw_through_their_own_methods():
-    """Only an exact Random is drawn from inline: a subclass sees its calls,
-    and as it draws the same stream, gets the same elements."""
+def test_random_subclasses_draw_the_stream_of_an_exact_random():
+    """A Random subclass that overrides sample and randrange is drawn from
+    by getrandbits, as an exact Random is: the same elements, the generator
+    left in the same state, and neither override called."""
     from bloomlab.games import GameConfig, UniformAdversary
 
     u = Universe(1 << 16)
     counting, plain = _CountingRandom(3), random.Random(3)
     assert u.sample(counting, 20) == u.sample(plain, 20)
     assert u.sample_outside(counting, {1, 2}) == u.sample_outside(plain, {1, 2})
-    assert counting.calls == {"sample": 1, "randrange": 1}
     assert counting.getstate() == plain.getstate()
 
-    adversary = UniformAdversary()
-    adversary.begin(GameConfig(universe=u, n=20, t=2, threshold=0.5), counting)
-    adversary.choose_set()
-    adversary.next_query([])
-    assert counting.calls == {"sample": 2, "randrange": 2}
+    played = []
+    for rng in (counting, plain):
+        adversary = UniformAdversary()
+        adversary.begin(GameConfig(universe=u, n=20, t=2, threshold=0.5), rng)
+        played.append((adversary.choose_set(), adversary.next_query([])))
+    assert played[0] == played[1] and counting.getstate() == plain.getstate()
+    assert counting.calls == {"sample": 0, "randrange": 0}
 
 
 def test_refused_true_random_build_leaves_the_family_unchanged():
@@ -1501,6 +1526,20 @@ def test_ny_query_refuses_an_image_outside_a_smaller_inner_universe(mode):
     answers = [_wrapped(ny, x) for x in range(256)]
     assert answers == [_composed(ny, x) for x in range(256)]
     assert {answers[x] for x in outside} == {DomainError}
+    via_query = lambda r, excluded, n: _sample_positive(ny.query, 256, r, excluded, n)
+    outcomes = set()
+    for seed in range(200):
+        pair = []
+        for sample in (ny.sample_positive, via_query):
+            rng = random.Random(seed)
+            try:
+                found = sample(rng, set(), 1 + seed % 4)
+            except DomainError:
+                found = DomainError
+            pair.append((found, rng.getstate()))
+        assert pair[0] == pair[1]
+        outcomes.add(found if found in (None, DomainError) else int)
+    assert outcomes == {None, DomainError, int}
 
 
 def test_only_filters_that_hash_per_query_bind_block_states():
@@ -1577,7 +1616,7 @@ def test_ny_query_and_sampling_match_the_reference_permutation(key, size):
     reference = _reference_encrypt(key, size)
     prp = FeistelPermutation(key, size)
     assert [prp.encrypt(x) for x in xs] == [reference(x) for x in xs]
-    for mode in (PUBLIC, TRUE_RANDOM):
+    for mode in (PUBLIC, KEYED_PRF, TRUE_RANDOM):
         a, b = (NyFilter.build(members, params, key, u, family=_family(mode, key)) for _ in range(2))
         assert [a.query(x) for x in xs] == [b.inner.query(reference(x)) for x in xs]
         tries = min(4 * size, 512)
